@@ -464,7 +464,7 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
             policy=policy,
             agreement_text_hash=bytes.fromhex(text_hash) if text_hash else None,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise AttestationError(f"bad agreement document: {exc}") from exc
 
 

@@ -44,6 +44,10 @@ class Rejected(ChainError):
     pass
 
 
+class MalformedStatus(ChainError):
+    """A status document or field the source returned cannot be read."""
+
+
 DEFAULT_TIMEOUT = 10.0
 
 _mempool_lock = threading.Lock()
@@ -109,8 +113,8 @@ def format_time(when: datetime) -> str:
     return when.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def get_raw_transaction(src: ChainSource, txid: Txid) -> str:
-    """Raw hex for txid, verified client-side to hash back to txid."""
+def _fetch_transaction(src: ChainSource, txid: Txid) -> tuple[str, Transaction]:
+    """Raw hex for txid and its parse, verified client-side to hash back to txid."""
     if src.mode == "fixture":
         path = src.fixture_root / f"{txid.hex()}.hex"
         if not path.exists():
@@ -132,24 +136,42 @@ def get_raw_transaction(src: ChainSource, txid: Txid) -> str:
     if actual.hash != txid.hash:
         raise TxidMismatch(
             f"requested {txid.hex()} but source bytes hash to {actual.hex()}")
-    return hex_text
+    return hex_text, parsed
+
+
+def get_raw_transaction(src: ChainSource, txid: Txid) -> str:
+    """Raw hex for txid, verified client-side to hash back to txid."""
+    return _fetch_transaction(src, txid)[0]
 
 
 def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
-    return parse_transaction(get_raw_transaction(src, txid))
+    return _fetch_transaction(src, txid)[1]
+
+
+def _status_document(text: str | bytes, origin: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise MalformedStatus(f"unparseable status document from {origin}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedStatus(f"status document from {origin} is not an object")
+    return doc
 
 
 def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     if src.mode == "fixture":
         status_path = src.fixture_root / f"{txid.hex()}.status"
         if status_path.exists():
-            doc = json.loads(status_path.read_text())
+            doc = _status_document(status_path.read_text(), str(status_path))
             block_time = doc.get("blockTime")
-            return TxStatus(
-                _parse_time(block_time) if block_time else None,
-                int(doc.get("confirmations", 0)),
-                doc.get("blockHash"),
-            )
+            try:
+                return TxStatus(
+                    _parse_time(block_time) if block_time else None,
+                    int(doc.get("confirmations", 0)),
+                    doc.get("blockHash"),
+                )
+            except (TypeError, ValueError) as exc:
+                raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
         if (src.fixture_root / f"{txid.hex()}.hex").exists():
             return TxStatus(None, 0)  # known but unconfirmed
         raise NotFound(f"no status fixture for {txid.hex()}")
@@ -159,17 +181,17 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
         raise NotFound(f"source has no transaction {txid.hex()}")
     if status != 200:
         raise TransportError(f"source returned HTTP {status}")
-    try:
-        doc = json.loads(body)
-    except ValueError as exc:
-        raise TransportError(f"unparseable status document: {exc}") from exc
+    doc = _status_document(body, f"{src.endpoint}/tx/{txid.hex()}/status")
     if not doc.get("confirmed"):
         return TxStatus(None, 0)
     tip_status, tip_body = src.http_get(f"{src.endpoint}/blocks/tip/height", src.timeout)
     if tip_status != 200:
         raise TransportError(f"tip height query returned HTTP {tip_status}")
-    confirmations = int(tip_body) - int(doc["block_height"]) + 1
-    block_time = datetime.fromtimestamp(int(doc["block_time"]), tz=timezone.utc)
+    try:
+        confirmations = int(tip_body) - int(doc["block_height"]) + 1
+        block_time = datetime.fromtimestamp(int(doc["block_time"]), tz=timezone.utc)
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+        raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
     return TxStatus(block_time, max(confirmations, 1), doc.get("block_hash"))
 
 

@@ -11,7 +11,6 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from ._ripemd160 import ripemd160
 from .errors import EawardError
 
 # --- secp256k1 domain parameters ---
@@ -55,6 +54,17 @@ class RecoveryFailed(CryptoError):
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+# OpenSSL 3 builds may lack the legacy RIPEMD-160 provider; the pure-Python
+# implementation stands in for it there.
+try:
+    hashlib.new("ripemd160")
+except ValueError:
+    from ._ripemd160 import ripemd160
+else:
+    def ripemd160(data: bytes) -> bytes:
+        return hashlib.new("ripemd160", data).digest()
 
 
 def hash256(data: bytes) -> bytes:
@@ -163,72 +173,126 @@ def network_by_name(name: str) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# secp256k1 point arithmetic (Jacobian coordinates, a = 0)
+# secp256k1 point arithmetic (a = 0)
+#
+# Affine points are (x, y); Jacobian points are (X, Y, Z) for
+# (X/Z^2, Y/Z^3); None is the point at infinity in either form. Every scalar
+# multiplication runs through _multiply, a Straus-Shamir ladder over w-NAF
+# digits as in libsecp256k1: one shared chain of doublings, and at each
+# nonzero digit one mixed Jacobian+affine addition of a precomputed odd
+# multiple. The arithmetic is variable-time.
 # ---------------------------------------------------------------------------
 
-_INFINITY = (0, 1, 0)
-
-
-def _jac_double(pt):
-    x, y, z = pt
-    if not y or not z:
-        return _INFINITY
-    s = 4 * x * y * y % _P
-    m = 3 * x * x % _P
-    nx = (m * m - 2 * s) % _P
-    ny = (m * (s - nx) - 8 * pow(y, 4, _P)) % _P
-    nz = 2 * y * z % _P
-    return nx, ny, nz
-
-
-def _jac_add(p, q):
-    if not p[2]:
-        return q
-    if not q[2]:
-        return p
-    x1, y1, z1 = p
-    x2, y2, z2 = q
-    z1s, z2s = z1 * z1 % _P, z2 * z2 % _P
-    u1, u2 = x1 * z2s % _P, x2 * z1s % _P
-    s1, s2 = y1 * z2s * z2 % _P, y2 * z1s * z1 % _P
-    if u1 == u2:
-        if s1 != s2:
-            return _INFINITY
-        return _jac_double(p)
-    h = (u2 - u1) % _P
-    r = (s2 - s1) % _P
-    h2 = h * h % _P
-    h3 = h * h2 % _P
-    u1h2 = u1 * h2 % _P
-    nx = (r * r - h3 - 2 * u1h2) % _P
-    ny = (r * (u1h2 - nx) - s1 * h3) % _P
-    nz = h * z1 * z2 % _P
-    return nx, ny, nz
-
-
-def _jac_from_affine(pt):
-    return (pt[0], pt[1], 1)
-
-
-def _jac_to_affine(pt):
-    x, y, z = pt
-    if not z:
+def _double(pt):
+    """2*pt for a Jacobian point. No curve point has y = 0 (the group
+    order is odd), so a finite point never doubles to infinity."""
+    if pt is None:
         return None
-    zinv = pow(z, -1, _P)
-    zinv2 = zinv * zinv % _P
-    return x * zinv2 % _P, y * zinv2 * zinv % _P
+    x, y, z = pt
+    yy = y * y % _P
+    s = (x * yy << 2) % _P
+    m = 3 * x * x % _P
+    nx = (m * m - (s << 1)) % _P
+    return nx, (m * (s - nx) - (yy * yy << 3)) % _P, (y * z << 1) % _P
 
 
-def _point_mul(k: int, affine_pt) -> tuple[int, int] | None:
-    """k * P as an affine point, or None for the point at infinity."""
-    acc = _INFINITY
-    add = _jac_from_affine(affine_pt)
+def _add_affine(pt, q):
+    """pt + q for a Jacobian pt and an affine q."""
+    qx, qy = q
+    if pt is None:
+        return qx, qy, 1
+    x, y, z = pt
+    zz = z * z % _P
+    h = (qx * zz - x) % _P
+    r = (qy * zz * z - y) % _P
+    if not h:
+        return None if r else _double(pt)
+    hh = h * h % _P
+    hhh = h * hh % _P
+    v = x * hh % _P
+    nx = (r * r - hhh - 2 * v) % _P
+    return nx, (r * (v - nx) - y * hhh) % _P, z * h % _P
+
+
+def _to_affine(pt):
+    if pt is None:
+        return None
+    return _batch_to_affine([pt])[0]
+
+
+def _batch_to_affine(points):
+    """Affine forms of finite Jacobian points, with a single field
+    inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % _P
+    inv = pow(acc, -1, _P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zinv = inv * prefix[i] % _P
+        inv = inv * z % _P
+        zinv2 = zinv * zinv % _P
+        out[i] = (x * zinv2 % _P, y * zinv2 * zinv % _P)
+    return out
+
+
+def _odd_multiples(pt, w: int):
+    """[1*pt, 3*pt, ..., (2**(w-1) - 1)*pt] as affine points: the table
+    for width-w NAF digits of an affine pt."""
+    twice = _to_affine(_double((*pt, 1)))
+    jac = [(*pt, 1)]
+    for _ in range((1 << (w - 2)) - 1):
+        jac.append(_add_affine(jac[-1], twice))
+    return _batch_to_affine(jac)
+
+
+def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
+    """The nonzero digits of the width-w NAF of k >= 0 as (position, digit)
+    pairs, so k = sum(d * 2**position): every digit is odd with
+    |d| < 2**(w-1), and digits are at least w positions apart."""
+    digits = []
+    pos = 0
     while k:
-        if k & 1:
-            acc = _jac_add(acc, add)
-        add = _jac_double(add)
-        k >>= 1
-    return _jac_to_affine(acc)
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & ((1 << w) - 1)
+        if d >> (w - 1):
+            d -= 1 << w
+        digits.append((pos, d))
+        k = (k - d) >> w
+        pos += w
+    return digits
+
+
+def _multiply(terms) -> tuple[int, int] | None:
+    """Sum of k*P over terms (k, w, odd multiples of P for width w), as an
+    affine point or None for infinity."""
+    adds = {}
+    for k, w, table in terms:
+        for pos, d in _wnaf(k, w):
+            x, y = table[abs(d) >> 1]
+            adds.setdefault(pos, []).append((x, y if d > 0 else _P - y))
+    acc = None
+    for i in range(max(adds, default=-1), -1, -1):
+        acc = _double(acc)
+        for q in adds.get(i, ()):
+            acc = _add_affine(acc, q)
+    return _to_affine(acc)
+
+
+# Fixed base: 64 odd multiples of G, built once at import. A variable base
+# (the R of a recovery) gets a width-5 table of 8 points per call.
+_G_WINDOW = 8
+_G_TABLE = _odd_multiples((_GX, _GY), _G_WINDOW)
+_R_WINDOW = 5
+
+
+def _mul_g(k: int) -> tuple[int, int] | None:
+    return _multiply([(k, _G_WINDOW, _G_TABLE)])
 
 
 def _lift_x(x: int, odd: int) -> tuple[int, int]:
@@ -268,8 +332,12 @@ class PublicKey:
 
     @classmethod
     def from_point(cls, point: tuple[int, int]) -> "PublicKey":
+        """The key of a curve point this module computed. The point is
+        not checked again; outside input goes through PublicKey(bytes)."""
         x, y = point
-        return cls(bytes([2 + (y & 1)]) + x.to_bytes(32, "big"))
+        key = object.__new__(cls)
+        object.__setattr__(key, "data", bytes([2 + (y & 1)]) + x.to_bytes(32, "big"))
+        return key
 
     @classmethod
     def from_hex(cls, text: str) -> "PublicKey":
@@ -304,7 +372,7 @@ class PrivateKey:
         return cls(int.from_bytes(raw, "big"), compressed)
 
     def public_key(self) -> PublicKey:
-        return PublicKey.from_point(_point_mul(self.scalar, (_GX, _GY)))
+        return PublicKey.from_point(_mul_g(self.scalar))
 
 
 @dataclass(frozen=True)
@@ -363,7 +431,7 @@ def ecdsa_sign_recoverable(key: PrivateKey, digest32: bytes) -> RecoverableSig:
         raise WrongLength("digest must be 32 bytes")
     e = int.from_bytes(digest32, "big") % _N
     for k in _rfc6979_nonces(key.scalar, digest32):
-        point = _point_mul(k, (_GX, _GY))
+        point = _mul_g(k)
         if point is None:
             continue
         rx, ry = point
@@ -395,19 +463,12 @@ def ecdsa_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
     recid = sig.recovery_id
     big_r = _lift_x(sig.r + (recid >> 1) * _N, recid & 1)
     e = int.from_bytes(digest32, "big") % _N
-    # Q = r^-1 * (s*R - e*G)
-    acc = _INFINITY
-    s_r = _point_mul(sig.s, big_r)
-    if s_r is not None:
-        acc = _jac_add(acc, _jac_from_affine(s_r))
-    if e:
-        neg_e_g = _point_mul(_N - e, (_GX, _GY))
-        if neg_e_g is not None:
-            acc = _jac_add(acc, _jac_from_affine(neg_e_g))
-    combined = _jac_to_affine(acc)
-    if combined is None:
-        raise RecoveryFailed("recovered point at infinity")
-    q = _point_mul(pow(sig.r, -1, _N), combined)
+    r_inv = pow(sig.r, -1, _N)
+    # Q = r^-1 * (s*R - e*G) = (-e * r^-1)*G + (s * r^-1)*R
+    q = _multiply([
+        (-e * r_inv % _N, _G_WINDOW, _G_TABLE),
+        (sig.s * r_inv % _N, _R_WINDOW, _odd_multiples(big_r, _R_WINDOW)),
+    ])
     if q is None:
         raise RecoveryFailed("recovered point at infinity")
     return PublicKey.from_point(q)

@@ -14,6 +14,8 @@ import binascii
 from dataclasses import dataclass
 
 from .crypto import (
+    MAINNET,
+    TESTNET,
     Address,
     Network,
     PrivateKey,
@@ -29,6 +31,9 @@ from .metadata import FRAGMENT_LEN
 from .tx import write_compact_size
 
 MESSAGE_PREFIX = b"\x18Bitcoin Signed Message:\n"
+
+# A message signature proves control of a P2PKH key only (BIP-137).
+_P2PKH_VERSIONS = frozenset({MAINNET.p2pkh_version, TESTNET.p2pkh_version})
 
 
 class MsgAuthError(EawardError):
@@ -80,11 +85,13 @@ def verify_message(address: Address | str, signature_b64: str, message: str) -> 
     """True iff the recovered key's P2PKH address equals the claimed one.
 
     Compression follows the signature header; the network version comes from
-    the claimed address itself.
+    the claimed address itself, and an address that is not P2PKH is False.
     """
     if isinstance(address, str):
         address = Address.from_text(address)
     sig = _decode_signature(signature_b64)
+    if address.version not in _P2PKH_VERSIONS:
+        return False
     try:
         pub = ecdsa_recover(sig, message_digest(message))
     except RecoveryFailed:

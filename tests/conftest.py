@@ -9,6 +9,7 @@ test vectors).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -73,6 +74,25 @@ AWARD_SHA256 = "a91185bd4c5f95a29ebddffffccb15011125b2c785e491345829e07886a54143
 DEMO_TXID = "98cef737a188c6a2f6645b2af052ca38d4b40b42f4032454826e7a98a5c5806e"
 
 REAL_TX_FIXTURE = CHAIN_DIR / f"{REAL_TXID}.hex"
+
+# Explorer status answers for DEMO_TXID with each field the live path reads
+# broken: (status document, or None for unparseable bytes; tip height body).
+_CONFIRMED_DOC = {"confirmed": True, "block_height": 1_500_000, "block_time": 1553788013}
+MALFORMED_LIVE_STATUS = {
+    "tip_height": (_CONFIRMED_DOC, b"<html>busy</html>"),
+    "no_block_height": ({"confirmed": True, "block_time": 1553788013}, b"1500099"),
+    "block_height_type": ({**_CONFIRMED_DOC, "block_height": None}, b"1500099"),
+    "block_time": ({**_CONFIRMED_DOC, "block_time": "yesterday"}, b"1500099"),
+    "block_time_range": ({**_CONFIRMED_DOC, "block_time": 10**20}, b"1500099"),
+    "not_json": (None, b"1500099"),
+}
+
+
+def live_status_responses(doc: dict | None, tip: bytes) -> dict:
+    """http_get answers, keyed by URL, of an explorer at http://x."""
+    body = b"{oops" if doc is None else json.dumps(doc).encode()
+    return {f"http://x/tx/{DEMO_TXID}/status": (200, body),
+            "http://x/blocks/tip/height": (200, tip)}
 
 requires_real_transaction = pytest.mark.skipif(
     not REAL_TX_FIXTURE.exists(),

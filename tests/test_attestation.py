@@ -4,6 +4,7 @@ import pytest
 
 from eaward.attestation import (
     ArbitrationAgreement,
+    AttestationError,
     AttestationInvalid,
     LinkageFailed,
     MissingArbitratorAttestation,
@@ -12,6 +13,7 @@ from eaward.attestation import (
     NoTimeEvidence,
     MetadataUnparseable,
     Party,
+    agreement_from_dict,
     agreement_to_dict,
     extract_metadata,
     extract_redeem_script,
@@ -128,6 +130,17 @@ def test_agreement_file_roundtrip(golden_agreement, tmp_path):
     path = tmp_path / "agreement.json"
     path.write_text(json.dumps(agreement_to_dict(golden_agreement)))
     assert load_agreement(path) == golden_agreement
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["policy"]["pubkeys"].__setitem__(0, "zz" * 33),
+    lambda doc: doc.__setitem__("agreementTextHash", "not hex"),
+], ids=["nonhex_pubkey", "nonhex_text_hash"])
+def test_agreement_non_hex_field_is_attestation_error(golden_agreement, mutate):
+    doc = agreement_to_dict(golden_agreement)
+    mutate(doc)
+    with pytest.raises(AttestationError):
+        agreement_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from eaward.chain import (
     ChainError,
     ChainSource,
+    MalformedStatus,
     NotFound,
     Rejected,
     TransportError,
@@ -20,7 +21,14 @@ from eaward.chain import (
 from eaward.crypto import TESTNET
 from eaward.tx import Script, Transaction, TxInput, TxOutput, Txid, compute_txid
 
-from conftest import BLOCK_TIME, CHAIN_DIR, DEMO_TXID, REAL_TXID
+from conftest import (
+    BLOCK_TIME,
+    CHAIN_DIR,
+    DEMO_TXID,
+    MALFORMED_LIVE_STATUS,
+    REAL_TXID,
+    live_status_responses,
+)
 
 
 def _demo_txid() -> Txid:
@@ -82,6 +90,30 @@ def test_fixture_status_golden(fixture_source):
 def test_fixture_status_unknown(fixture_source):
     with pytest.raises(NotFound):
         get_tx_status(fixture_source, Txid(b"\xcd" * 32))
+
+
+@pytest.mark.parametrize("text", [
+    '{"blockTime": "28/03/2019 15:46", "confirmations": 1000}',
+    '{"blockTime": 1553788013, "confirmations": 1000}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": "many"}',
+    '{"blockTime": ',
+    '[1000]',
+], ids=["blocktime_format", "blocktime_type", "confirmations", "json", "not_object"])
+def test_fixture_malformed_status_is_typed(tmp_path, text):
+    (tmp_path / f"{DEMO_TXID}.status").write_text(text)
+    source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
+    with pytest.raises(MalformedStatus):
+        get_tx_status(source, _demo_txid())
+
+
+def test_get_transaction_parses_once(fixture_source, monkeypatch):
+    import eaward.chain as chain
+    calls = []
+    real = chain.parse_transaction
+    monkeypatch.setattr(chain, "parse_transaction",
+                        lambda text: calls.append(text) or real(text))
+    assert compute_txid(get_transaction(fixture_source, _demo_txid())).hex() == DEMO_TXID
+    assert len(calls) == 1
 
 
 def test_broadcast_roundtrip_and_idempotence(tmp_path):
@@ -181,6 +213,14 @@ def test_live_status_confirmed():
     assert status.confirmations == 100
     assert status.block_time == BLOCK_TIME
     assert status.block_hash == "aa" * 32
+
+
+@pytest.mark.parametrize("doc,tip", MALFORMED_LIVE_STATUS.values(),
+                         ids=MALFORMED_LIVE_STATUS.keys())
+def test_live_malformed_status_is_typed(doc, tip):
+    source = _live(live_status_responses(doc, tip))
+    with pytest.raises(MalformedStatus):
+        get_tx_status(source, _demo_txid())
 
 
 def test_live_status_unconfirmed():

@@ -1,7 +1,11 @@
+import functools
 import json
+import shutil
 
 import pytest
 
+from eaward import cli
+from eaward.chain import ChainSource
 from eaward.cli import main
 from eaward.tx import Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script, compute_txid
 from eaward.crypto import sha256
@@ -12,10 +16,12 @@ from conftest import (
     CHAIN_DIR,
     DEMO_TXID,
     FIXTURES,
+    MALFORMED_LIVE_STATUS,
     P2SH_TESTNET,
     PAYLOAD_HEX,
     REDEEM_HEX,
     SIGNATURE_B64,
+    live_status_responses,
 )
 
 AGREEMENT = str(FIXTURES / "agreement.json")
@@ -233,6 +239,47 @@ def test_certify_unknown_txid_exit_2(capsys):
                        "certify", AGREEMENT, "ab" * 32,
                        "--attestation", SIGNATURE_B64, "--certifier", "W")
     assert code == 2 and "error" in err
+
+
+def _certify_data_error(capsys, *source_args, agreement=AGREEMENT):
+    code, out, err = run(capsys, *source_args, "certify", agreement, DEMO_TXID,
+                         "--attestation", SIGNATURE_B64, "--certifier", "W")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["pubkey", "agreementTextHash"])
+def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, field):
+    doc = json.loads((FIXTURES / "agreement.json").read_text())
+    if field == "pubkey":
+        doc["policy"]["pubkeys"][0] = "zz" * 33
+    else:
+        doc[field] = "not hex"
+    path = tmp_path / "agreement.json"
+    path.write_text(json.dumps(doc))
+    _certify_data_error(capsys, "--fixture-root", str(CHAIN_DIR), agreement=str(path))
+
+
+@pytest.mark.parametrize("status", [
+    {"blockTime": "28/03/2019 15:46", "confirmations": 1000},
+    {"blockTime": "2019-03-28T15:46:53Z", "confirmations": "many"},
+], ids=["blocktime", "confirmations"])
+def test_certify_malformed_fixture_status_exit_2(capsys, tmp_path, status):
+    root = tmp_path / "chain"
+    shutil.copytree(CHAIN_DIR, root)
+    (root / f"{DEMO_TXID}.status").write_text(json.dumps(status))
+    _certify_data_error(capsys, "--fixture-root", str(root))
+
+
+@pytest.mark.parametrize("doc,tip", MALFORMED_LIVE_STATUS.values(),
+                         ids=MALFORMED_LIVE_STATUS.keys())
+def test_certify_malformed_live_status_exit_2(capsys, monkeypatch, demo_tx_hex, doc, tip):
+    responses = live_status_responses(doc, tip)
+    responses[f"http://x/tx/{DEMO_TXID}/hex"] = (200, demo_tx_hex.encode())
+    monkeypatch.setattr(cli, "ChainSource", functools.partial(
+        ChainSource, http_get=lambda url, timeout: responses[url]))
+    _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
 
 
 def test_usage_error_exit_code():

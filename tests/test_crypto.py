@@ -1,7 +1,7 @@
 import base64
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eaward import crypto
@@ -46,6 +46,15 @@ def test_ripemd160_published_vectors(message, expected):
 
 def test_ripemd160_million_a():
     assert ripemd160(b"a" * 1_000_000).hex() == "52783243c1697bdbe16d37f97f68f08325dc1528"
+
+
+def test_bound_ripemd160_published_vectors():
+    # crypto.ripemd160 is hashlib's where the OpenSSL provider has it, else
+    # the pure-Python one tested above.
+    for message, expected in RIPEMD_VECTORS:
+        assert crypto.ripemd160(message).hex() == expected
+    assert crypto.ripemd160(b"a" * 1_000_000).hex() == "52783243c1697bdbe16d37f97f68f08325dc1528"
+    assert crypto.hash160(b"abc") == ripemd160(crypto.sha256(b"abc"))
 
 
 def test_sha256_published_vectors():
@@ -206,7 +215,7 @@ def test_sign_recover_roundtrip_property(scalar, payload, compressed):
     key = PrivateKey(scalar, compressed)
     digest = crypto.sha256(payload)
     sig = ecdsa_sign_recoverable(key, digest)
-    assert ecdsa_recover(sig, digest) == key.public_key()
+    assert ecdsa_recover(sig, digest) == key.public_key() == reference_public_key(scalar)
     assert sig.compressed == compressed
 
 
@@ -235,3 +244,148 @@ def test_public_key_uncompressed_serialization_roundtrip():
     uncompressed = pub.serialize(compressed=False)
     assert len(uncompressed) == 65 and uncompressed[0] == 4
     assert PublicKey.from_point(pub.point()) == pub
+
+
+# ---------------------------------------------------------------------------
+# The Straus-Shamir w-NAF ladder against the reference double-and-add
+# ---------------------------------------------------------------------------
+# A plain Jacobian double-and-add and a recovery by three separate
+# multiplications: the slow reference the ladder must agree with.
+
+_P = 2**256 - 2**32 - 977
+_N = crypto.CURVE_ORDER
+_G = (crypto._GX, crypto._GY)
+_INFINITY = (0, 1, 0)
+
+
+def _ref_double(pt):
+    x, y, z = pt
+    if not y or not z:
+        return _INFINITY
+    s = 4 * x * y * y % _P
+    m = 3 * x * x % _P
+    nx = (m * m - 2 * s) % _P
+    ny = (m * (s - nx) - 8 * pow(y, 4, _P)) % _P
+    return nx, ny, 2 * y * z % _P
+
+
+def _ref_add(p, q):
+    if not p[2]:
+        return q
+    if not q[2]:
+        return p
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    z1s, z2s = z1 * z1 % _P, z2 * z2 % _P
+    u1, u2 = x1 * z2s % _P, x2 * z1s % _P
+    s1, s2 = y1 * z2s * z2 % _P, y2 * z1s * z1 % _P
+    if u1 == u2:
+        return _INFINITY if s1 != s2 else _ref_double(p)
+    h = (u2 - u1) % _P
+    r = (s2 - s1) % _P
+    h2 = h * h % _P
+    h3 = h * h2 % _P
+    u1h2 = u1 * h2 % _P
+    nx = (r * r - h3 - 2 * u1h2) % _P
+    ny = (r * (u1h2 - nx) - s1 * h3) % _P
+    return nx, ny, h * z1 * z2 % _P
+
+
+def _ref_to_affine(pt):
+    x, y, z = pt
+    if not z:
+        return None
+    zinv = pow(z, -1, _P)
+    return x * zinv * zinv % _P, y * zinv ** 3 % _P
+
+
+def reference_mul(k: int, affine_pt):
+    acc, add = _INFINITY, (*affine_pt, 1)
+    while k:
+        if k & 1:
+            acc = _ref_add(acc, add)
+        add = _ref_double(add)
+        k >>= 1
+    return _ref_to_affine(acc)
+
+
+def reference_public_key(scalar: int) -> PublicKey:
+    return PublicKey.from_point(reference_mul(scalar, _G))
+
+
+def reference_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
+    if not 0 < sig.r < _N or not 0 < sig.s < _N:
+        raise RecoveryFailed("r/s out of range")
+    big_r = crypto._lift_x(sig.r + (sig.recovery_id >> 1) * _N, sig.recovery_id & 1)
+    e = int.from_bytes(digest32, "big") % _N
+    acc = _INFINITY
+    s_r = reference_mul(sig.s, big_r)
+    if s_r is not None:
+        acc = _ref_add(acc, (*s_r, 1))
+    if e:
+        neg_e_g = reference_mul(_N - e, _G)
+        if neg_e_g is not None:
+            acc = _ref_add(acc, (*neg_e_g, 1))
+    combined = _ref_to_affine(acc)
+    if combined is None:
+        raise RecoveryFailed("recovered point at infinity")
+    q = reference_mul(pow(sig.r, -1, _N), combined)
+    # A recovered key must be on the curve: check it as outside input would be.
+    return PublicKey(PublicKey.from_point(q).data)
+
+
+def _outcome(recover, sig, digest32):
+    try:
+        return recover(sig, digest32)
+    except RecoveryFailed:
+        return RecoveryFailed
+
+
+EDGE_SCALARS = [1, 2, 3, _N - 1, _N - 2, 2**255, 2**128, 2**8 - 1]
+scalars = st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(min_value=1, max_value=_N - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=scalars)
+def test_public_key_matches_reference(k):
+    assert PrivateKey(k).public_key() == reference_public_key(k)
+
+
+# r + N is a field element only for r < P - N, so small r reach recovery ids 2/3.
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.one_of(st.sampled_from(EDGE_SCALARS + [crypto._GX]),
+                st.integers(min_value=1, max_value=_P - _N - 1),
+                st.integers(min_value=1, max_value=_N - 1)),
+    s=scalars,
+    header=st.integers(min_value=27, max_value=34),
+    digest=st.one_of(st.binary(min_size=32, max_size=32),
+                     st.sampled_from([bytes(32), _N.to_bytes(32, "big")])),
+)
+@example(r=crypto._GX, s=5, header=27, digest=(5).to_bytes(32, "big"))  # R = G, s = e: Q = 0
+def test_recover_matches_reference(r, s, header, digest):
+    sig = RecoverableSig(header, r, s)
+    assert _outcome(ecdsa_recover, sig, digest) == _outcome(reference_recover, sig, digest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k1=scalars, k2=scalars)
+@example(k1=1, k2=1)                    # second addition meets the accumulator: doubling
+@example(k1=1, k2=_N - 1)               # the sum cancels to infinity
+@example(k1=2**200 + 7, k2=_N - 2**200 - 7)
+def test_two_term_ladder_matches_reference(k1, k2):
+    # Both terms over G with the two table widths the recovery uses, so the
+    # mixed addition meets its doubling and cancelling cases.
+    got = crypto._multiply([
+        (k1, crypto._G_WINDOW, crypto._G_TABLE),
+        (k2, crypto._R_WINDOW, crypto._odd_multiples(_G, crypto._R_WINDOW)),
+    ])
+    assert got == reference_mul((k1 + k2) % _N, _G)
+
+
+def test_recover_with_zero_digest_matches_reference():
+    # e = 0 drops the G term entirely: digest 0 and digest N both reduce to it.
+    key = PrivateKey.from_bytes(crypto.sha256(b"zero digest"))
+    for digest in (bytes(32), _N.to_bytes(32, "big")):
+        sig = ecdsa_sign_recoverable(key, digest)
+        assert ecdsa_recover(sig, digest) == key.public_key() == reference_recover(sig, digest)

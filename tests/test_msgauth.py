@@ -95,6 +95,15 @@ def test_unrecoverable_rs_is_clean_false():
     assert verify_message(ADDR_A, bad, ATTEST_MESSAGE) is False
 
 
+@pytest.mark.parametrize("address", [
+    "2NCDHL6h7a5GoxWGw7WhwSgwBKJoAGRmbj1",  # testnet P2SH (0xC4) of ADDR_A's key hash
+    "3Lf5GMm5xcmTkiePSP64pjwv6xazQdA8sC",   # mainnet P2SH (0x05) of the same hash
+])
+def test_golden_signature_against_p2sh_version_is_false(address):
+    # BIP-137: a message signature proves control of a P2PKH key only.
+    assert verify_message(address, SIGNATURE_B64, ATTEST_MESSAGE) is False
+
+
 # ---------------------------------------------------------------------------
 # Sign/verify round trips
 # ---------------------------------------------------------------------------
