@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from eaward.crypto import PrivateKey, sha256, hash256, ecdsa_sign_recoverable
-from eaward.escrow import EscrowPolicy, build_redeem_script, dump_policy, TESTNET
+from eaward.crypto import PrivateKey, TESTNET, sha256, hash256, ecdsa_sign_recoverable
+from eaward.escrow import EscrowPolicy, build_redeem_script, dump_policy
 from eaward.crypto import PublicKey
 from eaward.metadata import decode_metadata
 from eaward.tx import (

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
+from .chain import format_time
 from .crypto import sha256
 from .errors import EawardError
 from .tx import (
@@ -53,7 +54,6 @@ class IntegrityFailure(AnchorError):
 @dataclass(frozen=True)
 class AwardDocument:
     data: bytes
-    media_hint: str | None = None
 
     def __post_init__(self):
         if not self.data:
@@ -61,8 +61,7 @@ class AwardDocument:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AwardDocument":
-        p = Path(path)
-        return cls(p.read_bytes(), media_hint=p.suffix.lstrip(".") or None)
+        return cls(Path(path).read_bytes())
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class AnchorProof:
             "vout": self.vout_index,
         }
         if self.block_time is not None:
-            doc["blockTime"] = self.block_time.strftime("%Y-%m-%dT%H:%M:%SZ")
+            doc["blockTime"] = format_time(self.block_time)
         if self.confirmations is not None:
             doc["confirmations"] = self.confirmations
         return doc

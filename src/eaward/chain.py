@@ -12,12 +12,11 @@ directory plus an append-only mempool.txt.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
 
 from .crypto import Network, TESTNET
 from .errors import EawardError
@@ -53,7 +52,11 @@ DEFAULT_TIMEOUT = 10.0
 _mempool_lock = threading.Lock()
 
 
+# `requests` is imported only when a live request is sent: importing it costs
+# more than the rest of the package, and fixture mode never needs it.
 def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
+    import requests
+
     try:
         resp = requests.get(url, timeout=timeout)
     except requests.RequestException as exc:
@@ -62,6 +65,8 @@ def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
 
 
 def _http_post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
+    import requests
+
     try:
         resp = requests.post(url, data=body, timeout=timeout)
     except requests.RequestException as exc:
@@ -81,6 +86,9 @@ class ChainSource:
     http_post: callable = field(default=_http_post, repr=False)
 
     def __post_init__(self):
+        if not 0 < self.timeout < math.inf:  # also false for NaN
+            raise ChainError(f"timeout must be a positive number of seconds, "
+                             f"got {self.timeout!r}")
         if self.mode == "live":
             if not self.endpoint:
                 raise ChainError("live source needs an endpoint URL")
@@ -119,7 +127,7 @@ def _fetch_transaction(src: ChainSource, txid: Txid) -> tuple[str, Transaction]:
         path = src.fixture_root / f"{txid.hex()}.hex"
         if not path.exists():
             raise NotFound(f"no fixture for {txid.hex()}")
-        hex_text = path.read_text().strip()
+        hex_text = path.read_bytes().decode("ascii", errors="replace").strip()
     else:
         status, body = src.http_get(f"{src.endpoint}/tx/{txid.hex()}/hex", src.timeout)
         if status == 404:
@@ -162,7 +170,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     if src.mode == "fixture":
         status_path = src.fixture_root / f"{txid.hex()}.status"
         if status_path.exists():
-            doc = _status_document(status_path.read_text(), str(status_path))
+            doc = _status_document(status_path.read_bytes(), str(status_path))
             block_time = doc.get("blockTime")
             try:
                 return TxStatus(

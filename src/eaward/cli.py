@@ -376,17 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except EawardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: unparseable JSON input: {exc}", file=sys.stderr)
+    except (UsageError, EawardError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
+        what = "unparseable JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -11,23 +11,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto import (
-    Address,
-    MAINNET,
-    Network,
-    PublicKey,
-    TESTNET,
-    hash160,
-    network_by_name,
-)
+from .crypto import Address, Network, PublicKey, hash160, network_by_name
 from .errors import EawardError
 from .tx import OP_CHECKMULTISIG, Script, push_data
-
-__all__ = [
-    "EscrowPolicy", "PolicyInvalid", "build_redeem_script", "p2sh_address",
-    "pubkey_to_address", "load_policy", "dump_policy",
-    "Network", "MAINNET", "TESTNET", "network_by_name",
-]
 
 
 class PolicyInvalid(EawardError):

@@ -3,7 +3,9 @@ import shutil
 from datetime import timezone
 
 import pytest
+import requests
 
+from eaward import chain
 from eaward.chain import (
     ChainError,
     ChainSource,
@@ -68,6 +70,13 @@ def test_real_transaction_absent_is_not_found(fixture_source):
         get_raw_transaction(fixture_source, Txid.from_hex(REAL_TXID))
 
 
+def test_fixture_non_utf8_hex_is_txid_mismatch(tmp_path):
+    (tmp_path / f"{DEMO_TXID}.hex").write_bytes(b"\xff\xfe0200\x80")
+    source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
+    with pytest.raises(TxidMismatch):
+        get_transaction(source, _demo_txid())
+
+
 def test_fixture_corruption_detected(tmp_path):
     shutil.copytree(CHAIN_DIR, tmp_path / "chain")
     path = tmp_path / "chain" / f"{DEMO_TXID}.hex"
@@ -98,9 +107,12 @@ def test_fixture_status_unknown(fixture_source):
     '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": "many"}',
     '{"blockTime": ',
     '[1000]',
-], ids=["blocktime_format", "blocktime_type", "confirmations", "json", "not_object"])
+    b'{"blockTime": "\xff"}',
+], ids=["blocktime_format", "blocktime_type", "confirmations", "json", "not_object",
+        "not_utf8"])
 def test_fixture_malformed_status_is_typed(tmp_path, text):
-    (tmp_path / f"{DEMO_TXID}.status").write_text(text)
+    (tmp_path / f"{DEMO_TXID}.status").write_bytes(
+        text if isinstance(text, bytes) else text.encode())
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
     with pytest.raises(MalformedStatus):
         get_tx_status(source, _demo_txid())
@@ -148,6 +160,12 @@ def test_source_validation():
         ChainSource("fixture", TESTNET)
     with pytest.raises(ChainError):
         ChainSource("carrier-pigeon", TESTNET, endpoint="x")
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+def test_source_rejects_bad_timeout(timeout):
+    with pytest.raises(ChainError, match="timeout"):
+        ChainSource("live", TESTNET, endpoint="http://x", timeout=timeout)
 
 
 def test_status_invariant():
@@ -246,3 +264,30 @@ def test_live_connection_failure_is_transport_error():
                          timeout=0.5)
     with pytest.raises(TransportError):
         get_raw_transaction(source, _demo_txid())
+
+
+class _Response:
+    status_code = 200
+    content = b"01000000"
+
+
+def test_default_transport_returns_status_and_body(monkeypatch):
+    calls = []
+    monkeypatch.setattr(requests, "get", lambda url, **kw: calls.append((url, kw)) or _Response())
+    monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append((url, kw)) or _Response())
+    assert chain._http_get("http://x/tx/ab/hex", 2.5) == (200, b"01000000")
+    assert chain._http_post("http://x/tx", b"00", 2.5) == (200, b"01000000")
+    assert calls == [("http://x/tx/ab/hex", {"timeout": 2.5}),
+                     ("http://x/tx", {"data": b"00", "timeout": 2.5})]
+
+
+def test_default_transport_request_errors_are_transport_errors(monkeypatch):
+    def refuse(url, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "get", refuse)
+    monkeypatch.setattr(requests, "post", refuse)
+    with pytest.raises(TransportError, match="GET http://x/tx/ab/hex: connection refused"):
+        chain._http_get("http://x/tx/ab/hex", 1.0)
+    with pytest.raises(TransportError, match="POST http://x/tx: connection refused"):
+        chain._http_post("http://x/tx", b"00", 1.0)

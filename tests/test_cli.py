@@ -1,9 +1,14 @@
 import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eaward
 from eaward import cli
 from eaward.chain import ChainSource
 from eaward.cli import main
@@ -280,6 +285,71 @@ def test_certify_malformed_live_status_exit_2(capsys, monkeypatch, demo_tx_hex, 
     monkeypatch.setattr(cli, "ChainSource", functools.partial(
         ChainSource, http_get=lambda url, timeout: responses[url]))
     _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
+
+
+def _data_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("agreement", "validate", "{dir}"),
+    ("escrow", "address", "{dir}"),
+    ("msg", "sign", "{dir}", "m"),
+    ("anchor", "create", "{dir}"),
+    ("--fixture-root", str(CHAIN_DIR), "anchor", "verify", "{dir}", DEMO_TXID),
+], ids=["agreement_validate", "escrow_address", "msg_sign", "anchor_create",
+        "anchor_verify"])
+def test_directory_as_file_exit_2(capsys, tmp_path, argv):
+    _data_error(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("agreement", "validate", "{file}"),
+    ("escrow", "address", "{file}"),
+    ("msg", "sign", "{file}", "m"),
+    ("--fixture-root", str(CHAIN_DIR), "certify", "{file}", DEMO_TXID,
+     "--attestation", SIGNATURE_B64, "--certifier", "W"),
+], ids=["agreement_validate", "escrow_address", "msg_sign", "certify"])
+def test_non_utf8_input_file_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe{\x80}")
+    _data_error(capsys, *(arg.format(file=path) for arg in argv))
+
+
+def test_tx_decode_non_utf8_fixture_exit_2(capsys, tmp_path):
+    (tmp_path / f"{DEMO_TXID}.hex").write_bytes(b"\xff\xfe0200\x80")
+    _data_error(capsys, "--fixture-root", str(tmp_path), "tx", "decode", DEMO_TXID)
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+def test_live_bad_timeout_exit_2(capsys, timeout):
+    # Refused while the source is built, before any request is sent.
+    _, err = _data_error(capsys, "--source", "live", "--endpoint", "http://127.0.0.1:9",
+                         "--timeout", timeout, "tx", "decode", DEMO_TXID)
+    assert "timeout" in err
+
+
+def test_fixture_mode_never_imports_requests():
+    script = (
+        "import contextlib, io, sys\n"
+        "import eaward, eaward.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert eaward.cli.main(['--fixture-root', {str(CHAIN_DIR)!r},"
+        f" 'tx', 'decode', {DEMO_TXID!r}]) == 0\n"
+        f"    assert eaward.cli.main(['msg', 'verify', {ADDR_A!r}, {SIGNATURE_B64!r},"
+        f" {ATTEST_MESSAGE!r}]) == 0\n"
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+    )
+    src = str(Path(eaward.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_usage_error_exit_code():
