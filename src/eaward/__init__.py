@@ -51,7 +51,6 @@ from .anchor import (
     AnchorProof,
     AwardDocument,
     ObjectStore,
-    build_anchor_payload,
     checksum_award,
     verify_anchor,
 )

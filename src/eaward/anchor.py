@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chain import format_time
 from .crypto import sha256
-from .errors import EawardError
+from .errors import EawardError, NotFound
 from .tx import (
     Script,
     Transaction,
@@ -40,10 +40,6 @@ class NoAnchorFound(AnchorError):
 
 
 class HashMismatch(AnchorError):
-    pass
-
-
-class NotFound(AnchorError):
     pass
 
 
@@ -89,15 +85,11 @@ def checksum_award(doc: AwardDocument) -> bytes:
     return sha256(doc.data)
 
 
-def build_anchor_payload(doc_hash: bytes) -> bytes:
-    """The nulldata payload for an anchor: exactly the 32 digest bytes."""
+def build_anchor_script(doc_hash: bytes) -> Script:
+    """The nulldata script for an anchor: its payload is exactly the 32 digest bytes."""
     if len(doc_hash) != 32:
         raise AnchorError("anchor payload must be a 32-byte digest")
-    return doc_hash
-
-
-def build_anchor_script(doc_hash: bytes) -> Script:
-    return build_nulldata_script(build_anchor_payload(doc_hash))
+    return build_nulldata_script(doc_hash)
 
 
 def verify_anchor(doc: AwardDocument, tx: Transaction) -> AnchorProof:

@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .chain import TxStatus, format_time
-from .crypto import Address, Network, MAINNET, PublicKey, TESTNET
+from .crypto import Address, Network, PublicKey, p2pkh_network
 from .errors import EawardError
-from .escrow import EscrowPolicy, PolicyInvalid, pubkey_to_address
+from .escrow import EscrowPolicy, PolicyInvalid, json_field, pubkey_to_address
 from .metadata import (
     AwardMetadata,
     MetadataError,
@@ -43,6 +43,7 @@ from .tx import (
     compute_txid,
     decode_script,
     extract_op_return,
+    format_btc,
 )
 
 SEAT_JURISDICTIONS = ("England", "Switzerland", "other")
@@ -106,11 +107,12 @@ class ArbitrationAgreement:
     def network(self) -> Network:
         if not self.parties:
             raise AttestationError("agreement names no parties")
-        version = self.parties[0].address.version
-        for net in (MAINNET, TESTNET):
-            if version == net.p2pkh_version:
-                return net
-        raise AttestationError(f"address version {version:#04x} matches no known network")
+        address = self.parties[0].address
+        net = p2pkh_network(address)
+        if net is None:
+            raise AttestationError(
+                f"address version {address.version:#04x} matches no known network")
+        return net
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,7 @@ def validate_agreement(agreement: ArbitrationAgreement) -> AgreementReview:
     versions = {p.address.version for p in agreement.parties}
     if len(versions) > 1:
         violations.append("party addresses mix network version bytes")
-    elif versions and not any(
-            v == net.p2pkh_version for net in (MAINNET, TESTNET) for v in versions):
+    elif versions and p2pkh_network(agreement.parties[0].address) is None:
         violations.append("party addresses are not P2PKH on a known network")
 
     for p in agreement.parties:
@@ -299,12 +300,6 @@ class AuthenticationCertificate:
         }
 
 
-def _btc_amount(tx: Transaction) -> str:
-    total = sum(out.value for out in tx.outputs)
-    text = f"{total // 10**8}.{total % 10**8:08d}".rstrip("0").rstrip(".")
-    return text or "0"
-
-
 def issue_certificate(
     agreement: ArbitrationAgreement,
     tx: Transaction,
@@ -361,10 +356,11 @@ def issue_certificate(
 
     txid = report.txid
     when = status.block_time
+    amount = format_btc(sum(out.value for out in tx.outputs)).rstrip("0").rstrip(".")
     findings = [
         f"Transaction id {txid.hex()} was completed on "
         f"{when.strftime('%d %B %Y')} at {when.strftime('%H:%M:%S')} UTC",
-        f"The transaction amount was {_btc_amount(tx)} BTC",
+        f"The transaction amount was {amount} BTC",
     ]
     for role in ROLE_ORDER:
         tag = report.metadata.participant(role)
@@ -444,23 +440,23 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
     try:
         parties = tuple(
             Party(
-                role=Role.from_letter(p["role"]),
-                legal_name=p["legalName"],
-                display_name=p["displayName"],
-                address=Address.from_text(p["address"]),
+                role=Role.from_letter(json_field(p, "role", str)),
+                legal_name=json_field(p, "legalName", str),
+                display_name=json_field(p, "displayName", str),
+                address=Address.from_text(json_field(p, "address", str)),
             )
             for p in doc["parties"]
         )
         policy = EscrowPolicy(
-            int(doc["policy"]["m"]),
+            json_field(doc["policy"], "m", int),
             tuple(PublicKey.from_hex(k) for k in doc["policy"]["pubkeys"]),
         )
         text_hash = doc.get("agreementTextHash")
         return ArbitrationAgreement(
             parties=parties,
-            seat=doc["seat"],
-            seat_jurisdiction=doc["seatJurisdiction"],
-            reasoned_award_opt_out=bool(doc["reasonedAwardOptOut"]),
+            seat=json_field(doc, "seat", str),
+            seat_jurisdiction=json_field(doc, "seatJurisdiction", str),
+            reasoned_award_opt_out=json_field(doc, "reasonedAwardOptOut", bool),
             policy=policy,
             agreement_text_hash=bytes.fromhex(text_hash) if text_hash else None,
         )

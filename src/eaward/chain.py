@@ -19,15 +19,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .crypto import Network, TESTNET
-from .errors import EawardError
+from .errors import EawardError, NotFound
 from .tx import Transaction, Txid, TxError, compute_txid, parse_transaction
 
 
 class ChainError(EawardError):
-    pass
-
-
-class NotFound(ChainError):
     pass
 
 
@@ -178,7 +174,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
                     int(doc.get("confirmations", 0)),
                     doc.get("blockHash"),
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
         if (src.fixture_root / f"{txid.hex()}.hex").exists():
             return TxStatus(None, 0)  # known but unconfirmed

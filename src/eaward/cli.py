@@ -38,9 +38,9 @@ from .attestation import (
     metadata_for_agreement,
     validate_agreement,
 )
-from .chain import ChainSource, NotFound, broadcast, get_tx_status, get_transaction
+from .chain import ChainSource, broadcast, get_tx_status, get_transaction
 from .crypto import Network, PrivateKey, network_by_name
-from .errors import EawardError
+from .errors import EawardError, NotFound
 from .escrow import build_redeem_script, load_policy, p2sh_address
 from .metadata import Role, attest_message, decode_metadata, encode_metadata
 from .msgauth import SignedMessage, sign_message, verify_message
@@ -49,6 +49,11 @@ from .tx import Txid, decode_script, parse_hex, parse_transaction, transaction_r
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
+
+# Refusals of a check that ran: "false" on stdout and exit 1. Every other
+# EawardError is a usage or data error (exit 2).
+_FALSE_ANSWERS = (NoAnchorFound, HashMismatch, LinkageFailed, AttestationInvalid,
+                  MissingArbitratorAttestation, NoTimeEvidence)
 
 
 class UsageError(Exception):
@@ -226,13 +231,7 @@ def cmd_anchor_create(args) -> int:
 
 def cmd_anchor_verify(args) -> int:
     doc_file = AwardDocument.from_file(args.file)
-    tx = _fetch_transaction(args, args.txid)
-    try:
-        proof = verify_anchor(doc_file, tx)
-    except (NoAnchorFound, HashMismatch) as exc:
-        print("false")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FALSE
+    proof = verify_anchor(doc_file, _fetch_transaction(args, args.txid))
     try:
         status = get_tx_status(_source(args), proof.txid)
         proof = AnchorProof(proof.doc_hash, proof.txid, proof.vout_index,
@@ -257,14 +256,8 @@ def cmd_certify(args) -> int:
         message=attest_message(meta),
         signature_b64=args.attestation,
     )
-    try:
-        certificate = issue_certificate(
-            agreement, tx, status, [attestation], args.certifier)
-    except (LinkageFailed, AttestationInvalid, MissingArbitratorAttestation,
-            NoTimeEvidence) as exc:
-        print("false")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FALSE
+    certificate = issue_certificate(
+        agreement, tx, status, [attestation], args.certifier)
     report = certificate.to_report()
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
@@ -376,7 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, EawardError, OSError, UnicodeDecodeError,
+    except _FALSE_ANSWERS as exc:
+        print("false")
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FALSE
+    except (UsageError, EawardError, OSError, UnicodeError,
             json.JSONDecodeError) as exc:
         what = "unparseable JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
         print(f"error: {what}{exc}", file=sys.stderr)

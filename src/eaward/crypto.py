@@ -172,6 +172,11 @@ def network_by_name(name: str) -> Network:
         raise ValueError(f"unknown network {name!r}") from None
 
 
+def p2pkh_network(address: Address) -> Network | None:
+    """The network whose P2PKH version byte the address carries, if any."""
+    return next((n for n in _NETWORKS.values() if n.p2pkh_version == address.version), None)
+
+
 # ---------------------------------------------------------------------------
 # secp256k1 point arithmetic (a = 0)
 #

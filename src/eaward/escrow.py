@@ -56,11 +56,20 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
     return Address.from_parts(net.p2pkh_version, hash160(key.serialize(compressed)))
 
 
+def json_field(doc: dict, key: str, kind: type):
+    """doc[key], refused with TypeError unless its type is exactly kind
+    (so a JSON boolean is not an integer and 2.0 is not 2)."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_policy(path: str | Path) -> tuple[EscrowPolicy, Network]:
     """Read a policy file: {"m": int, "network": name, "pubkeys": [hex, ...]}."""
     doc = json.loads(Path(path).read_text())
     try:
-        policy = EscrowPolicy(int(doc["m"]),
+        policy = EscrowPolicy(json_field(doc, "m", int),
                               tuple(PublicKey.from_hex(k) for k in doc["pubkeys"]))
         network = network_by_name(doc["network"])
     except (KeyError, TypeError, ValueError) as exc:

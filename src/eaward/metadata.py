@@ -118,8 +118,7 @@ class AwardMetadata:
         return self.participants[ROLE_ORDER.index(role)]
 
     def text(self) -> str:
-        return " ".join([*(p.token() for p in self.participants),
-                         self.seat, self.sig_fragment])
+        return f"{attest_message(self)} {self.sig_fragment}"
 
 
 def encode_metadata(meta: AwardMetadata) -> bytes:

@@ -14,8 +14,6 @@ import binascii
 from dataclasses import dataclass
 
 from .crypto import (
-    MAINNET,
-    TESTNET,
     Address,
     Network,
     PrivateKey,
@@ -25,15 +23,14 @@ from .crypto import (
     hash256,
     ecdsa_recover,
     ecdsa_sign_recoverable,
+    p2pkh_network,
 )
 from .errors import EawardError
+from .escrow import pubkey_to_address
 from .metadata import FRAGMENT_LEN
 from .tx import write_compact_size
 
 MESSAGE_PREFIX = b"\x18Bitcoin Signed Message:\n"
-
-# A message signature proves control of a P2PKH key only (BIP-137).
-_P2PKH_VERSIONS = frozenset({MAINNET.p2pkh_version, TESTNET.p2pkh_version})
 
 
 class MsgAuthError(EawardError):
@@ -75,9 +72,7 @@ def _decode_signature(signature_b64: str) -> RecoverableSig:
 
 def sign_message(key: PrivateKey, message: str, net: Network) -> SignedMessage:
     sig = ecdsa_sign_recoverable(key, message_digest(message))
-    pub = key.public_key()
-    address = Address.from_parts(
-        net.p2pkh_version, hash160(pub.serialize(key.compressed)))
+    address = pubkey_to_address(key.public_key(), net, key.compressed)
     return SignedMessage(address, message, base64.b64encode(sig.to_bytes()).decode("ascii"))
 
 
@@ -90,7 +85,8 @@ def verify_message(address: Address | str, signature_b64: str, message: str) -> 
     if isinstance(address, str):
         address = Address.from_text(address)
     sig = _decode_signature(signature_b64)
-    if address.version not in _P2PKH_VERSIONS:
+    # A message signature proves control of a P2PKH key only (BIP-137).
+    if p2pkh_network(address) is None:
         return False
     try:
         pub = ecdsa_recover(sig, message_digest(message))

@@ -406,9 +406,6 @@ class TxOutput:
         if not 0 <= self.value <= MAX_MONEY:
             raise TxError(f"output value {self.value} outside 0..{MAX_MONEY}")
 
-    def value_btc(self) -> str:
-        return f"{self.value // 10**8}.{self.value % 10**8:08d}"
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -507,6 +504,11 @@ def extract_op_return(tx: Transaction) -> list[bytes]:
     return [p for p in payloads if p is not None]
 
 
+def format_btc(sats: int) -> str:
+    """A satoshi amount in BTC with all eight decimals, e.g. "0.00500000"."""
+    return f"{sats // 10**8}.{sats % 10**8:08d}"
+
+
 def transaction_report(tx: Transaction, network: Network) -> dict:
     """Structured decode mirroring the console extraction paths
     (vin[].scriptSig.asm, vout[].scriptPubKey.{asm,type,reqSigs,addresses})."""
@@ -534,7 +536,7 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
     for n, txout in enumerate(tx.outputs):
         decoded = decode_script(txout.script_pubkey, network)
         doc["vout"].append({
-            "value": txout.value_btc(),
+            "value": format_btc(txout.value),
             "n": n,
             "scriptPubKey": decoded.to_report(),
         })

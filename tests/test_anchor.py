@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaward.anchor import (
+    AnchorError,
     AnchorProof,
     AwardDocument,
     EmptyDocument,
@@ -13,7 +14,6 @@ from eaward.anchor import (
     NoAnchorFound,
     NotFound,
     ObjectStore,
-    build_anchor_payload,
     build_anchor_script,
     checksum_award,
     verify_anchor,
@@ -66,10 +66,16 @@ def test_empty_document_rejected():
 
 def test_anchor_payload_is_raw_digest():
     digest = sha256(b"doc")
-    assert build_anchor_payload(digest) == digest
+    assert build_anchor_script(digest) == build_nulldata_script(digest)
     assert len(build_anchor_script(digest).raw) == 34  # opcode + push + 32
     other = sha256(b"doc2")
-    assert build_anchor_payload(digest) != build_anchor_payload(other)
+    assert build_anchor_script(digest) != build_anchor_script(other)
+
+
+@pytest.mark.parametrize("length", [31, 33])
+def test_anchor_script_needs_32_byte_digest(length):
+    with pytest.raises(AnchorError):
+        build_anchor_script(bytes(length))
 
 
 def test_verify_anchor_finds_vout():
@@ -113,7 +119,7 @@ def test_anchor_never_reveals_document_bytes():
 
 def test_anchor_roundtrip_through_tx_model():
     digest = sha256(b"round trip")
-    tx = _tx(TxOutput(0, build_nulldata_script(build_anchor_payload(digest))))
+    tx = _tx(TxOutput(0, build_anchor_script(digest)))
     assert extract_op_return(tx) == [digest]
 
 

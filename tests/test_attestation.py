@@ -143,6 +143,30 @@ def test_agreement_non_hex_field_is_attestation_error(golden_agreement, mutate):
         agreement_from_dict(doc)
 
 
+@pytest.mark.parametrize("path,value", [
+    (("reasonedAwardOptOut",), "false"),
+    (("reasonedAwardOptOut",), 0),
+    (("parties", 0, "role"), None),
+    (("parties", 0, "legalName"), None),
+    (("parties", 0, "displayName"), 5),
+    (("parties", 0, "address"), [ADDR_A]),
+    (("seat",), 5),
+    (("seatJurisdiction",), ["England"]),
+    (("policy", "m"), 2.0),
+    (("policy", "m"), True),
+], ids=repr)
+def test_agreement_field_of_wrong_json_type_is_attestation_error(
+        golden_agreement, path, value):
+    doc = agreement_to_dict(golden_agreement)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(AttestationError, match="must be of type"):
+        agreement_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # Linkage
 # ---------------------------------------------------------------------------

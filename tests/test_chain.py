@@ -108,14 +108,20 @@ def test_fixture_status_unknown(fixture_source):
     '{"blockTime": ',
     '[1000]',
     b'{"blockTime": "\xff"}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 1e999}',
 ], ids=["blocktime_format", "blocktime_type", "confirmations", "json", "not_object",
-        "not_utf8"])
+        "not_utf8", "confirmations_overflow"])
 def test_fixture_malformed_status_is_typed(tmp_path, text):
     (tmp_path / f"{DEMO_TXID}.status").write_bytes(
         text if isinstance(text, bytes) else text.encode())
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
     with pytest.raises(MalformedStatus):
         get_tx_status(source, _demo_txid())
+
+
+def test_chain_and_store_share_one_not_found():
+    from eaward import anchor, errors
+    assert NotFound is anchor.NotFound is errors.NotFound
 
 
 def test_get_transaction_parses_once(fixture_source, monkeypatch):

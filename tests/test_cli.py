@@ -1,12 +1,18 @@
+import contextlib
 import functools
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eaward
 from eaward import cli
@@ -362,3 +368,180 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# Refusals that print "false" (exit 1)
+# ---------------------------------------------------------------------------
+
+def _false_answer(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "false\n"
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_anchor_verify_no_nulldata_exit_1(capsys, tmp_path):
+    plain = Transaction(
+        2,
+        (TxInput(Txid(bytes(32)), 0, Script(b"")),),
+        (TxOutput(1000, Script(b"\x51")),),
+    )
+    fixture_root = tmp_path / "chain"
+    run(capsys, "--fixture-root", str(fixture_root), "tx", "broadcast", plain.to_hex())
+    err = _false_answer(capsys, "--fixture-root", str(fixture_root),
+                        "anchor", "verify", AWARD, compute_txid(plain).hex())
+    assert "no nulldata" in err
+
+
+def _certify(*source_args, agreement=AGREEMENT):
+    return (*source_args, "certify", agreement, DEMO_TXID,
+            "--attestation", SIGNATURE_B64, "--certifier", "W")
+
+
+def test_certify_seat_mismatch_exit_1(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "agreement.json").read_text())
+    doc["seat"] = "Paris"
+    path = tmp_path / "agreement.json"
+    path.write_text(json.dumps(doc))
+    err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
+                                          agreement=str(path)))
+    assert "seat=False" in err
+
+
+def test_certify_without_status_exit_1(capsys, tmp_path):
+    shutil.copy(CHAIN_DIR / f"{DEMO_TXID}.hex", tmp_path)
+    err = _false_answer(capsys, *_certify("--fixture-root", str(tmp_path)))
+    assert "block time" in err
+
+
+# ---------------------------------------------------------------------------
+# JSON types in agreement and policy files
+# ---------------------------------------------------------------------------
+
+def _replace_field(file, path, value):
+    """Rewrite the JSON file with the field at `path` set to `value`."""
+    doc = json.loads(file.read_text())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    file.write_text(json.dumps(doc))
+
+
+_VALIDATE = ("agreement", "validate", "{agreement}")
+_ENCODE = ("meta", "encode", "{agreement}", "--sig", SIGNATURE_B64)
+_CERTIFY = _certify("--fixture-root", "{chain}", agreement="{agreement}")
+_ESCROW = ("escrow", "address", "{policy}")
+
+
+# math.inf is written as Infinity, which json reads back as it reads 1e999.
+@pytest.mark.parametrize("name,path,value,argv", [
+    ("agreement.json", ("reasonedAwardOptOut",), "false", _VALIDATE),
+    ("agreement.json", ("reasonedAwardOptOut",), "false", _CERTIFY),
+    ("agreement.json", ("parties", 0, "legalName"), None, _CERTIFY),
+    ("agreement.json", ("parties", 0, "displayName"), 5, _VALIDATE),
+    ("agreement.json", ("parties", 0, "displayName"), 5, _ENCODE),
+    ("agreement.json", ("seat",), 5, _ENCODE),
+    ("agreement.json", ("parties", 1, "address"), [ADDR_A], _VALIDATE),
+    ("agreement.json", ("policy", "m"), math.inf, _VALIDATE),
+    ("agreement.json", ("policy", "m"), math.inf, _ENCODE),
+    ("agreement.json", ("policy", "m"), math.inf, _CERTIFY),
+    ("agreement.json", ("policy", "m"), 2.7, _VALIDATE),
+    ("agreement.json", ("policy", "m"), True, _VALIDATE),
+    ("policy.json", ("m",), math.inf, _ESCROW),
+    ("policy.json", ("m",), 2.7, _ESCROW),
+], ids=["opt_out_string_validate", "opt_out_string_certify", "legal_name_null_certify",
+        "display_name_int_validate", "display_name_int_encode", "seat_int_encode",
+        "address_list_validate", "m_overflow_validate", "m_overflow_encode",
+        "m_overflow_certify", "m_float_validate", "m_bool_validate",
+        "m_overflow_escrow", "m_float_escrow"])
+def test_wrong_json_type_exit_2(capsys, tmp_path, name, path, value, argv):
+    file = tmp_path / name
+    shutil.copy(FIXTURES / name, file)
+    _replace_field(file, path, value)
+    _, err = _data_error(capsys, *(a.format(agreement=file, policy=file, chain=CHAIN_DIR)
+                                   for a in argv))
+    assert "must be of type" in err
+
+
+def test_non_utf8_message_exit_2(capsys, tmp_path):
+    # How Python passes the argument bytes b"A\xff" to a program.
+    message = b"A\xff".decode("utf-8", "surrogateescape")
+    _data_error(capsys, "msg", "verify", ADDR_A, SIGNATURE_B64, message)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(sha256(b"cli signer").hex())
+    _data_error(capsys, "msg", "sign", str(key_file), message)
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract for any value of any field
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+_PARTY_FIELDS = ("role", "legalName", "displayName", "address")
+_FIELDS = (
+    [("agreement.json", (key,)) for key in (
+        "parties", "seat", "seatJurisdiction", "reasonedAwardOptOut", "policy",
+        "agreementTextHash")]
+    + [("agreement.json", ("parties", i)) for i in range(3)]
+    + [("agreement.json", ("parties", i, key)) for i in range(3) for key in _PARTY_FIELDS]
+    + [("agreement.json", ("policy", key)) for key in ("m", "pubkeys")]
+    + [("agreement.json", ("policy", "pubkeys", 0))]
+    + [("policy.json", (key,)) for key in ("m", "network", "pubkeys")]
+    + [("policy.json", ("pubkeys", 1))]
+    + [(f"{DEMO_TXID}.status", (key,)) for key in ("blockTime", "confirmations", "blockHash")]
+)
+
+
+def _main_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+@example(field=("agreement.json", ("policy", "m")), value=math.inf)
+@example(field=(f"{DEMO_TXID}.status", ("confirmations",)), value=math.inf)
+def test_any_field_value_keeps_exit_contract(field, value):
+    name, path = field
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for source in (FIXTURES / "agreement.json", FIXTURES / "policy.json",
+                       CHAIN_DIR / f"{DEMO_TXID}.hex", CHAIN_DIR / f"{DEMO_TXID}.status"):
+            shutil.copy(source, root)
+        _replace_field(root / name, path, value)
+
+        for command in (_VALIDATE, _ENCODE, _ESCROW, _CERTIFY):
+            argv = [a.format(agreement=root / "agreement.json", policy=root / "policy.json",
+                             chain=root) for a in command]
+            code, out, err = _main_quiet(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert out == "false\n" or (argv[0] == "agreement" and
+                                            out.endswith("invalid\n")), (argv, out)
+            if code == 2:
+                assert err.startswith("error: "), (argv, err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(message=st.text(st.characters(exclude_categories=())))
+@example(message=ATTEST_MESSAGE)
+@example(message="A\udcff")
+def test_any_message_keeps_exit_contract(message):
+    code, out, err = _main_quiet(["msg", "verify", ADDR_A, SIGNATURE_B64, "--", message])
+    assert code in (0, 1, 2)
+    assert (code == 0) == (message == ATTEST_MESSAGE)
+    if code == 1:
+        assert out == "false\n"
+    if code == 2:
+        assert err.startswith("error: ")

@@ -20,6 +20,7 @@ from eaward.crypto import (
     base58check_encode,
     ecdsa_recover,
     ecdsa_sign_recoverable,
+    p2pkh_network,
 )
 
 from conftest import ADDR_A, ADDR_C, ADDR_C_HASH160, PK1_HEX, SIGNATURE_B64, ZERO_PAYLOAD_ADDR
@@ -389,3 +390,11 @@ def test_recover_with_zero_digest_matches_reference():
     for digest in (bytes(32), _N.to_bytes(32, "big")):
         sig = ecdsa_sign_recoverable(key, digest)
         assert ecdsa_recover(sig, digest) == key.public_key() == reference_recover(sig, digest)
+
+
+def test_p2pkh_network_reads_the_version_byte():
+    payload = bytes.fromhex(ADDR_C_HASH160)
+    assert p2pkh_network(Address.from_text(ADDR_C)) is crypto.TESTNET
+    assert p2pkh_network(Address.from_parts(0x00, payload)) is crypto.MAINNET
+    for p2sh in (0x05, 0xC4):
+        assert p2pkh_network(Address.from_parts(p2sh, payload)) is None

@@ -23,6 +23,7 @@ from conftest import (
     P2SH_MAINNET,
     P2SH_TESTNET,
     PK1_HEX,
+    PK2_HEX,
     REDEEM_HEX,
     golden_policy,
     golden_pubkeys,
@@ -125,4 +126,12 @@ def test_policy_file_rejects_garbage(tmp_path):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps({"m": 2, "network": "moonnet", "pubkeys": [PK1_HEX]}))
     with pytest.raises(PolicyInvalid):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("m", ["2", 2.0, 2.7, True, None, float("inf")], ids=repr)
+def test_policy_file_needs_integer_m(tmp_path, m):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"m": m, "network": "testnet", "pubkeys": [PK1_HEX, PK2_HEX]}))
+    with pytest.raises(PolicyInvalid, match="must be of type int"):
         load_policy(path)

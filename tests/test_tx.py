@@ -20,6 +20,7 @@ from eaward.tx import (
     compute_txid,
     decode_script,
     extract_op_return,
+    format_btc,
     nulldata_payload,
     parse_transaction,
     push_data,
@@ -162,8 +163,8 @@ def test_transaction_needs_inputs_and_outputs():
 def test_output_value_bounds():
     with pytest.raises(TxError):
         TxOutput(21_000_000 * 10**8 + 1, Script(b""))
-    assert TxOutput(123456789, Script(b"")).value_btc() == "1.23456789"
-    assert TxOutput(500_000, Script(b"")).value_btc() == "0.00500000"
+    assert format_btc(123456789) == "1.23456789"
+    assert format_btc(500_000) == "0.00500000"
 
 
 def test_txid_display_is_byte_reversed():
