@@ -451,14 +451,16 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
             json_field(doc["policy"], "m", int),
             tuple(PublicKey.from_hex(k) for k in doc["policy"]["pubkeys"]),
         )
-        text_hash = doc.get("agreementTextHash")
+        text_hash = json_field(doc, "agreementTextHash", str, None)
+        if text_hash == "":
+            raise ValueError("agreementTextHash is an empty string")
         return ArbitrationAgreement(
             parties=parties,
             seat=json_field(doc, "seat", str),
             seat_jurisdiction=json_field(doc, "seatJurisdiction", str),
             reasoned_award_opt_out=json_field(doc, "reasonedAwardOptOut", bool),
             policy=policy,
-            agreement_text_hash=bytes.fromhex(text_hash) if text_hash else None,
+            agreement_text_hash=None if text_hash is None else bytes.fromhex(text_hash),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise AttestationError(f"bad agreement document: {exc}") from exc

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .crypto import Network, TESTNET
 from .errors import EawardError, NotFound
+from .escrow import json_field
 from .tx import Transaction, Txid, TxError, compute_txid, parse_transaction
 
 
@@ -167,14 +168,14 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
         status_path = src.fixture_root / f"{txid.hex()}.status"
         if status_path.exists():
             doc = _status_document(status_path.read_bytes(), str(status_path))
-            block_time = doc.get("blockTime")
             try:
+                block_time = json_field(doc, "blockTime", str, None)
                 return TxStatus(
-                    _parse_time(block_time) if block_time else None,
-                    int(doc.get("confirmations", 0)),
-                    doc.get("blockHash"),
+                    None if block_time is None else _parse_time(block_time),
+                    json_field(doc, "confirmations", int, 0),
+                    json_field(doc, "blockHash", str, None),
                 )
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
         if (src.fixture_root / f"{txid.hex()}.hex").exists():
             return TxStatus(None, 0)  # known but unconfirmed
@@ -186,17 +187,23 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     if status != 200:
         raise TransportError(f"source returned HTTP {status}")
     doc = _status_document(body, f"{src.endpoint}/tx/{txid.hex()}/status")
-    if not doc.get("confirmed"):
+    try:
+        confirmed = json_field(doc, "confirmed", bool, False)
+    except TypeError as exc:
+        raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
+    if not confirmed:
         return TxStatus(None, 0)
     tip_status, tip_body = src.http_get(f"{src.endpoint}/blocks/tip/height", src.timeout)
     if tip_status != 200:
         raise TransportError(f"tip height query returned HTTP {tip_status}")
     try:
-        confirmations = int(tip_body) - int(doc["block_height"]) + 1
-        block_time = datetime.fromtimestamp(int(doc["block_time"]), tz=timezone.utc)
+        confirmations = int(tip_body) - json_field(doc, "block_height", int) + 1
+        block_time = datetime.fromtimestamp(json_field(doc, "block_time", int),
+                                            tz=timezone.utc)
+        block_hash = json_field(doc, "block_hash", str, None)
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
-    return TxStatus(block_time, max(confirmations, 1), doc.get("block_hash"))
+    return TxStatus(block_time, max(confirmations, 1), block_hash)
 
 
 def broadcast(src: ChainSource, hex_text: str) -> Txid:

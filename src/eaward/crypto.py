@@ -183,10 +183,29 @@ def p2pkh_network(address: Address) -> Network | None:
 # Affine points are (x, y); Jacobian points are (X, Y, Z) for
 # (X/Z^2, Y/Z^3); None is the point at infinity in either form. Every scalar
 # multiplication runs through _multiply, a Straus-Shamir ladder over w-NAF
-# digits as in libsecp256k1: one shared chain of doublings, and at each
-# nonzero digit one mixed Jacobian+affine addition of a precomputed odd
-# multiple. The arithmetic is variable-time.
+# digits as in libsecp256k1: each scalar is split by the GLV endomorphism
+# into two halves of at most 129 bits, all halves share one chain of
+# doublings, and at each nonzero digit one mixed Jacobian+affine addition
+# of a precomputed odd multiple follows. The arithmetic is variable-time.
 # ---------------------------------------------------------------------------
+
+# The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
+# (Gallant-Lambert-Vanstone, CRYPTO 2001). A1, B1, A2, B2 is a reduced basis
+# of the lattice {(a, b): a + b*LAMBDA = 0 mod N}, as in libsecp256k1.
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_A1 = _B2 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+
+
+def _split(k: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2*LAMBDA = k (mod N) and |k1|, |k2| < 2**129,
+    for 0 <= k < N: k minus the nearest lattice point."""
+    c1 = (2 * _B2 * k + _N) // (2 * _N)
+    c2 = (-2 * _B1 * k + _N) // (2 * _N)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
 
 def _double(pt):
     """2*pt for a Jacobian point. No curve point has y = 0 (the group
@@ -245,13 +264,14 @@ def _batch_to_affine(points):
 
 
 def _odd_multiples(pt, w: int):
-    """[1*pt, 3*pt, ..., (2**(w-1) - 1)*pt] as affine points: the table
-    for width-w NAF digits of an affine pt."""
+    """[1*pt, 3*pt, ..., (2**(w-1) - 1)*pt] as (x, y, BETA*x) triples: the
+    table for width-w NAF digits of an affine pt, whose (BETA*x, y) are the
+    same odd multiples of LAMBDA*pt."""
     twice = _to_affine(_double((*pt, 1)))
     jac = [(*pt, 1)]
     for _ in range((1 << (w - 2)) - 1):
         jac.append(_add_affine(jac[-1], twice))
-    return _batch_to_affine(jac)
+    return [(x, y, _BETA * x % _P) for x, y in _batch_to_affine(jac)]
 
 
 def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
@@ -274,13 +294,16 @@ def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
 
 
 def _multiply(terms) -> tuple[int, int] | None:
-    """Sum of k*P over terms (k, w, odd multiples of P for width w), as an
-    affine point or None for infinity."""
+    """Sum of k*P over terms (k, w, _odd_multiples(P, w)) with 0 <= k < N,
+    as an affine point or None for infinity. k*P is k1*P + k2*(LAMBDA*P)."""
     adds = {}
     for k, w, table in terms:
-        for pos, d in _wnaf(k, w):
-            x, y = table[abs(d) >> 1]
-            adds.setdefault(pos, []).append((x, y if d > 0 else _P - y))
+        for half, lam in zip(_split(k), (False, True)):
+            for pos, d in _wnaf(abs(half), w):
+                x, y, beta_x = table[abs(d) >> 1]
+                if (d < 0) != (half < 0):
+                    y = _P - y
+                adds.setdefault(pos, []).append((beta_x if lam else x, y))
     acc = None
     for i in range(max(adds, default=-1), -1, -1):
         acc = _double(acc)
@@ -289,8 +312,8 @@ def _multiply(terms) -> tuple[int, int] | None:
     return _to_affine(acc)
 
 
-# Fixed base: 64 odd multiples of G, built once at import. A variable base
-# (the R of a recovery) gets a width-5 table of 8 points per call.
+# Fixed base: 64 odd multiples of G and of LAMBDA*G, built once at import. A
+# variable base (the R of a recovery) gets a width-5 table of 8 points per call.
 _G_WINDOW = 8
 _G_TABLE = _odd_multiples((_GX, _GY), _G_WINDOW)
 _R_WINDOW = 5

@@ -84,6 +84,10 @@ MALFORMED_LIVE_STATUS = {
     "block_height_type": ({**_CONFIRMED_DOC, "block_height": None}, b"1500099"),
     "block_time": ({**_CONFIRMED_DOC, "block_time": "yesterday"}, b"1500099"),
     "block_time_range": ({**_CONFIRMED_DOC, "block_time": 10**20}, b"1500099"),
+    "block_height_bool": ({**_CONFIRMED_DOC, "block_height": True}, b"1500099"),
+    "block_time_float": ({**_CONFIRMED_DOC, "block_time": 1553788013.5}, b"1500099"),
+    "block_hash_type": ({**_CONFIRMED_DOC, "block_hash": ["aa" * 32]}, b"1500099"),
+    "confirmed_type": ({**_CONFIRMED_DOC, "confirmed": "no"}, b"1500099"),
     "not_json": (None, b"1500099"),
 }
 

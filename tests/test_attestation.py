@@ -135,12 +135,23 @@ def test_agreement_file_roundtrip(golden_agreement, tmp_path):
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc["policy"]["pubkeys"].__setitem__(0, "zz" * 33),
     lambda doc: doc.__setitem__("agreementTextHash", "not hex"),
-], ids=["nonhex_pubkey", "nonhex_text_hash"])
+    lambda doc: doc.__setitem__("agreementTextHash", ""),
+], ids=["nonhex_pubkey", "nonhex_text_hash", "empty_text_hash"])
 def test_agreement_non_hex_field_is_attestation_error(golden_agreement, mutate):
     doc = agreement_to_dict(golden_agreement)
     mutate(doc)
     with pytest.raises(AttestationError):
         agreement_from_dict(doc)
+
+
+def test_agreement_text_hash_absent_null_or_hex(golden_agreement):
+    doc = agreement_to_dict(golden_agreement)
+    doc["agreementTextHash"] = None
+    assert agreement_from_dict(doc).agreement_text_hash is None
+    del doc["agreementTextHash"]
+    assert agreement_from_dict(doc).agreement_text_hash is None
+    doc["agreementTextHash"] = "ab" * 32
+    assert agreement_from_dict(doc).agreement_text_hash == b"\xab" * 32
 
 
 @pytest.mark.parametrize("path,value", [
@@ -154,6 +165,10 @@ def test_agreement_non_hex_field_is_attestation_error(golden_agreement, mutate):
     (("seatJurisdiction",), ["England"]),
     (("policy", "m"), 2.0),
     (("policy", "m"), True),
+    (("agreementTextHash",), 0),
+    (("agreementTextHash",), False),
+    (("agreementTextHash",), []),
+    (("agreementTextHash",), {}),
 ], ids=repr)
 def test_agreement_field_of_wrong_json_type_is_attestation_error(
         golden_agreement, path, value):

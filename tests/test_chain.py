@@ -109,14 +109,32 @@ def test_fixture_status_unknown(fixture_source):
     '[1000]',
     b'{"blockTime": "\xff"}',
     '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 1e999}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": true}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 2.7}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": null}',
+    '{"blockTime": "", "confirmations": 0}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 3, "blockHash": ["aa"]}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 3, "blockHash": 5}',
 ], ids=["blocktime_format", "blocktime_type", "confirmations", "json", "not_object",
-        "not_utf8", "confirmations_overflow"])
+        "not_utf8", "confirmations_overflow", "confirmations_bool", "confirmations_float",
+        "confirmations_null", "blocktime_empty", "blockhash_list", "blockhash_int"])
 def test_fixture_malformed_status_is_typed(tmp_path, text):
     (tmp_path / f"{DEMO_TXID}.status").write_bytes(
         text if isinstance(text, bytes) else text.encode())
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
     with pytest.raises(MalformedStatus):
         get_tx_status(source, _demo_txid())
+
+
+@pytest.mark.parametrize("text", [
+    '{}',
+    '{"confirmations": 0}',
+    '{"blockTime": null, "confirmations": 0, "blockHash": null}',
+], ids=["empty", "confirmations_only", "nulls"])
+def test_fixture_status_optional_fields(tmp_path, text):
+    (tmp_path / f"{DEMO_TXID}.status").write_text(text)
+    source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
+    assert get_tx_status(source, _demo_txid()) == TxStatus(None, 0, None)
 
 
 def test_chain_and_store_share_one_not_found():

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -275,7 +277,11 @@ def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, field):
 @pytest.mark.parametrize("status", [
     {"blockTime": "28/03/2019 15:46", "confirmations": 1000},
     {"blockTime": "2019-03-28T15:46:53Z", "confirmations": "many"},
-], ids=["blocktime", "confirmations"])
+    {"blockTime": "2019-03-28T15:46:53Z", "confirmations": True},
+    {"blockTime": "2019-03-28T15:46:53Z", "confirmations": 2.7},
+    {"blockTime": "2019-03-28T15:46:53Z", "confirmations": 1000, "blockHash": ["aa"]},
+], ids=["blocktime", "confirmations", "confirmations_bool", "confirmations_float",
+        "blockhash_list"])
 def test_certify_malformed_fixture_status_exit_2(capsys, tmp_path, status):
     root = tmp_path / "chain"
     shutil.copytree(CHAIN_DIR, root)
@@ -453,11 +459,16 @@ _ESCROW = ("escrow", "address", "{policy}")
     ("agreement.json", ("policy", "m"), True, _VALIDATE),
     ("policy.json", ("m",), math.inf, _ESCROW),
     ("policy.json", ("m",), 2.7, _ESCROW),
+    ("agreement.json", ("agreementTextHash",), 0, _CERTIFY),
+    ("agreement.json", ("agreementTextHash",), False, _CERTIFY),
+    ("agreement.json", ("agreementTextHash",), [], _VALIDATE),
+    ("agreement.json", ("agreementTextHash",), {}, _CERTIFY),
 ], ids=["opt_out_string_validate", "opt_out_string_certify", "legal_name_null_certify",
         "display_name_int_validate", "display_name_int_encode", "seat_int_encode",
         "address_list_validate", "m_overflow_validate", "m_overflow_encode",
         "m_overflow_certify", "m_float_validate", "m_bool_validate",
-        "m_overflow_escrow", "m_float_escrow"])
+        "m_overflow_escrow", "m_float_escrow", "text_hash_zero_certify",
+        "text_hash_false_certify", "text_hash_list_validate", "text_hash_object_certify"])
 def test_wrong_json_type_exit_2(capsys, tmp_path, name, path, value, argv):
     file = tmp_path / name
     shutil.copy(FIXTURES / name, file)
@@ -545,3 +556,109 @@ def test_any_message_keeps_exit_contract(message):
         assert out == "false\n"
     if code == 2:
         assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract for any fixture or explorer answer
+# ---------------------------------------------------------------------------
+
+_DEMO_HEX = (CHAIN_DIR / f"{DEMO_TXID}.hex").read_bytes()
+_DEMO_RAW = bytes.fromhex(_DEMO_HEX.decode())
+
+
+def _hashes_to_demo_txid(served: bytes) -> bool:
+    """Whether the served hex text, less surrounding whitespace, decodes to
+    bytes whose double SHA-256 is the requested txid (computed here without
+    eaward)."""
+    try:
+        raw = bytes.fromhex(served.decode("ascii").strip())
+    except ValueError:
+        return False
+    return hashlib.sha256(hashlib.sha256(raw).digest()).digest()[::-1].hex() == DEMO_TXID
+
+
+def _flip(data: bytes, index: int, mask: int) -> bytes:
+    index %= len(data)
+    return data[:index] + bytes([data[index] ^ mask]) + data[index + 1:]
+
+
+# The demo fixture truncated, with one byte flipped in its raw bytes or in
+# its hex text, with junk inserted, extended as text or as raw bytes, or
+# replaced by arbitrary bytes.
+_MUTATED_HEX = st.one_of(
+    st.integers(0, len(_DEMO_HEX)).map(lambda i: _DEMO_HEX[:i]),
+    st.builds(lambda i, m: _flip(_DEMO_RAW, i, m).hex().encode(),
+              st.integers(0, len(_DEMO_RAW) - 1), st.integers(1, 255)),
+    st.builds(lambda i, m: _flip(_DEMO_HEX, i, m),
+              st.integers(0, len(_DEMO_HEX) - 1), st.integers(1, 255)),
+    st.builds(lambda i, junk: _DEMO_HEX[:i] + junk + _DEMO_HEX[i:],
+              st.integers(0, len(_DEMO_HEX)), st.binary(min_size=1, max_size=4)),
+    st.builds(lambda extra: _DEMO_HEX.strip() + extra, st.binary(max_size=8)),
+    st.builds(lambda extra: (_DEMO_RAW + extra).hex().encode(), st.binary(min_size=1, max_size=8)),
+    st.binary(max_size=64),
+)
+
+# The commands that fetch the demo transaction from a source.
+_FETCHING = (("tx", "decode", DEMO_TXID), _certify())
+
+
+@settings(max_examples=150, deadline=None)
+@given(served=_MUTATED_HEX)
+@example(served=_DEMO_HEX)
+@example(served=_DEMO_HEX.strip() + b"00")
+@example(served=_DEMO_HEX[:-3])
+@example(served=b"")
+def test_any_hex_fixture_keeps_exit_contract(served):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / f"{DEMO_TXID}.hex").write_bytes(served)
+        shutil.copy(CHAIN_DIR / f"{DEMO_TXID}.status", root)
+        for command in _FETCHING:
+            _assert_exit_contract(["--fixture-root", str(root), *command],
+                                  served_ok=_hashes_to_demo_txid(served))
+
+
+def _assert_exit_contract(argv, served_ok):
+    code, out, err = _main_quiet(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert served_ok, argv
+    if code == 1:
+        assert out == "false\n", (argv, out)
+    if code == 2:
+        assert err.startswith("error: "), (argv, err)
+
+
+_GENUINE_STATUS = {"confirmed": True, "block_height": 1_500_000, "block_time": 1553788013,
+                   "block_hash": "aa" * 32}
+_HTTP_CODES = st.sampled_from([200, 200, 200, 404, 500]) | st.integers(100, 599)
+_STATUS_DOCS = st.fixed_dictionaries({}, optional={
+    key: st.just(value) | _JSON_VALUES for key, value in _GENUINE_STATUS.items()})
+_STATUS_BODIES = st.one_of(st.just(json.dumps(_GENUINE_STATUS).encode()),
+                           _STATUS_DOCS.map(lambda doc: json.dumps(doc).encode()),
+                           _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+                           st.binary(max_size=32))
+_TIP_BODIES = st.one_of(st.just(b"1500099"), st.integers().map(lambda i: str(i).encode()),
+                        st.binary(max_size=16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hex_answer=st.tuples(_HTTP_CODES, st.just(_DEMO_HEX) | _MUTATED_HEX),
+       status_answer=st.tuples(_HTTP_CODES, _STATUS_BODIES),
+       tip_answer=st.tuples(_HTTP_CODES, _TIP_BODIES))
+@example(hex_answer=(200, _DEMO_HEX),
+         status_answer=(200, json.dumps(_GENUINE_STATUS).encode()),
+         tip_answer=(200, b"1500099"))
+@example(hex_answer=(200, _DEMO_HEX),
+         status_answer=(200, json.dumps({**_GENUINE_STATUS, "block_time": -10**12}).encode()),
+         tip_answer=(200, b"1500099"))
+def test_any_explorer_answer_keeps_exit_contract(hex_answer, status_answer, tip_answer):
+    responses = {f"http://x/tx/{DEMO_TXID}/hex": hex_answer,
+                 f"http://x/tx/{DEMO_TXID}/status": status_answer,
+                 "http://x/blocks/tip/height": tip_answer}
+    live = functools.partial(ChainSource, http_get=lambda url, timeout: responses[url])
+    status, served = hex_answer
+    with mock.patch.object(cli, "ChainSource", live):
+        for command in _FETCHING:
+            _assert_exit_contract(["--source", "live", "--endpoint", "http://x", *command],
+                                  served_ok=status == 200 and _hashes_to_demo_txid(served))

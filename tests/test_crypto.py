@@ -384,6 +384,29 @@ def test_two_term_ladder_matches_reference(k1, k2):
     assert got == reference_mul((k1 + k2) % _N, _G)
 
 
+def test_endomorphism_constants():
+    # BETA and LAMBDA are nontrivial cube roots of 1, and the map
+    # (x, y) -> (BETA*x, y) multiplies G by LAMBDA.
+    assert crypto._BETA != 1 and pow(crypto._BETA, 3, _P) == 1
+    assert crypto._LAMBDA != 1 and pow(crypto._LAMBDA, 3, _N) == 1
+    assert reference_mul(crypto._LAMBDA, _G) == (crypto._BETA * crypto._GX % _P, crypto._GY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(min_value=0, max_value=_N - 1))
+@example(k=0)
+@example(k=1)
+@example(k=_N - 1)
+@example(k=crypto._LAMBDA)
+@example(k=_N - crypto._LAMBDA)
+@example(k=2**128)
+@example(k=_N // 2)
+def test_glv_split_property(k):
+    k1, k2 = crypto._split(k)
+    assert (k1 + k2 * crypto._LAMBDA - k) % _N == 0
+    assert max(abs(k1), abs(k2)) < 2**129
+
+
 def test_recover_with_zero_digest_matches_reference():
     # e = 0 drops the G term entirely: digest 0 and digest N both reduce to it.
     key = PrivateKey.from_bytes(crypto.sha256(b"zero digest"))
