@@ -18,7 +18,13 @@ from pathlib import Path
 from .chain import TxStatus, format_time
 from .crypto import Address, Network, PublicKey, p2pkh_network
 from .errors import EawardError
-from .escrow import EscrowPolicy, PolicyInvalid, json_field, pubkey_to_address
+from .escrow import (
+    EscrowPolicy,
+    PolicyInvalid,
+    build_redeem_script,
+    json_field,
+    pubkey_to_address,
+)
 from .metadata import (
     AwardMetadata,
     MetadataError,
@@ -194,6 +200,7 @@ class LinkageReport:
     metadata: AwardMetadata
     per_party: tuple[PartyLinkage, ...]
     seat_match: bool
+    redeem_script: Script
 
     @property
     def overall(self) -> bool:
@@ -269,6 +276,7 @@ def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> Linka
         metadata=meta,
         per_party=tuple(per_party),
         seat_match=(meta.seat == agreement.seat),
+        redeem_script=decoded.script,
     )
 
 
@@ -310,6 +318,8 @@ def issue_certificate(
 ) -> AuthenticationCertificate:
     """Assemble the evidence bundle; raises instead of issuing a weak one.
 
+    The agreement must be valid, and the transaction must reveal exactly the
+    redeem script its escrow policy builds (same quorum, keys and key order).
     Origin: verified wallet signatures plus the full linkage report.
     Time: block timestamp and confirmation count from the chain source.
     Intent: the agreement reference, its opt-out flag, and the signed line.
@@ -321,6 +331,14 @@ def issue_certificate(
         raise LinkageFailed(
             f"agreement does not match transaction "
             f"(seat={report.seat_match}, parties={failed})")
+    if report.redeem_script != build_redeem_script(agreement.policy):
+        raise LinkageFailed(
+            "revealed redeem script is not the one the agreement's escrow "
+            "policy builds (quorum, keys or key order differ)")
+    review = validate_agreement(agreement)
+    if not review.ok:
+        raise AttestationError(
+            f"agreement is invalid: {'; '.join(review.violations)}")
 
     if status is None or status.block_time is None or status.confirmations <= 0:
         raise NoTimeEvidence("no confirmed block time for the transaction")
@@ -465,22 +483,3 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
     except (KeyError, TypeError, ValueError) as exc:
         raise AttestationError(f"bad agreement document: {exc}") from exc
 
-
-def agreement_to_dict(agreement: ArbitrationAgreement) -> dict:
-    return {
-        "parties": [
-            {"role": p.role.value, "legalName": p.legal_name,
-             "displayName": p.display_name, "address": p.address.text}
-            for p in agreement.parties
-        ],
-        "seat": agreement.seat,
-        "seatJurisdiction": agreement.seat_jurisdiction,
-        "reasonedAwardOptOut": agreement.reasoned_award_opt_out,
-        "policy": {
-            "m": agreement.policy.m,
-            "pubkeys": [k.hex() for k in agreement.policy.pubkeys],
-        },
-        "agreementTextHash": (
-            agreement.agreement_text_hash.hex()
-            if agreement.agreement_text_hash else None),
-    }

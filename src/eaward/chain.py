@@ -203,7 +203,10 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
         block_hash = json_field(doc, "block_hash", str, None)
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
-    return TxStatus(block_time, max(confirmations, 1), block_hash)
+    if confirmations < 1:
+        raise MalformedStatus(
+            f"tip height from {src.endpoint} is below the transaction's block height")
+    return TxStatus(block_time, confirmations, block_hash)
 
 
 def broadcast(src: ChainSource, hex_text: str) -> Txid:

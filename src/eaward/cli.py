@@ -14,11 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .anchor import (
-    AnchorProof,
     AwardDocument,
     HashMismatch,
     NoAnchorFound,
@@ -109,10 +109,6 @@ def _read_private_key(ref: str) -> PrivateKey:
     return PrivateKey.from_bytes(parse_hex(text.strip()))
 
 
-def _fetch_transaction(args, txid_text: str):
-    return get_transaction(_source(args), Txid.from_hex(txid_text))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -184,7 +180,7 @@ def cmd_tx_decode(args) -> int:
     net = _network(args)
     text = args.tx.strip()
     if len(text) == 64:
-        tx = _fetch_transaction(args, text)
+        tx = get_transaction(_source(args), Txid.from_hex(text))
     else:
         tx = parse_transaction(text)
     print(json.dumps(transaction_report(tx, net), indent=2))
@@ -231,11 +227,12 @@ def cmd_anchor_create(args) -> int:
 
 def cmd_anchor_verify(args) -> int:
     doc_file = AwardDocument.from_file(args.file)
-    proof = verify_anchor(doc_file, _fetch_transaction(args, args.txid))
+    source = _source(args)
+    proof = verify_anchor(doc_file, get_transaction(source, Txid.from_hex(args.txid)))
     try:
-        status = get_tx_status(_source(args), proof.txid)
-        proof = AnchorProof(proof.doc_hash, proof.txid, proof.vout_index,
-                            status.block_time, status.confirmations)
+        status = get_tx_status(source, proof.txid)
+        proof = replace(proof, block_time=status.block_time,
+                        confirmations=status.confirmations)
     except NotFound:
         pass
     doc = proof.to_report()

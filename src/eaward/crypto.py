@@ -77,18 +77,6 @@ def hash160(data: bytes) -> bytes:
     return ripemd160(sha256(data))
 
 
-_DIGESTS = {"sha256": sha256, "hash256": hash256, "hash160": hash160}
-
-
-def digest(algorithm: str, data: bytes) -> bytes:
-    """Dispatch by algorithm name: sha256 | hash256 | hash160."""
-    try:
-        fn = _DIGESTS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown digest algorithm: {algorithm!r}") from None
-    return fn(data)
-
-
 # ---------------------------------------------------------------------------
 # base58check
 # ---------------------------------------------------------------------------

@@ -151,7 +151,4 @@ def decode_metadata(payload: bytes) -> AwardMetadata:
         role = Role.from_letter(parts[0])
         tags.append(ParticipantTag(role, parts[1], parts[2]))
 
-    roles = tuple(t.role for t in tags)
-    if len(set(roles)) != 3:
-        raise DuplicateRole(f"duplicate role letters in {tokens[:3]}")
     return AwardMetadata(tuple(tags), tokens[3], tokens[4])

@@ -62,7 +62,6 @@ _OPCODE_NAMES = {
     0xB5: "OP_NOP6", 0xB6: "OP_NOP7", 0xB7: "OP_NOP8", 0xB8: "OP_NOP9",
     0xB9: "OP_NOP10",
 }
-_OPCODE_BY_NAME = {name: op for op, name in _OPCODE_NAMES.items()}
 
 
 class TxError(EawardError):
@@ -270,33 +269,6 @@ def script_to_asm(script: Script) -> str:
         else:
             tokens.append(_OPCODE_NAMES.get(op.opcode, f"OP_UNKNOWN_0x{op.opcode:02x}"))
     return " ".join(tokens)
-
-
-def asm_to_script(asm: str) -> Script:
-    """Re-assemble an asm rendering into (minimally encoded) script bytes.
-
-    Bare decimal tokens bind to the small-int opcodes, so one-byte pushes of
-    0x10..0x16 are not representable; the renderer never emits them for the
-    scripts this artifact builds.
-    """
-    out = bytearray()
-    for token in asm.split():
-        if token == "-1":
-            out.append(OP_1NEGATE)
-        elif token == "0":
-            out.append(OP_0)
-        elif token.isdigit() and str(int(token)) == token and 1 <= int(token) <= 16:
-            # No leading zeros: "07" is a one-byte push, "7" is the opcode.
-            out.append(0x50 + int(token))
-        elif token.startswith("OP_"):
-            if token not in _OPCODE_BY_NAME:
-                raise MalformedScript(f"unknown opcode name {token}")
-            out.append(_OPCODE_BY_NAME[token])
-        else:
-            if not _HEX_RE.match(token) or len(token) % 2:
-                raise MalformedScript(f"token {token!r} is neither opcode nor hex push")
-            out += push_data(bytes.fromhex(token))
-    return Script(bytes(out))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ REAL_TX_FIXTURE = CHAIN_DIR / f"{REAL_TXID}.hex"
 _CONFIRMED_DOC = {"confirmed": True, "block_height": 1_500_000, "block_time": 1553788013}
 MALFORMED_LIVE_STATUS = {
     "tip_height": (_CONFIRMED_DOC, b"<html>busy</html>"),
+    "tip_below_block_height": (_CONFIRMED_DOC, b"5"),
     "no_block_height": ({"confirmed": True, "block_time": 1553788013}, b"1500099"),
     "block_height_type": ({**_CONFIRMED_DOC, "block_height": None}, b"1500099"),
     "block_time": ({**_CONFIRMED_DOC, "block_time": "yesterday"}, b"1500099"),

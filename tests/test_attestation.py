@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -14,7 +15,6 @@ from eaward.attestation import (
     MetadataUnparseable,
     Party,
     agreement_from_dict,
-    agreement_to_dict,
     extract_metadata,
     extract_redeem_script,
     issue_certificate,
@@ -41,6 +41,7 @@ from conftest import (
     ADDR_C,
     ADDR_R,
     ATTEST_MESSAGE,
+    FIXTURES,
     FRAGMENT,
     SIGNATURE_B64,
     ZERO_PAYLOAD_ADDR,
@@ -125,11 +126,22 @@ def test_unknown_jurisdiction_is_violation(golden_agreement):
     assert not review.ok
 
 
-def test_agreement_file_roundtrip(golden_agreement, tmp_path):
-    import json
-    path = tmp_path / "agreement.json"
-    path.write_text(json.dumps(agreement_to_dict(golden_agreement)))
-    assert load_agreement(path) == golden_agreement
+def _agreement_doc() -> dict:
+    return json.loads((FIXTURES / "agreement.json").read_text())
+
+
+def test_agreement_file_matches_golden_fields():
+    assert load_agreement(FIXTURES / "agreement.json") == ArbitrationAgreement(
+        parties=(
+            Party(Role.ARBITRATOR, "John Smith", "JohnSmith", Address.from_text(ADDR_A)),
+            Party(Role.CLAIMANT, "Acme", "Acme", Address.from_text(ADDR_C)),
+            Party(Role.RESPONDENT, "Baker", "Baker", Address.from_text(ADDR_R)),
+        ),
+        seat="London",
+        seat_jurisdiction="England",
+        reasoned_award_opt_out=True,
+        policy=golden_policy(),
+    )
 
 
 @pytest.mark.parametrize("mutate", [
@@ -137,15 +149,15 @@ def test_agreement_file_roundtrip(golden_agreement, tmp_path):
     lambda doc: doc.__setitem__("agreementTextHash", "not hex"),
     lambda doc: doc.__setitem__("agreementTextHash", ""),
 ], ids=["nonhex_pubkey", "nonhex_text_hash", "empty_text_hash"])
-def test_agreement_non_hex_field_is_attestation_error(golden_agreement, mutate):
-    doc = agreement_to_dict(golden_agreement)
+def test_agreement_non_hex_field_is_attestation_error(mutate):
+    doc = _agreement_doc()
     mutate(doc)
     with pytest.raises(AttestationError):
         agreement_from_dict(doc)
 
 
-def test_agreement_text_hash_absent_null_or_hex(golden_agreement):
-    doc = agreement_to_dict(golden_agreement)
+def test_agreement_text_hash_absent_null_or_hex():
+    doc = _agreement_doc()
     doc["agreementTextHash"] = None
     assert agreement_from_dict(doc).agreement_text_hash is None
     del doc["agreementTextHash"]
@@ -170,9 +182,8 @@ def test_agreement_text_hash_absent_null_or_hex(golden_agreement):
     (("agreementTextHash",), []),
     (("agreementTextHash",), {}),
 ], ids=repr)
-def test_agreement_field_of_wrong_json_type_is_attestation_error(
-        golden_agreement, path, value):
-    doc = agreement_to_dict(golden_agreement)
+def test_agreement_field_of_wrong_json_type_is_attestation_error(path, value):
+    doc = _agreement_doc()
     *parents, last = path
     target = doc
     for key in parents:
@@ -469,12 +480,10 @@ def test_metadata_for_agreement_suffix_invariant(synthetic_case):
 
 def test_linkage_overall_is_conjunction(golden_agreement, demo_tx):
     report = match_transaction(golden_agreement, demo_tx)
-    from eaward.attestation import PartyLinkage, LinkageReport
+    from dataclasses import replace
+    from eaward.attestation import PartyLinkage
     assert report.overall
-    weakened = LinkageReport(
-        report.txid, report.metadata,
-        (PartyLinkage(Role.ARBITRATOR, True, False), *report.per_party[1:]),
-        report.seat_match)
+    weakened = replace(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, False),
+                                          *report.per_party[1:]))
     assert not weakened.overall
-    no_seat = LinkageReport(report.txid, report.metadata, report.per_party, False)
-    assert not no_seat.overall
+    assert not replace(report, seat_match=False).overall

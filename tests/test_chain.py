@@ -244,15 +244,16 @@ def test_live_http_error_is_transport_error():
         get_raw_transaction(source, _demo_txid())
 
 
-def test_live_status_confirmed():
+@pytest.mark.parametrize("tip,confirmations", [(b"1500099", 100), (b"1500000", 1)])
+def test_live_status_confirmed(tip, confirmations):
     status_doc = {"confirmed": True, "block_height": 1_500_000,
                   "block_time": 1553788013, "block_hash": "aa" * 32}
     source = _live({
         f"http://x/tx/{DEMO_TXID}/status": (200, json.dumps(status_doc).encode()),
-        "http://x/blocks/tip/height": (200, b"1500099"),
+        "http://x/blocks/tip/height": (200, tip),
     })
     status = get_tx_status(source, _demo_txid())
-    assert status.confirmations == 100
+    assert status.confirmations == confirmations
     assert status.block_time == BLOCK_TIME
     assert status.block_hash == "aa" * 32
 

@@ -344,6 +344,17 @@ def test_live_bad_timeout_exit_2(capsys, timeout):
     assert "timeout" in err
 
 
+def _run_fresh(script: str) -> str:
+    """stdout of `script` run in a new interpreter on this checkout's package."""
+    src = str(Path(eaward.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_fixture_mode_never_imports_requests():
     script = (
         "import contextlib, io, sys\n"
@@ -355,13 +366,16 @@ def test_fixture_mode_never_imports_requests():
         f" {ATTEST_MESSAGE!r}]) == 0\n"
         "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
     )
-    src = str(Path(eaward.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _run_fresh(script) == "[]\n"
+
+
+def test_msgauth_import_loads_no_unrelated_module():
+    script = (
+        "import sys, eaward.msgauth\n"
+        "unrelated = ('attestation', 'anchor', 'chain', 'cli')\n"
+        "print([m for m in unrelated if 'eaward.' + m in sys.modules])\n"
+    )
+    assert _run_fresh(script) == "[]\n"
 
 
 def test_usage_error_exit_code():
@@ -420,6 +434,34 @@ def test_certify_without_status_exit_1(capsys, tmp_path):
     shutil.copy(CHAIN_DIR / f"{DEMO_TXID}.hex", tmp_path)
     err = _false_answer(capsys, *_certify("--fixture-root", str(tmp_path)))
     assert "block time" in err
+
+
+def _agreement_with_field(tmp_path, path, value) -> str:
+    file = tmp_path / "agreement.json"
+    shutil.copy(FIXTURES / "agreement.json", file)
+    _replace_field(file, path, value)
+    return str(file)
+
+
+_GOLDEN_PUBKEYS = json.loads((FIXTURES / "agreement.json").read_text())["policy"]["pubkeys"]
+
+
+@pytest.mark.parametrize("path,value", [
+    (("policy", "m"), 1),
+    (("policy", "pubkeys"), _GOLDEN_PUBKEYS[::-1]),
+], ids=["quorum_1", "pubkeys_reversed"])
+def test_certify_policy_other_than_revealed_script_exit_1(capsys, tmp_path, path, value):
+    agreement = _agreement_with_field(tmp_path, path, value)
+    err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
+                                          agreement=agreement))
+    assert "redeem script" in err
+
+
+def test_certify_invalid_agreement_exit_2(capsys, tmp_path):
+    agreement = _agreement_with_field(tmp_path, ("seatJurisdiction",), "Mars")
+    _, err = _data_error(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
+                                           agreement=agreement))
+    assert "seat_jurisdiction must be one of" in err
 
 
 # ---------------------------------------------------------------------------
