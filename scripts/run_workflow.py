@@ -25,9 +25,9 @@ from eaward.attestation import (
     metadata_for_agreement,
     validate_agreement,
 )
-from eaward.chain import ChainSource, broadcast, get_raw_transaction, get_tx_status
-from eaward.crypto import PrivateKey, TESTNET, hash256, sha256
-from eaward.escrow import EscrowPolicy, build_redeem_script, p2sh_address, pubkey_to_address
+from eaward.chain import ChainSource, broadcast, get_transaction, get_tx_status
+from eaward.crypto import PrivateKey, TESTNET, hash256, pubkey_to_address, sha256
+from eaward.escrow import EscrowPolicy, build_redeem_script, p2sh_address
 from eaward.metadata import Role, encode_metadata
 from eaward.msgauth import sign_message, verify_message
 from eaward.tx import (
@@ -110,8 +110,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         source = ChainSource("fixture", TESTNET, fixture_root=Path(tmp))
         txid = broadcast(source, tx.to_hex())
-        fetched = get_raw_transaction(source, txid)
-        print(f"broadcast accepted, round-trips: {fetched == tx.to_hex()}")
+        fetched = get_transaction(source, txid)
+        print(f"broadcast accepted, round-trips: {fetched == tx}")
         (Path(tmp) / f"{txid.hex()}.status").write_text(json.dumps({
             "blockTime": "2026-08-09T00:00:00Z", "confirmations": 6,
             "blockHash": sha256(b"demo block").hex()}))

@@ -11,10 +11,8 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 
-from .chain import format_time
 from .crypto import sha256
 from .errors import EawardError, NotFound
 from .tx import (
@@ -65,20 +63,13 @@ class AnchorProof:
     doc_hash: bytes
     txid: Txid
     vout_index: int
-    block_time: datetime | None = None
-    confirmations: int | None = None
 
     def to_report(self) -> dict:
-        doc = {
+        return {
             "docHash": self.doc_hash.hex(),
             "txid": self.txid.hex(),
             "vout": self.vout_index,
         }
-        if self.block_time is not None:
-            doc["blockTime"] = format_time(self.block_time)
-        if self.confirmations is not None:
-            doc["confirmations"] = self.confirmations
-        return doc
 
 
 def checksum_award(doc: AwardDocument) -> bytes:

@@ -16,15 +16,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .chain import TxStatus, format_time
-from .crypto import Address, Network, PublicKey, p2pkh_network
-from .errors import EawardError
-from .escrow import (
-    EscrowPolicy,
-    PolicyInvalid,
-    build_redeem_script,
-    json_field,
-    pubkey_to_address,
-)
+from .crypto import Address, Network, PublicKey, p2pkh_network, pubkey_to_address
+from .errors import EawardError, json_field
+from .escrow import EscrowPolicy, PolicyInvalid, build_redeem_script
 from .metadata import (
     AwardMetadata,
     MetadataError,
@@ -34,14 +28,10 @@ from .metadata import (
     SUFFIX_LEN,
     attest_message,
     decode_metadata,
-)
-from .msgauth import (
-    MalformedSignature,
-    SignedMessage,
     match_fragment,
     signature_fragment,
-    verify_message,
 )
+from .msgauth import MalformedSignature, SignedMessage, verify_message
 from .tx import (
     Script,
     Transaction,
@@ -181,6 +171,14 @@ def validate_agreement(agreement: ArbitrationAgreement) -> AgreementReview:
             "the applicable form rules")
 
     return AgreementReview(tuple(violations), tuple(warnings))
+
+
+def _refuse_invalid(agreement: ArbitrationAgreement):
+    """Raise AttestationError naming the violations of an invalid agreement."""
+    review = validate_agreement(agreement)
+    if not review.ok:
+        raise AttestationError(
+            f"agreement is invalid: {'; '.join(review.violations)}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +333,7 @@ def issue_certificate(
         raise LinkageFailed(
             "revealed redeem script is not the one the agreement's escrow "
             "policy builds (quorum, keys or key order differ)")
-    review = validate_agreement(agreement)
-    if not review.ok:
-        raise AttestationError(
-            f"agreement is invalid: {'; '.join(review.violations)}")
+    _refuse_invalid(agreement)
 
     if status is None or status.block_time is None or status.confirmations <= 0:
         raise NoTimeEvidence("no confirmed block time for the transaction")
@@ -440,7 +435,8 @@ def issue_certificate(
 def metadata_for_agreement(agreement: ArbitrationAgreement,
                            signature_b64: str) -> AwardMetadata:
     """Build the metadata line for an agreement from the arbitrator's full
-    attestation signature."""
+    attestation signature; refused for an invalid agreement."""
+    _refuse_invalid(agreement)
     tags = tuple(
         ParticipantTag(role, agreement.party(role).display_name,
                        agreement.party(role).address.text[-SUFFIX_LEN:])

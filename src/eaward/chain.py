@@ -19,8 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .crypto import Network, TESTNET
-from .errors import EawardError, NotFound
-from .escrow import json_field
+from .errors import EawardError, NotFound, json_field
 from .tx import Transaction, Txid, TxError, compute_txid, parse_transaction
 
 
@@ -105,9 +104,10 @@ class TxStatus:
     block_hash: str | None = None
 
     def __post_init__(self):
-        confirmed = self.confirmations > 0
-        if confirmed != (self.block_time is not None):
-            raise ChainError("block_time present iff confirmations > 0")
+        if self.confirmations < 0:
+            raise MalformedStatus(f"confirmations is negative: {self.confirmations}")
+        if (self.confirmations > 0) != (self.block_time is not None):
+            raise MalformedStatus("block_time present iff confirmations > 0")
 
 
 def _parse_time(text: str) -> datetime:
@@ -118,8 +118,8 @@ def format_time(when: datetime) -> str:
     return when.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _fetch_transaction(src: ChainSource, txid: Txid) -> tuple[str, Transaction]:
-    """Raw hex for txid and its parse, verified client-side to hash back to txid."""
+def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
+    """The transaction txid, verified client-side to hash back to txid."""
     if src.mode == "fixture":
         path = src.fixture_root / f"{txid.hex()}.hex"
         if not path.exists():
@@ -141,16 +141,7 @@ def _fetch_transaction(src: ChainSource, txid: Txid) -> tuple[str, Transaction]:
     if actual.hash != txid.hash:
         raise TxidMismatch(
             f"requested {txid.hex()} but source bytes hash to {actual.hex()}")
-    return hex_text, parsed
-
-
-def get_raw_transaction(src: ChainSource, txid: Txid) -> str:
-    """Raw hex for txid, verified client-side to hash back to txid."""
-    return _fetch_transaction(src, txid)[0]
-
-
-def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
-    return _fetch_transaction(src, txid)[1]
+    return parsed
 
 
 def _status_document(text: str | bytes, origin: str) -> dict:
@@ -175,7 +166,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
                     json_field(doc, "confirmations", int, 0),
                     json_field(doc, "blockHash", str, None),
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, MalformedStatus) as exc:
                 raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
         if (src.fixture_root / f"{txid.hex()}.hex").exists():
             return TxStatus(None, 0)  # known but unconfirmed

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +37,7 @@ from .attestation import (
     metadata_for_agreement,
     validate_agreement,
 )
-from .chain import ChainSource, broadcast, get_tx_status, get_transaction
+from .chain import ChainSource, broadcast, format_time, get_tx_status, get_transaction
 from .crypto import Network, PrivateKey, network_by_name
 from .errors import EawardError, NotFound
 from .escrow import build_redeem_script, load_policy, p2sh_address
@@ -229,13 +228,15 @@ def cmd_anchor_verify(args) -> int:
     doc_file = AwardDocument.from_file(args.file)
     source = _source(args)
     proof = verify_anchor(doc_file, get_transaction(source, Txid.from_hex(args.txid)))
+    doc = proof.to_report()
     try:
         status = get_tx_status(source, proof.txid)
-        proof = replace(proof, block_time=status.block_time,
-                        confirmations=status.confirmations)
     except NotFound:
         pass
-    doc = proof.to_report()
+    else:
+        if status.block_time is not None:
+            doc["blockTime"] = format_time(status.block_time)
+        doc["confirmations"] = status.confirmations
     _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
     return EXIT_OK
 

@@ -165,6 +165,10 @@ def p2pkh_network(address: Address) -> Network | None:
     return next((n for n in _NETWORKS.values() if n.p2pkh_version == address.version), None)
 
 
+def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> Address:
+    return Address.from_parts(net.p2pkh_version, hash160(key.serialize(compressed)))
+
+
 # ---------------------------------------------------------------------------
 # secp256k1 point arithmetic (a = 0)
 #

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import Address, Network, PublicKey, hash160, network_by_name
-from .errors import EawardError
+from .errors import EawardError, json_field
 from .tx import OP_CHECKMULTISIG, Script, push_data
 
 
@@ -50,26 +50,6 @@ def build_redeem_script(policy: EscrowPolicy) -> Script:
 
 def p2sh_address(script: Script, net: Network) -> Address:
     return Address.from_parts(net.p2sh_version, hash160(script.raw))
-
-
-def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> Address:
-    return Address.from_parts(net.p2pkh_version, hash160(key.serialize(compressed)))
-
-
-_REQUIRED = object()
-
-
-def json_field(doc: dict, key: str, kind: type, default=_REQUIRED):
-    """doc[key], refused with TypeError unless its type is exactly kind
-    (so a JSON boolean is not an integer and 2.0 is not 2). Given a default,
-    the key may be absent and then reads as the default; a default of None
-    also accepts null."""
-    value = doc[key] if default is _REQUIRED else doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 def load_policy(path: str | Path) -> tuple[EscrowPolicy, Network]:

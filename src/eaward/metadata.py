@@ -50,6 +50,10 @@ class RoleOrderViolation(MetadataError):
     pass
 
 
+class BadFragmentLength(MetadataError):
+    pass
+
+
 class Role(enum.Enum):
     ARBITRATOR = "A"
     CLAIMANT = "C"
@@ -130,6 +134,22 @@ def attest_message(meta: AwardMetadata) -> str:
     """The exact string the arbitrator's wallet signs: the metadata line
     without the trailing signature fragment."""
     return " ".join([*(p.token() for p in meta.participants), meta.seat])
+
+
+def signature_fragment(signature_b64: str) -> str:
+    """The last 28 characters of a full 88-character base64 signature."""
+    if len(signature_b64) != 88:
+        raise MetadataError(
+            f"full signature must be 88 base64 characters, got {len(signature_b64)}")
+    return signature_b64[-FRAGMENT_LEN:]
+
+
+def match_fragment(signature_b64: str, fragment: str) -> bool:
+    """True iff fragment is the tail of the full base64 signature."""
+    if len(fragment) != FRAGMENT_LEN:
+        raise BadFragmentLength(
+            f"fragment is {len(fragment)} characters, expected {FRAGMENT_LEN}")
+    return signature_b64[-FRAGMENT_LEN:] == fragment
 
 
 def decode_metadata(payload: bytes) -> AwardMetadata:

@@ -1,4 +1,4 @@
-"""Wallet-controlled message signatures: sign, verify, fragment matching.
+"""Wallet-controlled message signatures: sign and verify.
 
 The digest preamble and header-byte convention follow the de-facto signed
 message format used by node/wallet console tooling, pinned here so the
@@ -24,10 +24,9 @@ from .crypto import (
     ecdsa_recover,
     ecdsa_sign_recoverable,
     p2pkh_network,
+    pubkey_to_address,
 )
 from .errors import EawardError
-from .escrow import pubkey_to_address
-from .metadata import FRAGMENT_LEN
 from .tx import write_compact_size
 
 MESSAGE_PREFIX = b"\x18Bitcoin Signed Message:\n"
@@ -38,10 +37,6 @@ class MsgAuthError(EawardError):
 
 
 class MalformedSignature(MsgAuthError):
-    pass
-
-
-class BadFragmentLength(MsgAuthError):
     pass
 
 
@@ -93,19 +88,3 @@ def verify_message(address: Address | str, signature_b64: str, message: str) -> 
     except RecoveryFailed:
         return False
     return hash160(pub.serialize(sig.compressed)) == address.payload
-
-
-def match_fragment(signature_b64: str, fragment: str) -> bool:
-    """True iff fragment is the tail of the full base64 signature."""
-    if len(fragment) != FRAGMENT_LEN:
-        raise BadFragmentLength(
-            f"fragment is {len(fragment)} characters, expected {FRAGMENT_LEN}")
-    return signature_b64[-FRAGMENT_LEN:] == fragment
-
-
-def signature_fragment(signature_b64: str) -> str:
-    """The last 28 characters of a full 88-character base64 signature."""
-    if len(signature_b64) != 88:
-        raise MalformedSignature(
-            f"full signature must be 88 base64 characters, got {len(signature_b64)}")
-    return signature_b64[-FRAGMENT_LEN:]

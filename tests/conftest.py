@@ -18,8 +18,8 @@ import pytest
 
 from eaward.attestation import ArbitrationAgreement, Party
 from eaward.chain import ChainSource, TxStatus
-from eaward.crypto import PrivateKey, PublicKey, TESTNET, hash256, sha256
-from eaward.escrow import EscrowPolicy, build_redeem_script, pubkey_to_address
+from eaward.crypto import PrivateKey, PublicKey, TESTNET, hash256, pubkey_to_address, sha256
+from eaward.escrow import EscrowPolicy, build_redeem_script
 from eaward.metadata import Role
 from eaward.msgauth import SignedMessage, sign_message
 from eaward.tx import (

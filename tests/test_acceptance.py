@@ -27,7 +27,7 @@ from eaward.attestation import (
     issue_certificate,
     load_agreement,
 )
-from eaward.chain import ChainSource, TxidMismatch, get_raw_transaction, get_tx_status
+from eaward.chain import ChainSource, TxidMismatch, get_transaction, get_tx_status
 from eaward.crypto import (
     Address,
     BASE58_ALPHABET,
@@ -45,8 +45,9 @@ from eaward.metadata import (
     Role,
     decode_metadata,
     encode_metadata,
+    match_fragment,
 )
-from eaward.msgauth import match_fragment, sign_message, verify_message
+from eaward.msgauth import sign_message, verify_message
 from eaward.tx import (
     PayloadTooLong,
     Script,
@@ -160,7 +161,7 @@ def test_criterion_3_signature_golden_vector():
 def _golden_inputs():
     source = ChainSource("fixture", TESTNET, fixture_root=CHAIN_DIR)
     txid = Txid.from_hex(DEMO_TXID)
-    tx = parse_transaction(get_raw_transaction(source, txid))
+    tx = get_transaction(source, txid)
     status = get_tx_status(source, txid)
     agreement = load_agreement(FIXTURES / "agreement.json")
     from eaward.msgauth import SignedMessage
@@ -247,7 +248,7 @@ def test_criterion_4_single_fault_mutations(tmp_path):
     hex_path.write_text(text[:120] + flip + text[121:])
     poisoned = ChainSource("fixture", TESTNET, fixture_root=tmp_path / "chain")
     with pytest.raises(TxidMismatch):
-        get_raw_transaction(poisoned, Txid.from_hex(DEMO_TXID))
+        get_transaction(poisoned, Txid.from_hex(DEMO_TXID))
 
     # no attestation at all -> the dedicated error
     with pytest.raises(MissingArbitratorAttestation):
@@ -263,7 +264,7 @@ def test_criterion_4_original_transaction_txid():
 
     source = ChainSource("fixture", TESTNET, fixture_root=CHAIN_DIR)
     txid = Txid.from_hex(REAL_TXID)
-    tx = parse_transaction(get_raw_transaction(source, txid))
+    tx = get_transaction(source, txid)
     assert compute_txid(tx).hex() == REAL_TXID
     final_push = tx.inputs[0].script_sig.pushes()[-1]
     assert final_push.hex() == REDEEM_HEX

@@ -1,12 +1,9 @@
-from datetime import datetime, timedelta, timezone
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaward.anchor import (
     AnchorError,
-    AnchorProof,
     AwardDocument,
     EmptyDocument,
     HashMismatch,
@@ -87,13 +84,6 @@ def test_verify_anchor_finds_vout():
     proof = verify_anchor(doc, tx)
     assert proof.vout_index == 1
     assert proof.doc_hash == checksum_award(doc)
-
-
-def test_proof_report_block_time_is_utc():
-    noon_at_utc_plus_2 = datetime(2020, 1, 1, 12, 0, 0,
-                                  tzinfo=timezone(timedelta(hours=2)))
-    proof = AnchorProof(sha256(b"doc"), Txid(bytes(32)), 0, noon_at_utc_plus_2, 6)
-    assert proof.to_report()["blockTime"] == "2020-01-01T10:00:00Z"
 
 
 def test_verify_anchor_tamper_evidence():

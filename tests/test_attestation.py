@@ -26,8 +26,8 @@ from eaward.attestation import (
 from eaward.chain import TxStatus
 from eaward.crypto import Address, PrivateKey, TESTNET, sha256
 from eaward.escrow import EscrowPolicy
-from eaward.metadata import Role, attest_message
-from eaward.msgauth import SignedMessage, match_fragment, sign_message
+from eaward.metadata import Role, attest_message, match_fragment
+from eaward.msgauth import SignedMessage, sign_message
 from eaward.tx import (
     Script,
     Transaction,

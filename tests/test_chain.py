@@ -1,6 +1,6 @@
 import json
 import shutil
-from datetime import timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests
@@ -16,7 +16,7 @@ from eaward.chain import (
     TxStatus,
     TxidMismatch,
     broadcast,
-    get_raw_transaction,
+    format_time,
     get_transaction,
     get_tx_status,
 )
@@ -49,16 +49,15 @@ def _tiny_tx(tag: bytes) -> Transaction:
 # Fixture mode
 # ---------------------------------------------------------------------------
 
-def test_fixture_get_raw_transaction(fixture_source):
-    hex_text = get_raw_transaction(fixture_source, _demo_txid())
-    assert compute_txid(
-        get_transaction(fixture_source, _demo_txid())).hex() == DEMO_TXID
-    assert hex_text == (CHAIN_DIR / f"{DEMO_TXID}.hex").read_text().strip()
+def test_fixture_get_transaction(fixture_source):
+    tx = get_transaction(fixture_source, _demo_txid())
+    assert compute_txid(tx).hex() == DEMO_TXID
+    assert tx.to_hex() == (CHAIN_DIR / f"{DEMO_TXID}.hex").read_text().strip()
 
 
 def test_fixture_unknown_txid(fixture_source):
     with pytest.raises(NotFound):
-        get_raw_transaction(fixture_source, Txid(b"\xab" * 32))
+        get_transaction(fixture_source, Txid(b"\xab" * 32))
 
 
 def test_real_transaction_absent_is_not_found(fixture_source):
@@ -67,7 +66,7 @@ def test_real_transaction_absent_is_not_found(fixture_source):
     if (CHAIN_DIR / f"{REAL_TXID}.hex").exists():
         pytest.skip("real transaction fixture present")
     with pytest.raises(NotFound):
-        get_raw_transaction(fixture_source, Txid.from_hex(REAL_TXID))
+        get_transaction(fixture_source, Txid.from_hex(REAL_TXID))
 
 
 def test_fixture_non_utf8_hex_is_txid_mismatch(tmp_path):
@@ -85,7 +84,7 @@ def test_fixture_corruption_detected(tmp_path):
     path.write_text(text[:100] + flip + text[101:])
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path / "chain")
     with pytest.raises(TxidMismatch):
-        get_raw_transaction(source, _demo_txid())
+        get_transaction(source, _demo_txid())
 
 
 def test_fixture_status_golden(fixture_source):
@@ -115,15 +114,21 @@ def test_fixture_status_unknown(fixture_source):
     '{"blockTime": "", "confirmations": 0}',
     '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 3, "blockHash": ["aa"]}',
     '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 3, "blockHash": 5}',
+    '{"confirmations": -5}',
+    '{"confirmations": 3}',
+    '{"blockTime": "2019-03-28T15:46:53Z", "confirmations": 0}',
 ], ids=["blocktime_format", "blocktime_type", "confirmations", "json", "not_object",
         "not_utf8", "confirmations_overflow", "confirmations_bool", "confirmations_float",
-        "confirmations_null", "blocktime_empty", "blockhash_list", "blockhash_int"])
+        "confirmations_null", "blocktime_empty", "blockhash_list", "blockhash_int",
+        "confirmations_negative", "confirmed_without_blocktime",
+        "blocktime_without_confirmations"])
 def test_fixture_malformed_status_is_typed(tmp_path, text):
-    (tmp_path / f"{DEMO_TXID}.status").write_bytes(
-        text if isinstance(text, bytes) else text.encode())
+    path = tmp_path / f"{DEMO_TXID}.status"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
-    with pytest.raises(MalformedStatus):
+    with pytest.raises(MalformedStatus) as excinfo:
         get_tx_status(source, _demo_txid())
+    assert str(path) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("text", [
@@ -157,7 +162,7 @@ def test_broadcast_roundtrip_and_idempotence(tmp_path):
     tx = _tiny_tx(b"mempool entry")
     txid = broadcast(source, tx.to_hex())
     assert txid == compute_txid(tx)
-    assert get_raw_transaction(source, txid) == tx.to_hex()
+    assert get_transaction(source, txid) == tx
     # unconfirmed: known hex, no status sidecar
     status = get_tx_status(source, txid)
     assert status.confirmations == 0 and status.block_time is None
@@ -192,6 +197,12 @@ def test_source_rejects_bad_timeout(timeout):
         ChainSource("live", TESTNET, endpoint="http://x", timeout=timeout)
 
 
+def test_format_time_is_utc():
+    noon_at_utc_plus_2 = datetime(2020, 1, 1, 12, 0, 0,
+                                  tzinfo=timezone(timedelta(hours=2)))
+    assert format_time(noon_at_utc_plus_2) == "2020-01-01T10:00:00Z"
+
+
 def test_status_invariant():
     with pytest.raises(ChainError):
         TxStatus(BLOCK_TIME, 0)
@@ -216,17 +227,17 @@ def _live(responses: dict, posts: list | None = None) -> ChainSource:
                        http_get=fake_get, http_post=fake_post)
 
 
-def test_live_get_raw_transaction_verified(demo_tx_hex):
+def test_live_get_transaction_verified(demo_tx_hex):
     url = f"http://x/tx/{DEMO_TXID}/hex"
     source = _live({url: (200, demo_tx_hex.encode())})
-    assert get_raw_transaction(source, _demo_txid()) == demo_tx_hex
+    assert get_transaction(source, _demo_txid()).to_hex() == demo_tx_hex
 
 
 def test_live_404_is_not_found():
     url = f"http://x/tx/{DEMO_TXID}/hex"
     source = _live({url: (404, b"not found")})
     with pytest.raises(NotFound):
-        get_raw_transaction(source, _demo_txid())
+        get_transaction(source, _demo_txid())
 
 
 def test_live_wrong_bytes_is_txid_mismatch(demo_tx_hex):
@@ -234,14 +245,14 @@ def test_live_wrong_bytes_is_txid_mismatch(demo_tx_hex):
     url = f"http://x/tx/{other.hex()}/hex"
     source = _live({url: (200, demo_tx_hex.encode())})
     with pytest.raises(TxidMismatch):
-        get_raw_transaction(source, other)
+        get_transaction(source, other)
 
 
 def test_live_http_error_is_transport_error():
     url = f"http://x/tx/{DEMO_TXID}/hex"
     source = _live({url: (500, b"boom")})
     with pytest.raises(TransportError):
-        get_raw_transaction(source, _demo_txid())
+        get_transaction(source, _demo_txid())
 
 
 @pytest.mark.parametrize("tip,confirmations", [(b"1500099", 100), (b"1500000", 1)])
@@ -288,7 +299,7 @@ def test_live_connection_failure_is_transport_error():
     source = ChainSource("live", TESTNET, endpoint="http://127.0.0.1:9",
                          timeout=0.5)
     with pytest.raises(TransportError):
-        get_raw_transaction(source, _demo_txid())
+        get_transaction(source, _demo_txid())
 
 
 class _Response:

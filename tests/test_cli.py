@@ -207,6 +207,34 @@ def test_anchor_create_and_verify_through_broadcast(capsys, tmp_path):
     assert proof["vout"] == 0
 
 
+def test_anchor_verify_confirmed_golden(capsys, tmp_path):
+    digest = hashlib.sha256(Path(AWARD).read_bytes()).hexdigest()
+    anchor_tx = Transaction(
+        2,
+        (TxInput(Txid(bytes(32)), 0, Script(b"")),),
+        (TxOutput(1000, Script(b"\x51")),
+         TxOutput(0, build_nulldata_script(bytes.fromhex(digest)))),
+    )
+    fixture_root = tmp_path / "chain"
+    run(capsys, "--fixture-root", str(fixture_root), "tx", "broadcast", anchor_tx.to_hex())
+    txid = compute_txid(anchor_tx).hex()
+    (fixture_root / f"{txid}.status").write_text(json.dumps(
+        {"blockTime": "2019-03-28T15:46:53Z", "confirmations": 6, "blockHash": "bb" * 32}))
+
+    code, out, _ = run(capsys, "--fixture-root", str(fixture_root),
+                       "anchor", "verify", AWARD, txid)
+    assert code == 0
+    assert out == (f"docHash: {digest}\ntxid: {txid}\nvout: 1\n"
+                   "blockTime: 2019-03-28T15:46:53Z\nconfirmations: 6\n")
+
+    code, out, _ = run(capsys, "--json", "--fixture-root", str(fixture_root),
+                       "anchor", "verify", AWARD, txid)
+    assert code == 0
+    assert out == json.dumps({"docHash": digest, "txid": txid, "vout": 1,
+                              "blockTime": "2019-03-28T15:46:53Z",
+                              "confirmations": 6}, indent=2) + "\n"
+
+
 def test_anchor_verify_mismatch_exit_1(capsys, tmp_path):
     other = Transaction(
         2,
@@ -280,8 +308,9 @@ def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, field):
     {"blockTime": "2019-03-28T15:46:53Z", "confirmations": True},
     {"blockTime": "2019-03-28T15:46:53Z", "confirmations": 2.7},
     {"blockTime": "2019-03-28T15:46:53Z", "confirmations": 1000, "blockHash": ["aa"]},
+    {"confirmations": -5},
 ], ids=["blocktime", "confirmations", "confirmations_bool", "confirmations_float",
-        "blockhash_list"])
+        "blockhash_list", "confirmations_negative"])
 def test_certify_malformed_fixture_status_exit_2(capsys, tmp_path, status):
     root = tmp_path / "chain"
     shutil.copytree(CHAIN_DIR, root)
@@ -369,13 +398,19 @@ def test_fixture_mode_never_imports_requests():
     assert _run_fresh(script) == "[]\n"
 
 
-def test_msgauth_import_loads_no_unrelated_module():
+@pytest.mark.parametrize("module",
+                         ["msgauth", "metadata", "escrow", "chain", "anchor", "attestation"])
+def test_module_import_loads_only_its_layers(module):
+    # Domain modules import only the primitives; attestation sits above them.
+    # eaward._ripemd160 is crypto's fallback where hashlib lacks RIPEMD-160.
+    below = ("chain", "escrow", "metadata", "msgauth") if module == "attestation" else ()
+    loaded = ["eaward", *(f"eaward.{m}" for m in ("crypto", "errors", "tx", module, *below))]
     script = (
-        "import sys, eaward.msgauth\n"
-        "unrelated = ('attestation', 'anchor', 'chain', 'cli')\n"
-        "print([m for m in unrelated if 'eaward.' + m in sys.modules])\n"
+        f"import sys, eaward.{module}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'))\n"
     )
-    assert _run_fresh(script) == "[]\n"
+    assert _run_fresh(script) == f"{sorted(loaded)}\n"
 
 
 def test_usage_error_exit_code():
@@ -462,6 +497,13 @@ def test_certify_invalid_agreement_exit_2(capsys, tmp_path):
     _, err = _data_error(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
                                            agreement=agreement))
     assert "seat_jurisdiction must be one of" in err
+
+
+def test_meta_encode_invalid_agreement_exit_2(capsys, tmp_path):
+    agreement = _agreement_with_field(tmp_path, ("seatJurisdiction",), "Mars")
+    out, err = _data_error(capsys, "meta", "encode", agreement, "--sig", SIGNATURE_B64)
+    assert out == ""
+    assert "agreement is invalid" in err and "seat_jurisdiction must be one of" in err
 
 
 # ---------------------------------------------------------------------------

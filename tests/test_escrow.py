@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaward.crypto import MAINNET, TESTNET, PrivateKey, PublicKey, sha256
+from eaward.crypto import MAINNET, TESTNET, PrivateKey, PublicKey, pubkey_to_address, sha256
 from eaward.escrow import (
     EscrowPolicy,
     PolicyInvalid,
@@ -12,7 +12,6 @@ from eaward.escrow import (
     dump_policy,
     load_policy,
     p2sh_address,
-    pubkey_to_address,
 )
 from eaward.tx import decode_script
 

@@ -4,17 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaward.crypto import MAINNET, TESTNET, PrivateKey, sha256
-from eaward.escrow import pubkey_to_address
-from eaward.msgauth import (
-    BadFragmentLength,
-    MalformedSignature,
-    match_fragment,
-    message_digest,
-    sign_message,
-    signature_fragment,
-    verify_message,
-)
+from eaward.crypto import MAINNET, TESTNET, PrivateKey, pubkey_to_address, sha256
+from eaward.metadata import BadFragmentLength, MetadataError, match_fragment, signature_fragment
+from eaward.msgauth import MalformedSignature, message_digest, sign_message, verify_message
 
 from conftest import ADDR_A, ADDR_C, ADDR_R, ATTEST_MESSAGE, FRAGMENT, SIGNATURE_B64
 
@@ -64,7 +56,7 @@ def test_match_fragment_length_check():
 
 def test_signature_fragment_golden():
     assert signature_fragment(SIGNATURE_B64) == FRAGMENT
-    with pytest.raises(MalformedSignature):
+    with pytest.raises(MetadataError):
         signature_fragment(FRAGMENT)
 
 
