@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import sha256
-from .errors import EawardError, NotFound
+from .errors import EawardError, NotFound, Refusal
 from .tx import (
     Script,
     Transaction,
@@ -33,11 +33,11 @@ class EmptyDocument(AnchorError):
     pass
 
 
-class NoAnchorFound(AnchorError):
+class NoAnchorFound(AnchorError, Refusal):
     pass
 
 
-class HashMismatch(AnchorError):
+class HashMismatch(AnchorError, Refusal):
     pass
 
 

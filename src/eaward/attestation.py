@@ -10,15 +10,14 @@ exist unless all three are established.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .chain import TxStatus, format_time
-from .crypto import Address, Network, PublicKey, p2pkh_network, pubkey_to_address
-from .errors import EawardError, json_field
-from .escrow import EscrowPolicy, PolicyInvalid, build_redeem_script
+from .crypto import Address, Network, p2pkh_network, pubkey_to_address
+from .errors import EawardError, MalformedHex, Refusal, json_document, json_field, parse_hex
+from .escrow import EscrowPolicy, build_redeem_script, policy_from_dict
 from .metadata import (
     AwardMetadata,
     MetadataError,
@@ -61,19 +60,19 @@ class MetadataUnparseable(AttestationError):
     pass
 
 
-class LinkageFailed(AttestationError):
+class LinkageFailed(AttestationError, Refusal):
     pass
 
 
-class AttestationInvalid(AttestationError):
+class AttestationInvalid(AttestationError, Refusal):
     pass
 
 
-class MissingArbitratorAttestation(AttestationError):
+class MissingArbitratorAttestation(AttestationError, Refusal):
     pass
 
 
-class NoTimeEvidence(AttestationError):
+class NoTimeEvidence(AttestationError, Refusal):
     pass
 
 
@@ -135,11 +134,8 @@ def validate_agreement(agreement: ArbitrationAgreement) -> AgreementReview:
     if len(set(addresses)) != len(addresses):
         violations.append("two parties share a wallet address")
 
-    versions = {p.address.version for p in agreement.parties}
-    if len(versions) > 1:
+    if len({p.address.version for p in agreement.parties}) > 1:
         violations.append("party addresses mix network version bytes")
-    elif versions and p2pkh_network(agreement.parties[0].address) is None:
-        violations.append("party addresses are not P2PKH on a known network")
 
     for p in agreement.parties:
         try:
@@ -154,7 +150,7 @@ def validate_agreement(agreement: ArbitrationAgreement) -> AgreementReview:
         if policy_addresses != set(addresses):
             violations.append(
                 "escrow policy keys do not correspond 1:1 to party addresses")
-    except (AttestationError, PolicyInvalid) as exc:
+    except AttestationError as exc:
         violations.append(str(exc))
 
     if not agreement.seat:
@@ -446,8 +442,8 @@ def metadata_for_agreement(agreement: ArbitrationAgreement,
 
 
 def load_agreement(path: str | Path) -> ArbitrationAgreement:
-    doc = json.loads(Path(path).read_text())
-    return agreement_from_dict(doc)
+    return agreement_from_dict(
+        json_document(Path(path).read_bytes(), str(path), AttestationError))
 
 
 def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
@@ -461,21 +457,19 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
             )
             for p in doc["parties"]
         )
-        policy = EscrowPolicy(
-            json_field(doc["policy"], "m", int),
-            tuple(PublicKey.from_hex(k) for k in doc["policy"]["pubkeys"]),
-        )
+        policy = policy_from_dict(doc["policy"])
         text_hash = json_field(doc, "agreementTextHash", str, None)
-        if text_hash == "":
-            raise ValueError("agreementTextHash is an empty string")
+        text_hash = None if text_hash is None else parse_hex(text_hash)
+        if text_hash == b"":
+            raise ValueError("agreementTextHash is empty")
         return ArbitrationAgreement(
             parties=parties,
             seat=json_field(doc, "seat", str),
             seat_jurisdiction=json_field(doc, "seatJurisdiction", str),
             reasoned_award_opt_out=json_field(doc, "reasonedAwardOptOut", bool),
             policy=policy,
-            agreement_text_hash=None if text_hash is None else bytes.fromhex(text_hash),
+            agreement_text_hash=text_hash,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MalformedHex) as exc:
         raise AttestationError(f"bad agreement document: {exc}") from exc
 

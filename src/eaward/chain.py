@@ -11,7 +11,6 @@ directory plus an append-only mempool.txt.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .crypto import Network, TESTNET
-from .errors import EawardError, NotFound, json_field
+from .errors import EawardError, MalformedHex, NotFound, json_document, json_field
 from .tx import Transaction, Txid, TxError, compute_txid, parse_transaction
 
 
@@ -124,18 +123,18 @@ def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
         path = src.fixture_root / f"{txid.hex()}.hex"
         if not path.exists():
             raise NotFound(f"no fixture for {txid.hex()}")
-        hex_text = path.read_bytes().decode("ascii", errors="replace").strip()
+        hex_text = path.read_bytes().decode("ascii", errors="replace")
     else:
         status, body = src.http_get(f"{src.endpoint}/tx/{txid.hex()}/hex", src.timeout)
         if status == 404:
             raise NotFound(f"source has no transaction {txid.hex()}")
         if status != 200:
             raise TransportError(f"source returned HTTP {status}")
-        hex_text = body.decode("ascii", errors="replace").strip()
+        hex_text = body.decode("ascii", errors="replace")
 
     try:
         parsed = parse_transaction(hex_text)
-    except TxError as exc:
+    except (MalformedHex, TxError) as exc:
         raise TxidMismatch(f"source returned unparseable bytes: {exc}") from exc
     actual = compute_txid(parsed)
     if actual.hash != txid.hash:
@@ -144,21 +143,11 @@ def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
     return parsed
 
 
-def _status_document(text: str | bytes, origin: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise MalformedStatus(f"unparseable status document from {origin}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedStatus(f"status document from {origin} is not an object")
-    return doc
-
-
 def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     if src.mode == "fixture":
         status_path = src.fixture_root / f"{txid.hex()}.status"
         if status_path.exists():
-            doc = _status_document(status_path.read_bytes(), str(status_path))
+            doc = json_document(status_path.read_bytes(), str(status_path), MalformedStatus)
             try:
                 block_time = json_field(doc, "blockTime", str, None)
                 return TxStatus(
@@ -177,7 +166,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
         raise NotFound(f"source has no transaction {txid.hex()}")
     if status != 200:
         raise TransportError(f"source returned HTTP {status}")
-    doc = _status_document(body, f"{src.endpoint}/tx/{txid.hex()}/status")
+    doc = json_document(body, f"{src.endpoint}/tx/{txid.hex()}/status", MalformedStatus)
     try:
         confirmed = json_field(doc, "confirmed", bool, False)
     except TypeError as exc:
@@ -204,7 +193,7 @@ def broadcast(src: ChainSource, hex_text: str) -> Txid:
     """Submit raw hex; malformed transactions are rejected before transport."""
     try:
         parsed = parse_transaction(hex_text)
-    except TxError as exc:
+    except (MalformedHex, TxError) as exc:
         raise Rejected(f"unparseable transaction: {exc}") from exc
     txid = compute_txid(parsed)
 

@@ -19,18 +19,12 @@ from pathlib import Path
 from . import __version__
 from .anchor import (
     AwardDocument,
-    HashMismatch,
-    NoAnchorFound,
     ObjectStore,
     build_anchor_script,
     checksum_award,
     verify_anchor,
 )
 from .attestation import (
-    AttestationInvalid,
-    LinkageFailed,
-    MissingArbitratorAttestation,
-    NoTimeEvidence,
     extract_metadata,
     issue_certificate,
     load_agreement,
@@ -39,20 +33,15 @@ from .attestation import (
 )
 from .chain import ChainSource, broadcast, format_time, get_tx_status, get_transaction
 from .crypto import Network, PrivateKey, network_by_name
-from .errors import EawardError, NotFound
+from .errors import EawardError, NotFound, Refusal, parse_hex
 from .escrow import build_redeem_script, load_policy, p2sh_address
 from .metadata import Role, attest_message, decode_metadata, encode_metadata
 from .msgauth import SignedMessage, sign_message, verify_message
-from .tx import Txid, decode_script, parse_hex, parse_transaction, transaction_report
+from .tx import Txid, decode_script, parse_transaction, transaction_report
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
-
-# Refusals of a check that ran: "false" on stdout and exit 1. Every other
-# EawardError is a usage or data error (exit 2).
-_FALSE_ANSWERS = (NoAnchorFound, HashMismatch, LinkageFailed, AttestationInvalid,
-                  MissingArbitratorAttestation, NoTimeEvidence)
 
 
 class UsageError(Exception):
@@ -105,7 +94,7 @@ def _read_private_key(ref: str) -> PrivateKey:
         if not path.exists():
             raise UsageError(f"key file {ref} does not exist")
         text = path.read_text()
-    return PrivateKey.from_bytes(parse_hex(text.strip()))
+    return PrivateKey.from_bytes(parse_hex(text))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _FALSE_ANSWERS as exc:
+    except Refusal as exc:
         print("false")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except (UsageError, EawardError, OSError, UnicodeError,
-            json.JSONDecodeError) as exc:
-        what = "unparseable JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
-        print(f"error: {what}{exc}", file=sys.stderr)
+    except (UsageError, EawardError, OSError, UnicodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

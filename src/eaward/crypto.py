@@ -11,7 +11,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from .errors import EawardError
+from .errors import EawardError, parse_hex
 
 # --- secp256k1 domain parameters ---
 _P = 2**256 - 2**32 - 977
@@ -361,7 +361,7 @@ class PublicKey:
 
     @classmethod
     def from_hex(cls, text: str) -> "PublicKey":
-        return cls(bytes.fromhex(text))
+        return cls(parse_hex(text))
 
     def point(self) -> tuple[int, int]:
         return _lift_x(int.from_bytes(self.data[1:], "big"), self.data[0] & 1)

@@ -1,12 +1,51 @@
-"""Shared exception root, and the typed read of outside JSON documents."""
+"""Shared exception roots, and the one reader of each outside format: hex
+text, JSON documents and the typed fields inside them."""
+
+import json
+import re
 
 
 class EawardError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class Refusal(EawardError):
+    """A check ran and answered no. Every other EawardError is a usage or
+    data error."""
+
+
 class NotFound(EawardError):
     """A chain source or the object store has nothing under the requested id."""
+
+
+class MalformedHex(EawardError):
+    pass
+
+
+_HEX_RE = re.compile(r"[0-9a-fA-F]*")
+
+
+def parse_hex(text: str) -> bytes:
+    """The bytes of hex text. Whitespace may surround the digits but not
+    separate them."""
+    text = text.strip()
+    if not _HEX_RE.fullmatch(text):
+        raise MalformedHex("non-hex characters in input")
+    if len(text) % 2:
+        raise MalformedHex("odd-length hex input")
+    return bytes.fromhex(text)
+
+
+def json_document(data: bytes, origin: str, error: type[EawardError]) -> dict:
+    """The JSON object in the UTF-8 bytes data, read from origin (a path or
+    URL). Anything else raises error, naming origin."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"unparseable JSON in {origin}: {exc}") from exc
+    if type(doc) is not dict:
+        raise error(f"{origin} does not hold a JSON object")
+    return doc
 
 
 _REQUIRED = object()

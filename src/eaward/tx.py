@@ -8,13 +8,12 @@ serialization regardless of how the transaction arrived.
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 from io import BytesIO
 
 from .crypto import Address, Network, hash160, hash256
-from .errors import EawardError
+from .errors import EawardError, parse_hex
 
 MAX_MONEY = 21_000_000 * 100_000_000  # satoshi
 
@@ -68,10 +67,6 @@ class TxError(EawardError):
     pass
 
 
-class MalformedHex(TxError):
-    pass
-
-
 class TruncatedData(TxError):
     pass
 
@@ -86,18 +81,6 @@ class MalformedScript(TxError):
 
 class PayloadTooLong(TxError):
     """A nulldata carrier was asked to hold more than 80 payload bytes."""
-
-
-_HEX_RE = re.compile(r"^[0-9a-fA-F]*$")
-
-
-def parse_hex(text: str) -> bytes:
-    text = text.strip()
-    if not _HEX_RE.match(text):
-        raise MalformedHex("non-hex characters in input")
-    if len(text) % 2:
-        raise MalformedHex("odd-length hex input")
-    return bytes.fromhex(text)
 
 
 # ---------------------------------------------------------------------------

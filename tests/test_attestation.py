@@ -105,6 +105,15 @@ def test_policy_key_mismatch_is_violation(golden_agreement):
     assert any("1:1" in v for v in review.violations)
 
 
+def test_unknown_address_version_is_one_violation(golden_agreement):
+    parties = tuple(Party(p.role, p.legal_name, p.display_name,
+                          Address.from_parts(0xC4, p.address.payload))
+                    for p in golden_agreement.parties)
+    review = validate_agreement(_agreement_with(golden_agreement, parties=parties))
+    assert [v for v in review.violations if "network" in v] == [
+        "address version 0xc4 matches no known network"]
+
+
 def test_opt_out_false_is_warning_not_violation(golden_agreement):
     review = validate_agreement(
         _agreement_with(golden_agreement, reasoned_award_opt_out=False))

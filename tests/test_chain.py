@@ -182,6 +182,12 @@ def test_broadcast_rejects_malformed_before_transport():
         broadcast(source, "deadbeef")
 
 
+@pytest.mark.parametrize("hex_text", ["zz00", "02 00"])
+def test_broadcast_non_hex_is_rejected(tmp_path, hex_text):
+    with pytest.raises(Rejected, match="non-hex"):
+        broadcast(ChainSource("fixture", TESTNET, fixture_root=tmp_path), hex_text)
+
+
 def test_source_validation():
     with pytest.raises(ChainError):
         ChainSource("live", TESTNET)

@@ -32,6 +32,7 @@ from conftest import (
     MALFORMED_LIVE_STATUS,
     P2SH_TESTNET,
     PAYLOAD_HEX,
+    PK1_HEX,
     REDEEM_HEX,
     SIGNATURE_B64,
     live_status_responses,
@@ -290,13 +291,20 @@ def _certify_data_error(capsys, *source_args, agreement=AGREEMENT):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field", ["pubkey", "agreementTextHash"])
-def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, field):
+@pytest.mark.parametrize("field,value", [
+    ("pubkey", "zz" * 33),
+    ("agreementTextHash", "not hex"),
+    ("agreementTextHash", " "),
+    ("agreementTextHash", "ab cd"),
+    ("pubkey", PK1_HEX[:10] + " " + PK1_HEX[10:]),
+], ids=["pubkey", "agreementTextHash", "text_hash_whitespace_only", "text_hash_inner_space",
+        "pubkey_inner_space"])
+def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, field, value):
     doc = json.loads((FIXTURES / "agreement.json").read_text())
     if field == "pubkey":
-        doc["policy"]["pubkeys"][0] = "zz" * 33
+        doc["policy"]["pubkeys"][0] = value
     else:
-        doc[field] = "not hex"
+        doc[field] = value
     path = tmp_path / "agreement.json"
     path.write_text(json.dumps(doc))
     _certify_data_error(capsys, "--fixture-root", str(CHAIN_DIR), agreement=str(path))
@@ -560,6 +568,29 @@ def test_wrong_json_type_exit_2(capsys, tmp_path, name, path, value, argv):
     _, err = _data_error(capsys, *(a.format(agreement=file, policy=file, chain=CHAIN_DIR)
                                    for a in argv))
     assert "must be of type" in err
+
+
+_UTF16 = object()  # the genuine file, re-encoded as UTF-16
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{\x80}", _UTF16, b"{oops", b"[]", b"[" * 100_000],
+                         ids=["non_utf8", "utf16", "unparseable", "not_object", "too_deep"])
+@pytest.mark.parametrize("name,argv", [
+    ("agreement.json", _VALIDATE),
+    ("agreement.json", _CERTIFY),
+    ("policy.json", _ESCROW),
+    (f"{DEMO_TXID}.status", _CERTIFY),
+], ids=["agreement_validate", "agreement_certify", "policy_escrow", "status_certify"])
+def test_bad_json_document_names_its_file_exit_2(capsys, tmp_path, name, argv, data):
+    for source in (FIXTURES / "agreement.json", FIXTURES / "policy.json",
+                   CHAIN_DIR / f"{DEMO_TXID}.hex", CHAIN_DIR / f"{DEMO_TXID}.status"):
+        shutil.copy(source, tmp_path)
+    file = tmp_path / name
+    file.write_bytes(file.read_text().encode("utf-16") if data is _UTF16 else data)
+    _, err = _data_error(capsys, *(a.format(agreement=tmp_path / "agreement.json",
+                                            policy=tmp_path / "policy.json", chain=tmp_path)
+                                   for a in argv))
+    assert str(file) in err
 
 
 def test_non_utf8_message_exit_2(capsys, tmp_path):

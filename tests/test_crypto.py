@@ -1,4 +1,5 @@
 import base64
+import string
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from eaward.crypto import (
     ecdsa_sign_recoverable,
     p2pkh_network,
 )
+from eaward.errors import EawardError, MalformedHex, parse_hex
 
 from conftest import ADDR_A, ADDR_C, ADDR_C_HASH160, PK1_HEX, SIGNATURE_B64, ZERO_PAYLOAD_ADDR
 
@@ -229,6 +231,51 @@ def test_public_key_validation():
     # x == p - 1 is not on the curve
     with pytest.raises(InvalidKey):
         PublicKey(b"\x02" + (2**256 - 2**32 - 978).to_bytes(32, "big"))
+
+
+# ---------------------------------------------------------------------------
+# Hex text: the one decoder every outside hex field goes through
+# ---------------------------------------------------------------------------
+
+_WHITESPACE = st.text(st.sampled_from(string.whitespace), max_size=3)
+
+
+@given(data=st.binary(), before=_WHITESPACE, after=_WHITESPACE, upper=st.booleans())
+def test_parse_hex_allows_surrounding_whitespace(data, before, after, upper):
+    text = data.hex().upper() if upper else data.hex()
+    assert parse_hex(before + text + after) == data
+
+
+@given(data=st.binary(min_size=1), at=st.integers(min_value=0),
+       char=st.characters().filter(lambda c: c not in string.hexdigits))
+@example(data=b"\xab\xcd", at=1, char=" ")
+def test_parse_hex_refuses_inner_whitespace_and_non_hex(data, at, char):
+    text = data.hex()
+    at = 1 + at % (len(text) - 1)  # strictly between two digits
+    with pytest.raises(MalformedHex):
+        parse_hex(text[:at] + char + text[at:])
+
+
+def _read_or_error(read, text):
+    try:
+        return read(text)
+    except EawardError as exc:
+        return type(exc)
+
+
+_KEY_HEX = st.integers(1, crypto.CURVE_ORDER - 1).map(
+    lambda k: PrivateKey(k).public_key().hex())
+
+
+@settings(max_examples=50)
+@given(key=_KEY_HEX, before=_WHITESPACE, after=_WHITESPACE,
+       at=st.integers(0, 66), inserted=st.sampled_from(["", " ", "\t", "z", "0"]))
+def test_public_key_from_hex_reads_hex_as_parse_hex(key, before, after, at, inserted):
+    text = before + key[:at] + inserted + key[at:] + after
+    assert (_read_or_error(PublicKey.from_hex, text)
+            == _read_or_error(lambda t: PublicKey(parse_hex(t)), text))
+    if inserted.isspace() and 0 < at < 66:
+        assert _read_or_error(PublicKey.from_hex, text) is MalformedHex
 
 
 def test_public_key_uncompressed_serialization_roundtrip():

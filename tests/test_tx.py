@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaward.crypto import TESTNET, MAINNET
+from eaward.errors import MalformedHex
 from eaward.tx import (
-    MalformedHex,
     MalformedScript,
     PayloadTooLong,
     Script,
