@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chain import TxStatus, format_time
 from .crypto import Address, Network, p2pkh_network, pubkey_to_address
-from .errors import EawardError, MalformedHex, Refusal, json_document, json_field, parse_hex
+from .errors import EawardError, Refusal, json_document, json_field, json_text, parse_hex
 from .escrow import EscrowPolicy, build_redeem_script, policy_from_dict
 from .metadata import (
     AwardMetadata,
@@ -30,7 +30,7 @@ from .metadata import (
     match_fragment,
     signature_fragment,
 )
-from .msgauth import MalformedSignature, SignedMessage, verify_message
+from .msgauth import SignedMessage, decode_signature, verify_message
 from .tx import (
     Script,
     Transaction,
@@ -82,6 +82,10 @@ class Party:
     legal_name: str
     display_name: str
     address: Address
+
+    def tag(self) -> ParticipantTag:
+        """This party's metadata tag; MetadataError if no line can carry it."""
+        return ParticipantTag(self.role, self.display_name, self.address.text[-SUFFIX_LEN:])
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def validate_agreement(agreement: ArbitrationAgreement) -> AgreementReview:
 
     for p in agreement.parties:
         try:
-            ParticipantTag(p.role, p.display_name, p.address.text[-SUFFIX_LEN:])
+            p.tag()
         except MetadataError as exc:
             violations.append(f"{p.role.name} display name unusable in metadata: {exc}")
 
@@ -186,6 +190,7 @@ class PartyLinkage:
     role: Role
     suffix_match: bool
     address_in_script: bool
+    name_match: bool
 
 
 @dataclass(frozen=True)
@@ -194,12 +199,20 @@ class LinkageReport:
     metadata: AwardMetadata
     per_party: tuple[PartyLinkage, ...]
     seat_match: bool
-    redeem_script: Script
+    script_match: bool
+
+    def failures(self) -> list[str]:
+        """Each linkage item that does not hold, by name."""
+        items = [("seat", self.seat_match), ("redeem script", self.script_match)]
+        for p in self.per_party:
+            items += [(f"{p.role.name.lower()} {item}", ok) for item, ok in (
+                ("display name", p.name_match), ("address suffix", p.suffix_match),
+                ("address not in script", p.address_in_script))]
+        return [name for name, ok in items if not ok]
 
     @property
     def overall(self) -> bool:
-        return self.seat_match and all(
-            p.suffix_match and p.address_in_script for p in self.per_party)
+        return not self.failures()
 
     def to_report(self) -> dict:
         return {
@@ -250,7 +263,8 @@ def extract_metadata(tx: Transaction) -> AwardMetadata:
 
 
 def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> LinkageReport:
-    """Per-party suffix and script-membership checks plus the seat check."""
+    """Per-party name, suffix and script-membership checks, the seat check,
+    and whether the revealed script is the one the escrow policy builds."""
     network = agreement.network()
     decoded = extract_redeem_script(tx, network)
     script_addresses = {a.text for a in decoded.addresses}
@@ -264,13 +278,14 @@ def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> Linka
             role=role,
             suffix_match=(tag.suffix == party.address.text[-SUFFIX_LEN:]),
             address_in_script=(party.address.text in script_addresses),
+            name_match=(tag.display_name == party.display_name),
         ))
     return LinkageReport(
         txid=compute_txid(tx),
         metadata=meta,
         per_party=tuple(per_party),
         seat_match=(meta.seat == agreement.seat),
-        redeem_script=decoded.script,
+        script_match=(decoded.script == build_redeem_script(agreement.policy)),
     )
 
 
@@ -312,46 +327,35 @@ def issue_certificate(
 ) -> AuthenticationCertificate:
     """Assemble the evidence bundle; raises instead of issuing a weak one.
 
-    The agreement must be valid, and the transaction must reveal exactly the
-    redeem script its escrow policy builds (same quorum, keys and key order).
+    Every input is read first, and a bad one raises an error that is not a
+    Refusal; then linkage, time and attestations answer, in that order.
     Origin: verified wallet signatures plus the full linkage report.
     Time: block timestamp and confirmation count from the chain source.
     Intent: the agreement reference, its opt-out flag, and the signed line.
     """
-    report = match_transaction(agreement, tx)
-    if not report.overall:
-        failed = [f"{p.role.value}:suffix={p.suffix_match},script={p.address_in_script}"
-                  for p in report.per_party]
-        raise LinkageFailed(
-            f"agreement does not match transaction "
-            f"(seat={report.seat_match}, parties={failed})")
-    if report.redeem_script != build_redeem_script(agreement.policy):
-        raise LinkageFailed(
-            "revealed redeem script is not the one the agreement's escrow "
-            "policy builds (quorum, keys or key order differ)")
     _refuse_invalid(agreement)
+    report = match_transaction(agreement, tx)
+    for att in attestations:
+        decode_signature(att.signature_b64)
 
+    if not report.overall:
+        raise LinkageFailed(
+            f"agreement does not match transaction: {', '.join(report.failures())}")
     if status is None or status.block_time is None or status.confirmations <= 0:
         raise NoTimeEvidence("no confirmed block time for the transaction")
 
-    party_by_address = {p.address.text: p for p in agreement.parties}
-    verified = []
+    party_addresses = {p.address.text for p in agreement.parties}
     for att in attestations:
-        if att.address.text not in party_by_address:
+        if att.address.text not in party_addresses:
             raise AttestationInvalid(
                 f"signer {att.address.text} is not a party to the agreement")
-        try:
-            ok = verify_message(att.address, att.signature_b64, att.message)
-        except MalformedSignature as exc:
-            raise AttestationInvalid(f"unverifiable signature: {exc}") from exc
-        if not ok:
+        if not verify_message(att.address, att.signature_b64, att.message):
             raise AttestationInvalid(
                 f"signature does not verify for {att.address.text}")
-        verified.append(att)
 
     arbitrator = agreement.party(Role.ARBITRATOR)
     arb_attestation = next(
-        (a for a in verified if a.address.text == arbitrator.address.text), None)
+        (a for a in attestations if a.address.text == arbitrator.address.text), None)
     if arb_attestation is None:
         raise MissingArbitratorAttestation(
             "no verified attestation from the arbitrator's wallet")
@@ -399,7 +403,7 @@ def issue_certificate(
             "attestations": [
                 {"address": a.address.text, "message": a.message,
                  "signature": a.signature_b64}
-                for a in verified
+                for a in attestations
             ],
             "linkage": report.to_report(),
         },
@@ -433,35 +437,33 @@ def metadata_for_agreement(agreement: ArbitrationAgreement,
     """Build the metadata line for an agreement from the arbitrator's full
     attestation signature; refused for an invalid agreement."""
     _refuse_invalid(agreement)
-    tags = tuple(
-        ParticipantTag(role, agreement.party(role).display_name,
-                       agreement.party(role).address.text[-SUFFIX_LEN:])
-        for role in ROLE_ORDER
-    )
+    tags = tuple(agreement.party(role).tag() for role in ROLE_ORDER)
     return AwardMetadata(tags, agreement.seat, signature_fragment(signature_b64))
 
 
 def load_agreement(path: str | Path) -> ArbitrationAgreement:
-    return agreement_from_dict(
-        json_document(Path(path).read_bytes(), str(path), AttestationError))
+    doc = json_document(Path(path).read_bytes(), str(path), AttestationError)
+    try:
+        return agreement_from_dict(doc)
+    except AttestationError as exc:
+        raise AttestationError(f"{path}: {exc}") from exc
 
 
 def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
     try:
         parties = tuple(
-            Party(
-                role=Role.from_letter(json_field(p, "role", str)),
-                legal_name=json_field(p, "legalName", str),
-                display_name=json_field(p, "displayName", str),
-                address=Address.from_text(json_field(p, "address", str)),
-            )
-            for p in doc["parties"]
-        )
-        policy = policy_from_dict(doc["policy"])
+            Party(json_text(f"parties[{i}].role", json_field(p, "role", str),
+                            Role.from_letter),
+                  json_field(p, "legalName", str), json_field(p, "displayName", str),
+                  json_text(f"parties[{i}].address", json_field(p, "address", str),
+                            Address.from_text))
+            for i, p in enumerate(doc["parties"]))
+        policy = policy_from_dict(doc["policy"], "policy.")
         text_hash = json_field(doc, "agreementTextHash", str, None)
-        text_hash = None if text_hash is None else parse_hex(text_hash)
+        text_hash = None if text_hash is None else json_text(
+            "agreementTextHash", text_hash, parse_hex)
         if text_hash == b"":
-            raise ValueError("agreementTextHash is empty")
+            raise ValueError("agreementTextHash: no hash digits")
         return ArbitrationAgreement(
             parties=parties,
             seat=json_field(doc, "seat", str),
@@ -470,6 +472,6 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
             policy=policy,
             agreement_text_hash=text_hash,
         )
-    except (KeyError, TypeError, ValueError, MalformedHex) as exc:
+    except (KeyError, TypeError, ValueError, EawardError) as exc:
         raise AttestationError(f"bad agreement document: {exc}") from exc
 

@@ -89,12 +89,14 @@ def _read_private_key(ref: str) -> PrivateKey:
         text = os.environ.get(name)
         if text is None:
             raise UsageError(f"environment variable {name} is not set")
-    else:
-        path = Path(ref)
-        if not path.exists():
-            raise UsageError(f"key file {ref} does not exist")
-        text = path.read_text()
-    return PrivateKey.from_bytes(parse_hex(text))
+        return PrivateKey.from_bytes(parse_hex(text))
+    path = Path(ref)
+    if not path.exists():
+        raise UsageError(f"key file {ref} does not exist")
+    try:
+        return PrivateKey.from_bytes(parse_hex(path.read_text()))
+    except (UnicodeError, EawardError) as exc:
+        raise UsageError(f"key file {ref}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

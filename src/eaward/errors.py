@@ -48,6 +48,14 @@ def json_document(data: bytes, origin: str, error: type[EawardError]) -> dict:
     return doc
 
 
+def json_text(path: str, text: str, parse):
+    """parse(text) for the text field at path; a failure raises ValueError naming path."""
+    try:
+        return parse(text)
+    except (ValueError, EawardError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 _REQUIRED = object()
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto import Address, Network, PublicKey, hash160, network_by_name
-from .errors import EawardError, MalformedHex, json_document, json_field
+from .errors import EawardError, json_document, json_field, json_text
 from .tx import OP_CHECKMULTISIG, Script, push_data
 
 
@@ -52,22 +52,23 @@ def p2sh_address(script: Script, net: Network) -> Address:
     return Address.from_parts(net.p2sh_version, hash160(script.raw))
 
 
-def policy_from_dict(doc: dict) -> EscrowPolicy:
-    """The policy in {"m": int, "pubkeys": [hex, ...]}. A malformed field
-    raises KeyError, TypeError, ValueError or MalformedHex."""
+def policy_from_dict(doc: dict, where: str) -> EscrowPolicy:
+    """The policy in {"m": int, "pubkeys": [hex, ...]} at path where ("policy."
+    in an agreement). A malformed field raises KeyError, TypeError or ValueError."""
     m = json_field(doc, "m", int)
     pubkeys = json_field(doc, "pubkeys", list)
     if any(type(k) is not str for k in pubkeys):
         raise TypeError(f"pubkeys must be a list of str, got {pubkeys!r}")
-    return EscrowPolicy(m, tuple(PublicKey.from_hex(k) for k in pubkeys))
+    return EscrowPolicy(m, tuple(json_text(f"{where}pubkeys[{i}]", k, PublicKey.from_hex)
+                                 for i, k in enumerate(pubkeys)))
 
 
 def load_policy(path: str | Path) -> tuple[EscrowPolicy, Network]:
     """Read a policy file: {"m": int, "network": name, "pubkeys": [hex, ...]}."""
     doc = json_document(Path(path).read_bytes(), str(path), PolicyInvalid)
     try:
-        return policy_from_dict(doc), network_by_name(doc["network"])
-    except (KeyError, TypeError, ValueError, MalformedHex) as exc:
+        return policy_from_dict(doc, ""), network_by_name(doc["network"])
+    except (KeyError, TypeError, ValueError, EawardError) as exc:
         raise PolicyInvalid(f"bad policy file {path}: {exc}") from exc
 
 

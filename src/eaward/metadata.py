@@ -110,7 +110,7 @@ class AwardMetadata:
             raise InvalidCharacter(
                 f"seat {self.seat!r} must be one space-free printable ASCII token")
         if len(self.sig_fragment) != FRAGMENT_LEN:
-            raise MetadataError(
+            raise BadFragmentLength(
                 f"signature fragment must be {FRAGMENT_LEN} characters")
         if not _FRAGMENT_RE.match(self.sig_fragment):
             raise InvalidCharacter("signature fragment has non-base64 characters")

@@ -10,7 +10,6 @@ need to tell "unverifiable input" apart from "verified not-matching".
 from __future__ import annotations
 
 import base64
-import binascii
 from dataclasses import dataclass
 
 from .crypto import (
@@ -52,17 +51,12 @@ def message_digest(message: str) -> bytes:
     return hash256(MESSAGE_PREFIX + write_compact_size(len(body)) + body)
 
 
-def _decode_signature(signature_b64: str) -> RecoverableSig:
+def decode_signature(signature_b64: str) -> RecoverableSig:
+    """The recoverable signature in base64 text; MalformedSignature if none is."""
     try:
-        raw = base64.b64decode(signature_b64, validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise MalformedSignature(f"not valid base64: {exc}") from exc
-    if len(raw) != 65:
-        raise MalformedSignature(f"signature is {len(raw)} bytes, expected 65")
-    try:
-        return RecoverableSig.from_bytes(raw)
-    except RecoveryFailed as exc:
-        raise MalformedSignature(str(exc)) from exc
+        return RecoverableSig.from_bytes(base64.b64decode(signature_b64, validate=True))
+    except (ValueError, RecoveryFailed) as exc:
+        raise MalformedSignature(f"not a base64 recoverable signature: {exc}") from exc
 
 
 def sign_message(key: PrivateKey, message: str, net: Network) -> SignedMessage:
@@ -79,7 +73,7 @@ def verify_message(address: Address | str, signature_b64: str, message: str) -> 
     """
     if isinstance(address, str):
         address = Address.from_text(address)
-    sig = _decode_signature(signature_b64)
+    sig = decode_signature(signature_b64)
     # A message signature proves control of a P2PKH key only (BIP-137).
     if p2pkh_network(address) is None:
         return False

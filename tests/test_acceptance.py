@@ -19,6 +19,7 @@ import pytest
 
 from eaward.anchor import IntegrityFailure, ObjectStore
 from eaward.attestation import (
+    AttestationError,
     AttestationInvalid,
     LinkageFailed,
     MissingArbitratorAttestation,
@@ -35,9 +36,11 @@ from eaward.crypto import (
     TESTNET,
     base58check_decode,
     base58check_encode,
+    pubkey_to_address,
     sha256,
 )
 from eaward.crypto import ChecksumMismatch, InvalidCharacter, WrongLength
+from eaward.errors import Refusal
 from eaward.escrow import EscrowPolicy, build_redeem_script
 from eaward.metadata import (
     AwardMetadata,
@@ -210,11 +213,26 @@ def test_criterion_4_single_fault_mutations(tmp_path):
     with pytest.raises(LinkageFailed):
         reissue(agreement=dc_replace(agreement, seat="Paris"))
 
-    # (2) swapped party address -> linkage failure
+    # (2) swapped party address, with its policy key -> linkage failure
+    decoy = PrivateKey.from_bytes(sha256(b"decoy respondent")).public_key()
     parties = list(agreement.parties)
+    parties[2] = Party(Role.RESPONDENT, "Baker", "Baker", pubkey_to_address(decoy, TESTNET))
+    policy = EscrowPolicy(agreement.policy.m, (*agreement.policy.pubkeys[:2], decoy))
+    with pytest.raises(LinkageFailed):
+        reissue(agreement=dc_replace(agreement, parties=tuple(parties), policy=policy))
+
+    # (2a) swapped party address alone: the agreement contradicts its own
+    # policy, so it is refused as invalid input, not answered "false"
     parties[2] = Party(Role.RESPONDENT, "Baker", "Baker",
                        Address.from_text(ZERO_PAYLOAD_ADDR))
-    with pytest.raises(LinkageFailed):
+    with pytest.raises(AttestationError, match="agreement is invalid") as invalid:
+        reissue(agreement=dc_replace(agreement, parties=tuple(parties)))
+    assert not isinstance(invalid.value, Refusal)
+
+    # (2b) changed display name -> linkage failure
+    parties = list(agreement.parties)
+    parties[1] = dc_replace(parties[1], display_name="Mallory")
+    with pytest.raises(LinkageFailed, match="claimant display name"):
         reissue(agreement=dc_replace(agreement, parties=tuple(parties)))
 
     # (3) tampered signature fragment in the payload -> attestation invalid

@@ -24,7 +24,8 @@ from eaward.attestation import (
     validate_agreement,
 )
 from eaward.chain import TxStatus
-from eaward.crypto import Address, PrivateKey, TESTNET, sha256
+from eaward.crypto import Address, PrivateKey, TESTNET, pubkey_to_address, sha256
+from eaward.errors import Refusal
 from eaward.escrow import EscrowPolicy
 from eaward.metadata import Role, attest_message, match_fragment
 from eaward.msgauth import SignedMessage, sign_message
@@ -221,6 +222,30 @@ def test_extract_redeem_script_golden(demo_tx):
     assert [a.text for a in decoded.addresses] == [ADDR_A, ADDR_C, ADDR_R]
 
 
+@pytest.mark.parametrize("m,reverse", [(1, False), (2, True)],
+                         ids=["quorum_1", "pubkeys_reversed"])
+def test_policy_other_than_revealed_script_fails_linkage(golden_agreement, demo_tx,
+                                                         m, reverse):
+    keys = golden_agreement.policy.pubkeys
+    policy = EscrowPolicy(m, keys[::-1] if reverse else keys)
+    report = match_transaction(_agreement_with(golden_agreement, policy=policy), demo_tx)
+    assert not report.overall
+    assert report.failures() == ["redeem script"]
+    # The report keeps its keys; only the verdict records the script.
+    golden = match_transaction(golden_agreement, demo_tx).to_report()
+    assert report.to_report() == {**golden, "overall": False}
+
+
+@pytest.mark.parametrize("display_name", ["Mallory", "Ac-me"], ids=["other", "unusable"])
+def test_display_name_mismatch_fails_linkage(golden_agreement, demo_tx, display_name):
+    parties = list(golden_agreement.parties)
+    parties[1] = Party(Role.CLAIMANT, "Acme", display_name, parties[1].address)
+    report = match_transaction(_agreement_with(golden_agreement, parties=tuple(parties)),
+                               demo_tx)
+    assert report.failures() == ["claimant display name"]
+    assert not report.overall
+
+
 def test_wrong_seat_fails_seat_match(golden_agreement, demo_tx):
     report = match_transaction(
         _agreement_with(golden_agreement, seat="Paris"), demo_tx)
@@ -408,12 +433,29 @@ def test_single_fault_mutations_never_issue(golden_agreement, demo_tx,
         attempt(agreement=_agreement_with(golden_agreement, seat="Paris"))
     faults.append("seat")
 
+    decoy = PrivateKey.from_bytes(sha256(b"decoy claimant")).public_key()
     parties = list(golden_agreement.parties)
-    parties[1] = Party(Role.CLAIMANT, "Acme", "Acme",
-                       Address.from_text(ZERO_PAYLOAD_ADDR))
+    parties[1] = Party(Role.CLAIMANT, "Acme", "Acme", pubkey_to_address(decoy, TESTNET))
+    keys = golden_agreement.policy.pubkeys
+    policy = EscrowPolicy(golden_agreement.policy.m, (keys[0], decoy, keys[2]))
     with pytest.raises(LinkageFailed):
-        attempt(agreement=_agreement_with(golden_agreement, parties=tuple(parties)))
+        attempt(agreement=_agreement_with(golden_agreement, parties=tuple(parties),
+                                          policy=policy))
     faults.append("address")
+
+    # The address alone swapped contradicts the agreement's own policy: an
+    # invalid input, not a "false".
+    parties[1] = Party(Role.CLAIMANT, "Acme", "Acme", Address.from_text(ZERO_PAYLOAD_ADDR))
+    with pytest.raises(AttestationError, match="agreement is invalid") as invalid:
+        attempt(agreement=_agreement_with(golden_agreement, parties=tuple(parties)))
+    assert not isinstance(invalid.value, Refusal)
+    faults.append("inconsistent address")
+
+    parties = list(golden_agreement.parties)
+    parties[1] = Party(Role.CLAIMANT, "Acme", "Mallory", parties[1].address)
+    with pytest.raises(LinkageFailed, match="claimant display name"):
+        attempt(agreement=_agreement_with(golden_agreement, parties=tuple(parties)))
+    faults.append("display name")
 
     with pytest.raises(AttestationInvalid):
         tampered = ATTEST_MESSAGE + " Y" + FRAGMENT[1:]
@@ -437,7 +479,8 @@ def test_single_fault_mutations_never_issue(golden_agreement, demo_tx,
         attempt(attestations=[broken])
     faults.append("signature")
 
-    assert faults == ["seat", "address", "fragment", "payload", "status", "signature"]
+    assert faults == ["seat", "address", "inconsistent address", "display name",
+                      "fragment", "payload", "status", "signature"]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +535,11 @@ def test_linkage_overall_is_conjunction(golden_agreement, demo_tx):
     from dataclasses import replace
     from eaward.attestation import PartyLinkage
     assert report.overall
-    weakened = replace(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, False),
+    weakened = replace(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, False, True),
                                           *report.per_party[1:]))
     assert not weakened.overall
+    renamed = replace(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, True, False),
+                                         *report.per_party[1:]))
+    assert not renamed.overall
+    assert not replace(report, script_match=False).overall
     assert not replace(report, seat_match=False).overall

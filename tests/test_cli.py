@@ -21,7 +21,7 @@ from eaward import cli
 from eaward.chain import ChainSource
 from eaward.cli import main
 from eaward.tx import Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script, compute_txid
-from eaward.crypto import sha256
+from eaward.crypto import PrivateKey, sha256
 
 from conftest import (
     ADDR_A,
@@ -66,6 +66,16 @@ def test_msg_verify_malformed_exit_2(capsys):
     code, out, err = run(capsys, "msg", "verify", ADDR_A, "!!!", ATTEST_MESSAGE)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("signature", ["!!!", "YWJj"], ids=["not_base64", "three_bytes"])
+def test_malformed_attestation_exit_2(capsys, signature):
+    out, _ = _data_error(capsys, "msg", "verify", ADDR_A, signature, ATTEST_MESSAGE)
+    assert out == ""
+    out, err = _data_error(capsys, "--fixture-root", str(CHAIN_DIR), "certify", AGREEMENT,
+                           DEMO_TXID, "--attestation", signature, "--certifier", "W")
+    assert out == ""
+    assert "not a base64 recoverable signature" in err
 
 
 def test_meta_decode_golden(capsys):
@@ -289,25 +299,25 @@ def _certify_data_error(capsys, *source_args, agreement=AGREEMENT):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
-@pytest.mark.parametrize("field,value", [
-    ("pubkey", "zz" * 33),
-    ("agreementTextHash", "not hex"),
-    ("agreementTextHash", " "),
-    ("agreementTextHash", "ab cd"),
-    ("pubkey", PK1_HEX[:10] + " " + PK1_HEX[10:]),
+@pytest.mark.parametrize("path,value", [
+    (("policy", "pubkeys", 0), "zz" * 33),
+    (("agreementTextHash",), "not hex"),
+    (("agreementTextHash",), " "),
+    (("agreementTextHash",), "ab cd"),
+    (("policy", "pubkeys", 0), PK1_HEX[:10] + " " + PK1_HEX[10:]),
+    (("parties", 1, "address"), "zzz"),
+    (("parties", 1, "role"), "X"),
+    (("policy", "pubkeys", 2), "02" + "00" * 32),
 ], ids=["pubkey", "agreementTextHash", "text_hash_whitespace_only", "text_hash_inner_space",
-        "pubkey_inner_space"])
-def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, field, value):
-    doc = json.loads((FIXTURES / "agreement.json").read_text())
-    if field == "pubkey":
-        doc["policy"]["pubkeys"][0] = value
-    else:
-        doc[field] = value
-    path = tmp_path / "agreement.json"
-    path.write_text(json.dumps(doc))
-    _certify_data_error(capsys, "--fixture-root", str(CHAIN_DIR), agreement=str(path))
+        "pubkey_inner_space", "address_not_base58check", "role_letter", "pubkey_off_curve"])
+def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, path, value):
+    agreement = _agreement_with_field(tmp_path, path, value)
+    err = _certify_data_error(capsys, "--fixture-root", str(CHAIN_DIR), agreement=agreement)
+    field = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+    assert f"{agreement}: bad agreement document: {field}: " in err
 
 
 @pytest.mark.parametrize("status", [
@@ -355,17 +365,19 @@ def test_directory_as_file_exit_2(capsys, tmp_path, argv):
     _data_error(capsys, *(arg.format(dir=tmp_path) for arg in argv))
 
 
-@pytest.mark.parametrize("argv", [
-    ("agreement", "validate", "{file}"),
-    ("escrow", "address", "{file}"),
-    ("msg", "sign", "{file}", "m"),
-    ("--fixture-root", str(CHAIN_DIR), "certify", "{file}", DEMO_TXID,
-     "--attestation", SIGNATURE_B64, "--certifier", "W"),
-], ids=["agreement_validate", "escrow_address", "msg_sign", "certify"])
-def test_non_utf8_input_file_exit_2(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv,data", [
+    (("agreement", "validate", "{file}"), b"\xff\xfe{\x80}"),
+    (("escrow", "address", "{file}"), b"\xff\xfe{\x80}"),
+    (("msg", "sign", "{file}", "m"), b"\xff\xfe{\x80}"),
+    (("--fixture-root", str(CHAIN_DIR), "certify", "{file}", DEMO_TXID,
+      "--attestation", SIGNATURE_B64, "--certifier", "W"), b"\xff\xfe{\x80}"),
+    (("msg", "sign", "{file}", "m"), b"\xff\xfe"),
+], ids=["agreement_validate", "escrow_address", "msg_sign", "certify", "msg_sign_bom_only"])
+def test_non_utf8_input_file_exit_2(capsys, tmp_path, argv, data):
     path = tmp_path / "input"
-    path.write_bytes(b"\xff\xfe{\x80}")
-    _data_error(capsys, *(arg.format(file=path) for arg in argv))
+    path.write_bytes(data)
+    _, err = _data_error(capsys, *(arg.format(file=path) for arg in argv))
+    assert str(path) in err
 
 
 def test_tx_decode_non_utf8_fixture_exit_2(capsys, tmp_path):
@@ -470,7 +482,14 @@ def test_certify_seat_mismatch_exit_1(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
                                           agreement=str(path)))
-    assert "seat=False" in err
+    assert err == "error: agreement does not match transaction: seat\n"
+
+
+def test_certify_display_name_mismatch_exit_1(capsys, tmp_path):
+    agreement = _agreement_with_field(tmp_path, ("parties", 1, "displayName"), "Mallory")
+    err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
+                                          agreement=agreement))
+    assert err == "error: agreement does not match transaction: claimant display name\n"
 
 
 def test_certify_without_status_exit_1(capsys, tmp_path):
@@ -498,6 +517,23 @@ def test_certify_policy_other_than_revealed_script_exit_1(capsys, tmp_path, path
     err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
                                           agreement=agreement))
     assert "redeem script" in err
+
+
+@pytest.mark.parametrize("edits,violation", [
+    ({("seatJurisdiction",): "Mars", ("seat",): "Paris"}, "seat_jurisdiction must be one of"),
+    ({("policy", "pubkeys", 2): PrivateKey.from_bytes(sha256(b"stranger")).public_key().hex()},
+     "escrow policy keys do not correspond 1:1"),
+], ids=["unknown_jurisdiction_and_wrong_seat", "policy_key_of_no_party"])
+def test_certify_inconsistent_agreement_exit_2(capsys, tmp_path, edits, violation):
+    """An agreement that contradicts itself is refused as invalid input (exit
+    2) whatever else about it would fail against the transaction."""
+    file = tmp_path / "agreement.json"
+    shutil.copy(FIXTURES / "agreement.json", file)
+    for path, value in edits.items():
+        _replace_field(file, path, value)
+    _, err = _data_error(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
+                                           agreement=str(file)))
+    assert "agreement is invalid" in err and violation in err
 
 
 def test_certify_invalid_agreement_exit_2(capsys, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from eaward.crypto import BASE58_ALPHABET
 from eaward.metadata import (
     AwardMetadata,
+    BadFragmentLength,
     BadSuffixLength,
     BadTokenCount,
     DuplicateRole,
@@ -103,6 +104,12 @@ def test_decode_bad_suffix_length():
     payload = GOLDEN_PAYLOAD.replace(b"-KkjJX", b"-KkjJ")
     with pytest.raises(BadSuffixLength):
         decode_metadata(payload)
+
+
+def test_decode_bad_fragment_length():
+    # The same class match_fragment raises for a fragment of the wrong length.
+    with pytest.raises(BadFragmentLength):
+        decode_metadata(GOLDEN_PAYLOAD[:-1])
 
 
 def test_decode_rejects_non_ascii():
