@@ -29,19 +29,11 @@ class AnchorError(EawardError):
     pass
 
 
-class EmptyDocument(AnchorError):
-    pass
-
-
 class NoAnchorFound(AnchorError, Refusal):
     pass
 
 
 class HashMismatch(AnchorError, Refusal):
-    pass
-
-
-class IntegrityFailure(AnchorError):
     pass
 
 
@@ -51,7 +43,7 @@ class AwardDocument:
 
     def __post_init__(self):
         if not self.data:
-            raise EmptyDocument("award document is empty")
+            raise AnchorError("award document is empty")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AwardDocument":
@@ -117,7 +109,7 @@ class ObjectStore:
 
     def store(self, data: bytes) -> bytes:
         if not data:
-            raise EmptyDocument("refusing to store an empty object")
+            raise AnchorError("refusing to store an empty object")
         content_id = sha256(data)
         path = self._path(content_id)
         if path.exists():
@@ -139,6 +131,5 @@ class ObjectStore:
             raise NotFound(f"no object {content_id.hex()}")
         data = path.read_bytes()
         if sha256(data) != content_id:
-            raise IntegrityFailure(
-                f"stored bytes for {content_id.hex()} no longer hash to it")
+            raise AnchorError(f"stored bytes for {content_id.hex()} no longer hash to it")
         return data

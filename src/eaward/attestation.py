@@ -48,18 +48,6 @@ class AttestationError(EawardError):
     pass
 
 
-class NoRedeemScript(AttestationError):
-    pass
-
-
-class NoMetadata(AttestationError):
-    pass
-
-
-class MetadataUnparseable(AttestationError):
-    pass
-
-
 class LinkageFailed(AttestationError, Refusal):
     pass
 
@@ -237,13 +225,13 @@ def extract_redeem_script(tx: Transaction, network: Network):
     for txin in tx.inputs:
         pushes = txin.script_sig.pushes()
         if not pushes:
-            raise NoRedeemScript("input scriptSig reveals no redeem script")
+            raise AttestationError("input scriptSig reveals no redeem script")
         scripts.append(pushes[-1])
     if len(set(scripts)) != 1:
-        raise NoRedeemScript("inputs reveal different redeem scripts")
+        raise AttestationError("inputs reveal different redeem scripts")
     decoded = decode_script(Script(scripts[0]), network)
     if decoded.kind != "multisig":
-        raise NoRedeemScript(f"revealed script is {decoded.kind}, not multisig")
+        raise AttestationError(f"revealed script is {decoded.kind}, not multisig")
     return decoded
 
 
@@ -251,15 +239,14 @@ def extract_metadata(tx: Transaction) -> AwardMetadata:
     """The award metadata line among the transaction's nulldata payloads."""
     payloads = extract_op_return(tx)
     if not payloads:
-        raise NoMetadata("transaction carries no nulldata output")
+        raise AttestationError("transaction carries no nulldata output")
     last_error = None
     for payload in payloads:
         try:
             return decode_metadata(payload)
         except MetadataError as exc:
             last_error = exc
-    raise MetadataUnparseable(
-        f"no nulldata payload parses as award metadata: {last_error}")
+    raise AttestationError(f"no nulldata payload parses as award metadata: {last_error}")
 
 
 def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> LinkageReport:
@@ -449,29 +436,32 @@ def load_agreement(path: str | Path) -> ArbitrationAgreement:
         raise AttestationError(f"{path}: {exc}") from exc
 
 
+def _party_from_dict(doc: dict, where: str) -> Party:
+    def text(key):
+        return json_field(doc, where, key, str)
+    return Party(json_text(f"{where}role", text("role"), Role.from_letter),
+                 text("legalName"), text("displayName"),
+                 json_text(f"{where}address", text("address"), Address.from_text))
+
+
 def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
     try:
-        parties = tuple(
-            Party(json_text(f"parties[{i}].role", json_field(p, "role", str),
-                            Role.from_letter),
-                  json_field(p, "legalName", str), json_field(p, "displayName", str),
-                  json_text(f"parties[{i}].address", json_field(p, "address", str),
-                            Address.from_text))
-            for i, p in enumerate(doc["parties"]))
-        policy = policy_from_dict(doc["policy"], "policy.")
-        text_hash = json_field(doc, "agreementTextHash", str, None)
+        parties = tuple(_party_from_dict(p, f"parties[{i}].")
+                        for i, p in enumerate(json_field(doc, "", "parties", list)))
+        policy = policy_from_dict(json_field(doc, "", "policy", dict), "policy.")
+        text_hash = json_field(doc, "", "agreementTextHash", str, None)
         text_hash = None if text_hash is None else json_text(
             "agreementTextHash", text_hash, parse_hex)
         if text_hash == b"":
             raise ValueError("agreementTextHash: no hash digits")
         return ArbitrationAgreement(
             parties=parties,
-            seat=json_field(doc, "seat", str),
-            seat_jurisdiction=json_field(doc, "seatJurisdiction", str),
-            reasoned_award_opt_out=json_field(doc, "reasonedAwardOptOut", bool),
+            seat=json_field(doc, "", "seat", str),
+            seat_jurisdiction=json_field(doc, "", "seatJurisdiction", str),
+            reasoned_award_opt_out=json_field(doc, "", "reasonedAwardOptOut", bool),
             policy=policy,
             agreement_text_hash=text_hash,
         )
-    except (KeyError, TypeError, ValueError, EawardError) as exc:
+    except (TypeError, ValueError, EawardError) as exc:
         raise AttestationError(f"bad agreement document: {exc}") from exc
 

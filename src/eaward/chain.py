@@ -5,8 +5,8 @@ must match the requested txid before they leave this module. Fixture mode is
 fully deterministic and offline; the whole test suite runs on it.
 
 Fixture layout: <root>/<txid>.hex (raw hex) and <root>/<txid>.status
-(JSON: blockTime, confirmations, blockHash). Broadcasts land in the same
-directory plus an append-only mempool.txt.
+(JSON: blockTime, confirmations, blockHash). A broadcast writes the
+<txid>.hex file, once.
 """
 
 from __future__ import annotations
@@ -26,15 +26,7 @@ class ChainError(EawardError):
     pass
 
 
-class TransportError(ChainError):
-    pass
-
-
 class TxidMismatch(ChainError):
-    pass
-
-
-class Rejected(ChainError):
     pass
 
 
@@ -44,7 +36,7 @@ class MalformedStatus(ChainError):
 
 DEFAULT_TIMEOUT = 10.0
 
-_mempool_lock = threading.Lock()
+_sidecar_lock = threading.Lock()
 
 
 # `requests` is imported only when a live request is sent: importing it costs
@@ -55,7 +47,7 @@ def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
     try:
         resp = requests.get(url, timeout=timeout)
     except requests.RequestException as exc:
-        raise TransportError(f"GET {url}: {exc}") from exc
+        raise ChainError(f"GET {url}: {exc}") from exc
     return resp.status_code, resp.content
 
 
@@ -65,7 +57,7 @@ def _http_post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
     try:
         resp = requests.post(url, data=body, timeout=timeout)
     except requests.RequestException as exc:
-        raise TransportError(f"POST {url}: {exc}") from exc
+        raise ChainError(f"POST {url}: {exc}") from exc
     return resp.status_code, resp.content
 
 
@@ -129,7 +121,7 @@ def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
         if status == 404:
             raise NotFound(f"source has no transaction {txid.hex()}")
         if status != 200:
-            raise TransportError(f"source returned HTTP {status}")
+            raise ChainError(f"source returned HTTP {status}")
         hex_text = body.decode("ascii", errors="replace")
 
     try:
@@ -149,11 +141,11 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
         if status_path.exists():
             doc = json_document(status_path.read_bytes(), str(status_path), MalformedStatus)
             try:
-                block_time = json_field(doc, "blockTime", str, None)
+                block_time = json_field(doc, "", "blockTime", str, None)
                 return TxStatus(
                     None if block_time is None else _parse_time(block_time),
-                    json_field(doc, "confirmations", int, 0),
-                    json_field(doc, "blockHash", str, None),
+                    json_field(doc, "", "confirmations", int, 0),
+                    json_field(doc, "", "blockHash", str, None),
                 )
             except (TypeError, ValueError, MalformedStatus) as exc:
                 raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
@@ -165,23 +157,23 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     if status == 404:
         raise NotFound(f"source has no transaction {txid.hex()}")
     if status != 200:
-        raise TransportError(f"source returned HTTP {status}")
+        raise ChainError(f"source returned HTTP {status}")
     doc = json_document(body, f"{src.endpoint}/tx/{txid.hex()}/status", MalformedStatus)
     try:
-        confirmed = json_field(doc, "confirmed", bool, False)
+        confirmed = json_field(doc, "", "confirmed", bool, False)
     except TypeError as exc:
         raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
     if not confirmed:
         return TxStatus(None, 0)
     tip_status, tip_body = src.http_get(f"{src.endpoint}/blocks/tip/height", src.timeout)
     if tip_status != 200:
-        raise TransportError(f"tip height query returned HTTP {tip_status}")
+        raise ChainError(f"tip height query returned HTTP {tip_status}")
     try:
-        confirmations = int(tip_body) - json_field(doc, "block_height", int) + 1
-        block_time = datetime.fromtimestamp(json_field(doc, "block_time", int),
+        confirmations = int(tip_body) - json_field(doc, "", "block_height", int) + 1
+        block_time = datetime.fromtimestamp(json_field(doc, "", "block_time", int),
                                             tz=timezone.utc)
-        block_hash = json_field(doc, "block_hash", str, None)
-    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+        block_hash = json_field(doc, "", "block_hash", str, None)
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
     if confirmations < 1:
         raise MalformedStatus(
@@ -194,22 +186,19 @@ def broadcast(src: ChainSource, hex_text: str) -> Txid:
     try:
         parsed = parse_transaction(hex_text)
     except (MalformedHex, TxError) as exc:
-        raise Rejected(f"unparseable transaction: {exc}") from exc
+        raise ChainError(f"unparseable transaction: {exc}") from exc
     txid = compute_txid(parsed)
 
     if src.mode == "fixture":
         src.fixture_root.mkdir(parents=True, exist_ok=True)
         path = src.fixture_root / f"{txid.hex()}.hex"
-        with _mempool_lock:
+        with _sidecar_lock:
             if not path.exists():
                 path.write_text(hex_text.strip() + "\n")
-                mempool = src.fixture_root / "mempool.txt"
-                with mempool.open("a") as fh:
-                    fh.write(txid.hex() + "\n")
         return txid
 
     status, body = src.http_post(f"{src.endpoint}/tx", hex_text.encode("ascii"),
                                  src.timeout)
     if status != 200:
-        raise Rejected(f"source refused broadcast: HTTP {status} {body[:200]!r}")
+        raise ChainError(f"source refused broadcast: HTTP {status} {body[:200]!r}")
     return txid

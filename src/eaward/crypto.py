@@ -28,22 +28,6 @@ class CryptoError(EawardError):
     pass
 
 
-class ChecksumMismatch(CryptoError):
-    pass
-
-
-class InvalidCharacter(CryptoError):
-    pass
-
-
-class WrongLength(CryptoError):
-    pass
-
-
-class InvalidKey(CryptoError):
-    pass
-
-
 class RecoveryFailed(CryptoError):
     pass
 
@@ -96,22 +80,22 @@ def base58check_encode(version: int, payload: bytes) -> str:
 def base58check_decode(text: str) -> tuple[int, bytes]:
     """Inverse of encode; returns (version, 20-byte payload).
 
-    Raises InvalidCharacter / WrongLength / ChecksumMismatch, in that
-    checking order.
+    Raises CryptoError for a non-base58 character, a wrong length or a bad
+    checksum, checked in that order.
     """
     num = 0
     for ch in text:
         idx = BASE58_ALPHABET.find(ch)
         if idx < 0:
-            raise InvalidCharacter(f"{ch!r} is not a base58 character")
+            raise CryptoError(f"{ch!r} is not a base58 character")
         num = num * 58 + idx
     body = num.to_bytes((num.bit_length() + 7) // 8, "big")
     pad = len(text) - len(text.lstrip("1"))
     raw = b"\x00" * pad + body
     if len(raw) != 25:
-        raise WrongLength(f"decoded to {len(raw)} bytes, expected 25")
+        raise CryptoError(f"decoded to {len(raw)} bytes, expected 25")
     if hash256(raw[:-4])[:4] != raw[-4:]:
-        raise ChecksumMismatch(f"bad checksum in {text!r}")
+        raise CryptoError(f"bad checksum in {text!r}")
     return raw[0], raw[1:-4]
 
 
@@ -126,7 +110,7 @@ class Address:
     @classmethod
     def from_parts(cls, version: int, payload: bytes) -> "Address":
         if len(payload) != 20:
-            raise WrongLength("address payload must be 20 bytes")
+            raise CryptoError("address payload must be 20 bytes")
         return cls(version, payload, base58check_encode(version, payload))
 
     @classmethod
@@ -344,11 +328,11 @@ class PublicKey:
 
     def __post_init__(self):
         if len(self.data) != 33 or self.data[0] not in (2, 3):
-            raise InvalidKey("public key must be 33 bytes with 0x02/0x03 prefix")
+            raise CryptoError("public key must be 33 bytes with 0x02/0x03 prefix")
         try:
             _lift_x(int.from_bytes(self.data[1:], "big"), self.data[0] & 1)
         except RecoveryFailed as exc:
-            raise InvalidKey(f"not a curve point: {exc}") from exc
+            raise CryptoError(f"not a curve point: {exc}") from exc
 
     @classmethod
     def from_point(cls, point: tuple[int, int]) -> "PublicKey":
@@ -383,12 +367,12 @@ class PrivateKey:
 
     def __post_init__(self):
         if not 0 < self.scalar < _N:
-            raise InvalidKey("private key scalar out of range")
+            raise CryptoError("private key scalar out of range")
 
     @classmethod
     def from_bytes(cls, raw: bytes, compressed: bool = True) -> "PrivateKey":
         if len(raw) != 32:
-            raise InvalidKey("private key must be 32 bytes")
+            raise CryptoError("private key must be 32 bytes")
         return cls(int.from_bytes(raw, "big"), compressed)
 
     def public_key(self) -> PublicKey:
@@ -448,7 +432,7 @@ def _rfc6979_nonces(scalar: int, digest32: bytes):
 def ecdsa_sign_recoverable(key: PrivateKey, digest32: bytes) -> RecoverableSig:
     """Sign a 32-byte digest; deterministic, low-s normalized."""
     if len(digest32) != 32:
-        raise WrongLength("digest must be 32 bytes")
+        raise CryptoError("digest must be 32 bytes")
     e = int.from_bytes(digest32, "big") % _N
     for k in _rfc6979_nonces(key.scalar, digest32):
         point = _mul_g(k)
@@ -467,7 +451,7 @@ def ecdsa_sign_recoverable(key: PrivateKey, digest32: bytes) -> RecoverableSig:
             recid ^= 1
         header = 27 + recid + (4 if key.compressed else 0)
         return RecoverableSig(header, r, s)
-    raise InvalidKey("nonce generation exhausted")  # pragma: no cover
+    raise CryptoError("nonce generation exhausted")  # pragma: no cover
 
 
 def ecdsa_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
@@ -477,7 +461,7 @@ def ecdsa_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
     exists; the caller decides whether that is an error or a clean "false".
     """
     if len(digest32) != 32:
-        raise WrongLength("digest must be 32 bytes")
+        raise CryptoError("digest must be 32 bytes")
     if not 0 < sig.r < _N or not 0 < sig.s < _N:
         raise RecoveryFailed("r/s out of range")
     recid = sig.recovery_id

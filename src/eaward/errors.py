@@ -59,14 +59,20 @@ def json_text(path: str, text: str, parse):
 _REQUIRED = object()
 
 
-def json_field(doc: dict, key: str, kind: type, default=_REQUIRED):
-    """doc[key], refused with TypeError unless its type is exactly kind
-    (so a JSON boolean is not an integer and 2.0 is not 2). Given a default,
-    the key may be absent and then reads as the default; a default of None
-    also accepts null."""
-    value = doc[key] if default is _REQUIRED else doc.get(key, default)
+def json_field(doc, where: str, key: str, kind: type, default=_REQUIRED):
+    """doc[key], where doc is the JSON object at path prefix where ("" for a
+    whole document, "parties[0]." for the first party). Refused with
+    TypeError naming the field's path when doc is not an object, the key is
+    missing, or the value's type is not exactly kind (so a JSON boolean is
+    not an integer and 2.0 is not 2). Given a default, the key may be absent
+    and then reads as the default; a default of None also accepts null."""
+    if type(doc) is not dict:
+        raise TypeError(f"{where[:-1]} must be of type dict, got {doc!r}")
+    if default is _REQUIRED and key not in doc:
+        raise TypeError(f"{where}{key} is missing")
+    value = doc.get(key, default)
     if value is None and default is None:
         return None
     if type(value) is not kind:
-        raise TypeError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        raise TypeError(f"{where}{key} must be of type {kind.__name__}, got {value!r}")
     return value

@@ -54,11 +54,11 @@ def p2sh_address(script: Script, net: Network) -> Address:
 
 def policy_from_dict(doc: dict, where: str) -> EscrowPolicy:
     """The policy in {"m": int, "pubkeys": [hex, ...]} at path where ("policy."
-    in an agreement). A malformed field raises KeyError, TypeError or ValueError."""
-    m = json_field(doc, "m", int)
-    pubkeys = json_field(doc, "pubkeys", list)
+    in an agreement). A malformed field raises TypeError or ValueError."""
+    m = json_field(doc, where, "m", int)
+    pubkeys = json_field(doc, where, "pubkeys", list)
     if any(type(k) is not str for k in pubkeys):
-        raise TypeError(f"pubkeys must be a list of str, got {pubkeys!r}")
+        raise TypeError(f"{where}pubkeys must be a list of str, got {pubkeys!r}")
     return EscrowPolicy(m, tuple(json_text(f"{where}pubkeys[{i}]", k, PublicKey.from_hex)
                                  for i, k in enumerate(pubkeys)))
 
@@ -67,8 +67,8 @@ def load_policy(path: str | Path) -> tuple[EscrowPolicy, Network]:
     """Read a policy file: {"m": int, "network": name, "pubkeys": [hex, ...]}."""
     doc = json_document(Path(path).read_bytes(), str(path), PolicyInvalid)
     try:
-        return policy_from_dict(doc, ""), network_by_name(doc["network"])
-    except (KeyError, TypeError, ValueError, EawardError) as exc:
+        return policy_from_dict(doc, ""), network_by_name(json_field(doc, "", "network", str))
+    except (TypeError, ValueError, EawardError) as exc:
         raise PolicyInvalid(f"bad policy file {path}: {exc}") from exc
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .crypto import BASE58_ALPHABET
 from .errors import EawardError
-from .tx import PayloadTooLong
 
 SUFFIX_LEN = 5
 FRAGMENT_LEN = 28
@@ -23,34 +22,6 @@ PAYLOAD_LIMIT = 80
 
 
 class MetadataError(EawardError):
-    pass
-
-
-class InvalidCharacter(MetadataError):
-    pass
-
-
-class BadTokenCount(MetadataError):
-    pass
-
-
-class UnknownRole(MetadataError):
-    pass
-
-
-class BadSuffixLength(MetadataError):
-    pass
-
-
-class DuplicateRole(MetadataError):
-    pass
-
-
-class RoleOrderViolation(MetadataError):
-    pass
-
-
-class BadFragmentLength(MetadataError):
     pass
 
 
@@ -64,7 +35,7 @@ class Role(enum.Enum):
         for role in cls:
             if role.value == letter:
                 return role
-        raise UnknownRole(f"role letter {letter!r} is not one of A/C/R")
+        raise MetadataError(f"role letter {letter!r} is not one of A/C/R")
 
 
 ROLE_ORDER = (Role.ARBITRATOR, Role.CLAIMANT, Role.RESPONDENT)
@@ -82,13 +53,13 @@ class ParticipantTag:
 
     def __post_init__(self):
         if not _NAME_RE.match(self.display_name):
-            raise InvalidCharacter(
+            raise MetadataError(
                 f"display name {self.display_name!r} must be ASCII alphanumerics")
         if len(self.suffix) != SUFFIX_LEN:
-            raise BadSuffixLength(
+            raise MetadataError(
                 f"suffix {self.suffix!r} must be exactly {SUFFIX_LEN} characters")
         if any(c not in BASE58_ALPHABET for c in self.suffix):
-            raise InvalidCharacter(f"suffix {self.suffix!r} has non-base58 characters")
+            raise MetadataError(f"suffix {self.suffix!r} has non-base58 characters")
 
     def token(self) -> str:
         return f"{self.role.value}-{self.display_name}-{self.suffix}"
@@ -103,19 +74,18 @@ class AwardMetadata:
     def __post_init__(self):
         roles = tuple(p.role for p in self.participants)
         if len(set(roles)) != len(roles):
-            raise DuplicateRole("one tag per role required")
+            raise MetadataError("one tag per role required")
         if roles != ROLE_ORDER:
-            raise RoleOrderViolation("participants must appear in A, C, R order")
+            raise MetadataError("participants must appear in A, C, R order")
         if not _SEAT_RE.match(self.seat):
-            raise InvalidCharacter(
+            raise MetadataError(
                 f"seat {self.seat!r} must be one space-free printable ASCII token")
         if len(self.sig_fragment) != FRAGMENT_LEN:
-            raise BadFragmentLength(
-                f"signature fragment must be {FRAGMENT_LEN} characters")
+            raise MetadataError(f"signature fragment must be {FRAGMENT_LEN} characters")
         if not _FRAGMENT_RE.match(self.sig_fragment):
-            raise InvalidCharacter("signature fragment has non-base64 characters")
+            raise MetadataError("signature fragment has non-base64 characters")
         if len(self.text()) > PAYLOAD_LIMIT:
-            raise PayloadTooLong(
+            raise MetadataError(
                 f"metadata line is {len(self.text())} bytes, limit {PAYLOAD_LIMIT}")
 
     def participant(self, role: Role) -> ParticipantTag:
@@ -147,7 +117,7 @@ def signature_fragment(signature_b64: str) -> str:
 def match_fragment(signature_b64: str, fragment: str) -> bool:
     """True iff fragment is the tail of the full base64 signature."""
     if len(fragment) != FRAGMENT_LEN:
-        raise BadFragmentLength(
+        raise MetadataError(
             f"fragment is {len(fragment)} characters, expected {FRAGMENT_LEN}")
     return signature_b64[-FRAGMENT_LEN:] == fragment
 
@@ -157,17 +127,16 @@ def decode_metadata(payload: bytes) -> AwardMetadata:
     try:
         text = payload.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise InvalidCharacter(f"payload is not ASCII: {exc}") from exc
+        raise MetadataError(f"payload is not ASCII: {exc}") from exc
     tokens = text.split(" ")
     if len(tokens) != 5:
-        raise BadTokenCount(f"expected 5 space-separated tokens, got {len(tokens)}")
+        raise MetadataError(f"expected 5 space-separated tokens, got {len(tokens)}")
 
     tags = []
     for token in tokens[:3]:
         parts = token.split("-")
         if len(parts) != 3:
-            raise BadTokenCount(
-                f"participant token {token!r} must be role-name-suffix")
+            raise MetadataError(f"participant token {token!r} must be role-name-suffix")
         role = Role.from_letter(parts[0])
         tags.append(ParticipantTag(role, parts[1], parts[2]))
 

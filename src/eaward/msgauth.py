@@ -31,11 +31,7 @@ from .tx import write_compact_size
 MESSAGE_PREFIX = b"\x18Bitcoin Signed Message:\n"
 
 
-class MsgAuthError(EawardError):
-    pass
-
-
-class MalformedSignature(MsgAuthError):
+class MalformedSignature(EawardError):
     pass
 
 

@@ -67,20 +67,8 @@ class TxError(EawardError):
     pass
 
 
-class TruncatedData(TxError):
-    pass
-
-
-class TrailingBytes(TxError):
-    pass
-
-
 class MalformedScript(TxError):
     pass
-
-
-class PayloadTooLong(TxError):
-    """A nulldata carrier was asked to hold more than 80 payload bytes."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +83,7 @@ class _Reader:
     def read(self, n: int) -> bytes:
         out = self._io.read(n)
         if len(out) != n:
-            raise TruncatedData(f"needed {n} bytes, got {len(out)}")
+            raise TxError(f"needed {n} bytes, got {len(out)}")
         return out
 
     def read_compact_size(self) -> int:
@@ -335,7 +323,7 @@ def build_nulldata_script(payload: bytes) -> Script:
     """OP_RETURN carrier for payload; the 80-byte bound keeps the whole
     output script within the 83-byte relay limit."""
     if len(payload) > 80:
-        raise PayloadTooLong(f"nulldata payload is {len(payload)} bytes, limit 80")
+        raise TxError(f"nulldata payload is {len(payload)} bytes, limit 80")
     return Script(bytes([OP_RETURN]) + push_data(payload))
 
 
@@ -445,7 +433,7 @@ def parse_transaction(hex_text: str) -> Transaction:
 
     locktime = struct.unpack("<I", reader.read(4))[0]
     if not reader.exhausted:
-        raise TrailingBytes("extra bytes after transaction")
+        raise TxError("extra bytes after transaction")
     return Transaction(version, tuple(inputs), tuple(outputs), locktime, segwit)
 
 

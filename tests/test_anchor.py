@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from eaward.anchor import (
     AnchorError,
     AwardDocument,
-    EmptyDocument,
     HashMismatch,
-    IntegrityFailure,
     NoAnchorFound,
     NotFound,
     ObjectStore,
@@ -57,7 +55,7 @@ def test_checksum_idempotent():
 
 
 def test_empty_document_rejected():
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(AnchorError, match="award document is empty"):
         AwardDocument(b"")
 
 
@@ -153,12 +151,12 @@ def test_fetch_detects_corruption(tmp_path):
     content_id = store.store(b"will be corrupted")
     path = tmp_path / content_id.hex()
     path.write_bytes(b"will be corrupteX")
-    with pytest.raises(IntegrityFailure):
+    with pytest.raises(AnchorError, match="no longer hash to it"):
         store.fetch(content_id)
 
 
 def test_store_rejects_empty(tmp_path):
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(AnchorError, match="refusing to store an empty object"):
         ObjectStore(tmp_path).store(b"")
 
 

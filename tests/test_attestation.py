@@ -9,10 +9,7 @@ from eaward.attestation import (
     AttestationInvalid,
     LinkageFailed,
     MissingArbitratorAttestation,
-    NoMetadata,
-    NoRedeemScript,
     NoTimeEvidence,
-    MetadataUnparseable,
     Party,
     agreement_from_dict,
     extract_metadata,
@@ -30,11 +27,13 @@ from eaward.escrow import EscrowPolicy
 from eaward.metadata import Role, attest_message, match_fragment
 from eaward.msgauth import SignedMessage, sign_message
 from eaward.tx import (
+    OP_RETURN,
     Script,
     Transaction,
     TxInput,
     TxOutput,
     build_nulldata_script,
+    push_data,
 )
 
 from conftest import (
@@ -44,6 +43,7 @@ from conftest import (
     ATTEST_MESSAGE,
     FIXTURES,
     FRAGMENT,
+    METADATA_TEXT,
     SIGNATURE_B64,
     ZERO_PAYLOAD_ADDR,
     golden_policy,
@@ -279,7 +279,7 @@ def test_no_redeem_script(golden_agreement):
         (TxInput(demo_prev(), 0, Script(b"")),),
         (TxOutput(0, build_nulldata_script(b"A-a-11111 C-b-22222 R-c-33333 X " + b"Q" * 28)),),
     )
-    with pytest.raises(NoRedeemScript):
+    with pytest.raises(AttestationError, match="input scriptSig reveals no redeem script"):
         match_transaction(golden_agreement, tx)
 
 
@@ -288,14 +288,27 @@ def test_no_metadata(golden_agreement, demo_tx):
         demo_tx.version, demo_tx.inputs,
         (TxOutput(500_000, Script(b"\x76\xa9\x14" + bytes(20) + b"\x88\xac")),),
         demo_tx.locktime)
-    with pytest.raises(NoMetadata):
+    with pytest.raises(AttestationError, match="transaction carries no nulldata output"):
         match_transaction(golden_agreement, tx)
 
 
 def test_metadata_unparseable(golden_agreement, demo_tx):
     tx = _with_payload(demo_tx, b"\x00" * 32)  # an anchor digest, not metadata
-    with pytest.raises(MetadataUnparseable):
+    with pytest.raises(AttestationError, match="no nulldata payload parses as award metadata"):
         match_transaction(golden_agreement, tx)
+
+
+def test_overlong_metadata_line_is_skipped(demo_tx):
+    # A line-shaped 104-byte payload, over the 80-byte limit, in two pushes.
+    line = METADATA_TEXT.replace("A-JohnSmith", "A-JohnSmith" + "X" * 24).encode()
+    overlong = TxOutput(0, Script(bytes([OP_RETURN]) + push_data(line[:52])
+                                  + push_data(line[52:])))
+    tx = Transaction(demo_tx.version, demo_tx.inputs, (overlong, *demo_tx.outputs))
+    assert extract_metadata(tx).text() == METADATA_TEXT
+    alone = Transaction(demo_tx.version, demo_tx.inputs, (overlong,))
+    with pytest.raises(AttestationError, match="no nulldata payload parses as award "
+                                               "metadata: metadata line is 104 bytes"):
+        extract_metadata(alone)
 
 
 def test_anchor_plus_metadata_coexist(golden_agreement, demo_tx):
@@ -312,9 +325,9 @@ def test_multi_input_same_redeem_ok(golden_agreement, demo_tx):
 
 
 def test_multi_input_differing_redeem_rejected(golden_agreement, demo_tx):
-    other = TxInput(demo_prev(), 0, Script(b"\x51"), 0xFFFFFFFF)
+    other = TxInput(demo_prev(), 0, Script(push_data(b"\x51")), 0xFFFFFFFF)
     tx = Transaction(demo_tx.version, (*demo_tx.inputs, other), demo_tx.outputs)
-    with pytest.raises(NoRedeemScript):
+    with pytest.raises(AttestationError, match="inputs reveal different redeem scripts"):
         match_transaction(golden_agreement, tx)
 
 

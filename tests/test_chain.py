@@ -1,6 +1,7 @@
 import json
 import shutil
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 import requests
@@ -11,8 +12,6 @@ from eaward.chain import (
     ChainSource,
     MalformedStatus,
     NotFound,
-    Rejected,
-    TransportError,
     TxStatus,
     TxidMismatch,
     broadcast,
@@ -157,7 +156,11 @@ def test_get_transaction_parses_once(fixture_source, monkeypatch):
     assert len(calls) == 1
 
 
-def test_broadcast_roundtrip_and_idempotence(tmp_path):
+def test_broadcast_roundtrip_and_idempotence(tmp_path, monkeypatch):
+    writes = []
+    real_write = Path.write_text
+    monkeypatch.setattr(Path, "write_text",
+                        lambda path, *a, **kw: writes.append(path) or real_write(path, *a, **kw))
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
     tx = _tiny_tx(b"mempool entry")
     txid = broadcast(source, tx.to_hex())
@@ -168,8 +171,7 @@ def test_broadcast_roundtrip_and_idempotence(tmp_path):
     assert status.confirmations == 0 and status.block_time is None
     again = broadcast(source, tx.to_hex())
     assert again == txid
-    mempool = (tmp_path / "mempool.txt").read_text().splitlines()
-    assert mempool.count(txid.hex()) == 1
+    assert writes == [tmp_path / f"{txid.hex()}.hex"]
 
 
 def test_broadcast_rejects_malformed_before_transport():
@@ -178,13 +180,13 @@ def test_broadcast_rejects_malformed_before_transport():
 
     source = ChainSource("live", TESTNET, endpoint="http://example.invalid",
                          http_post=explode, http_get=explode)
-    with pytest.raises(Rejected):
+    with pytest.raises(ChainError, match="unparseable transaction: needed"):
         broadcast(source, "deadbeef")
 
 
 @pytest.mark.parametrize("hex_text", ["zz00", "02 00"])
 def test_broadcast_non_hex_is_rejected(tmp_path, hex_text):
-    with pytest.raises(Rejected, match="non-hex"):
+    with pytest.raises(ChainError, match="unparseable transaction: non-hex"):
         broadcast(ChainSource("fixture", TESTNET, fixture_root=tmp_path), hex_text)
 
 
@@ -257,7 +259,7 @@ def test_live_wrong_bytes_is_txid_mismatch(demo_tx_hex):
 def test_live_http_error_is_transport_error():
     url = f"http://x/tx/{DEMO_TXID}/hex"
     source = _live({url: (500, b"boom")})
-    with pytest.raises(TransportError):
+    with pytest.raises(ChainError, match="source returned HTTP 500"):
         get_transaction(source, _demo_txid())
 
 
@@ -304,7 +306,7 @@ def test_live_connection_failure_is_transport_error():
     # Default transport against a closed local port; no external egress.
     source = ChainSource("live", TESTNET, endpoint="http://127.0.0.1:9",
                          timeout=0.5)
-    with pytest.raises(TransportError):
+    with pytest.raises(ChainError, match=f"GET http://127.0.0.1:9/tx/{DEMO_TXID}/hex: "):
         get_transaction(source, _demo_txid())
 
 
@@ -329,7 +331,7 @@ def test_default_transport_request_errors_are_transport_errors(monkeypatch):
 
     monkeypatch.setattr(requests, "get", refuse)
     monkeypatch.setattr(requests, "post", refuse)
-    with pytest.raises(TransportError, match="GET http://x/tx/ab/hex: connection refused"):
+    with pytest.raises(ChainError, match="GET http://x/tx/ab/hex: connection refused"):
         chain._http_get("http://x/tx/ab/hex", 1.0)
-    with pytest.raises(TransportError, match="POST http://x/tx: connection refused"):
+    with pytest.raises(ChainError, match="POST http://x/tx: connection refused"):
         chain._http_post("http://x/tx", b"00", 1.0)

@@ -421,10 +421,12 @@ def test_fixture_mode_never_imports_requests():
 @pytest.mark.parametrize("module",
                          ["msgauth", "metadata", "escrow", "chain", "anchor", "attestation"])
 def test_module_import_loads_only_its_layers(module):
-    # Domain modules import only the primitives; attestation sits above them.
+    # Domain modules import only the primitives, and metadata needs no tx;
+    # attestation sits above them.
     # eaward._ripemd160 is crypto's fallback where hashlib lacks RIPEMD-160.
     below = ("chain", "escrow", "metadata", "msgauth") if module == "attestation" else ()
-    loaded = ["eaward", *(f"eaward.{m}" for m in ("crypto", "errors", "tx", module, *below))]
+    primitives = ("crypto", "errors") if module == "metadata" else ("crypto", "errors", "tx")
+    loaded = ["eaward", *(f"eaward.{m}" for m in (*primitives, module, *below))]
     script = (
         f"import sys, eaward.{module}\n"
         "print(sorted(m for m in sys.modules\n"
@@ -554,14 +556,21 @@ def test_meta_encode_invalid_agreement_exit_2(capsys, tmp_path):
 # JSON types in agreement and policy files
 # ---------------------------------------------------------------------------
 
+_MISSING = object()
+
+
 def _replace_field(file, path, value):
-    """Rewrite the JSON file with the field at `path` set to `value`."""
+    """Rewrite the JSON file with the field at `path` set to `value`, or
+    deleted when `value` is _MISSING."""
     doc = json.loads(file.read_text())
     *parents, last = path
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is _MISSING:
+        del target[last]
+    else:
+        target[last] = value
     file.write_text(json.dumps(doc))
 
 
@@ -591,19 +600,27 @@ _ESCROW = ("escrow", "address", "{policy}")
     ("agreement.json", ("agreementTextHash",), False, _CERTIFY),
     ("agreement.json", ("agreementTextHash",), [], _VALIDATE),
     ("agreement.json", ("agreementTextHash",), {}, _CERTIFY),
+    ("agreement.json", ("policy",), _MISSING, _VALIDATE),
+    ("agreement.json", ("policy", "pubkeys"), _MISSING, _VALIDATE),
+    ("agreement.json", ("parties", 2), 7, _VALIDATE),
+    ("policy.json", ("network",), _MISSING, _ESCROW),
 ], ids=["opt_out_string_validate", "opt_out_string_certify", "legal_name_null_certify",
         "display_name_int_validate", "display_name_int_encode", "seat_int_encode",
         "address_list_validate", "m_overflow_validate", "m_overflow_encode",
         "m_overflow_certify", "m_float_validate", "m_bool_validate",
         "m_overflow_escrow", "m_float_escrow", "text_hash_zero_certify",
-        "text_hash_false_certify", "text_hash_list_validate", "text_hash_object_certify"])
+        "text_hash_false_certify", "text_hash_list_validate", "text_hash_object_certify",
+        "policy_missing_validate", "pubkeys_missing_validate", "party_int_validate",
+        "network_missing_escrow"])
 def test_wrong_json_type_exit_2(capsys, tmp_path, name, path, value, argv):
     file = tmp_path / name
     shutil.copy(FIXTURES / name, file)
     _replace_field(file, path, value)
     _, err = _data_error(capsys, *(a.format(agreement=file, policy=file, chain=CHAIN_DIR)
                                    for a in argv))
-    assert "must be of type" in err
+    field = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+    expected = f"{field} is missing" if value is _MISSING else f"{field} must be of type"
+    assert expected in err
 
 
 _UTF16 = object()  # the genuine file, re-encoded as UTF-16

@@ -5,20 +5,14 @@ from hypothesis import strategies as st
 from eaward.crypto import BASE58_ALPHABET
 from eaward.metadata import (
     AwardMetadata,
-    BadFragmentLength,
-    BadSuffixLength,
-    BadTokenCount,
-    DuplicateRole,
-    InvalidCharacter,
+    MetadataError,
     ParticipantTag,
     Role,
-    RoleOrderViolation,
-    UnknownRole,
     attest_message,
     decode_metadata,
     encode_metadata,
 )
-from eaward.tx import PayloadTooLong, build_nulldata_script
+from eaward.tx import build_nulldata_script
 
 from conftest import ATTEST_MESSAGE, FRAGMENT, METADATA_TEXT, PAYLOAD_HEX
 
@@ -66,7 +60,7 @@ def test_payload_too_long_boundary():
     # Golden line is exactly at the 80-byte limit; one more name byte overflows.
     tags = list(meta.participants)
     tags[0] = ParticipantTag(Role.ARBITRATOR, tags[0].display_name + "X", tags[0].suffix)
-    with pytest.raises(PayloadTooLong):
+    with pytest.raises(MetadataError, match="metadata line is 81 bytes, limit 80"):
         AwardMetadata(tuple(tags), meta.seat, meta.sig_fragment)
 
 
@@ -77,59 +71,60 @@ def test_op_return_script_within_carrier_limit():
 
 def test_decode_unknown_role():
     payload = GOLDEN_PAYLOAD.replace(b"A-JohnSmith", b"X-JohnSmith")
-    with pytest.raises(UnknownRole):
+    with pytest.raises(MetadataError, match="role letter 'X' is not one of A/C/R"):
         decode_metadata(payload)
 
 
 def test_decode_duplicate_role():
     payload = GOLDEN_PAYLOAD.replace(b"C-Acme", b"A-Acme")
-    with pytest.raises(DuplicateRole):
+    with pytest.raises(MetadataError, match="one tag per role required"):
         decode_metadata(payload)
 
 
 def test_decode_role_order_enforced():
     text = "C-Acme-fZN8L A-JohnSmith-KkjJX R-Baker-NBSvH London " + FRAGMENT
-    with pytest.raises(RoleOrderViolation):
+    with pytest.raises(MetadataError, match="participants must appear in A, C, R order"):
         decode_metadata(text.encode())
 
 
 def test_decode_bad_token_count():
-    with pytest.raises(BadTokenCount):
+    with pytest.raises(MetadataError, match="expected 5 space-separated tokens, got 4"):
         decode_metadata(b"A-JohnSmith-KkjJX C-Acme-fZN8L London " + FRAGMENT.encode())
-    with pytest.raises(BadTokenCount):
+    with pytest.raises(MetadataError,
+                       match="participant token 'R-Ba-ker-NBSvH' must be role-name-suffix"):
         decode_metadata(GOLDEN_PAYLOAD.replace(b"R-Baker-NBSvH", b"R-Ba-ker-NBSvH"))
 
 
 def test_decode_bad_suffix_length():
     payload = GOLDEN_PAYLOAD.replace(b"-KkjJX", b"-KkjJ")
-    with pytest.raises(BadSuffixLength):
+    with pytest.raises(MetadataError, match="suffix 'KkjJ' must be exactly 5 characters"):
         decode_metadata(payload)
 
 
 def test_decode_bad_fragment_length():
-    # The same class match_fragment raises for a fragment of the wrong length.
-    with pytest.raises(BadFragmentLength):
+    with pytest.raises(MetadataError, match="signature fragment must be 28 characters"):
         decode_metadata(GOLDEN_PAYLOAD[:-1])
 
 
 def test_decode_rejects_non_ascii():
-    with pytest.raises(InvalidCharacter):
+    with pytest.raises(MetadataError, match="payload is not ASCII"):
         decode_metadata(b"\xff" + GOLDEN_PAYLOAD[1:])
 
 
 def test_name_charset_enforced():
-    with pytest.raises(InvalidCharacter):
+    with pytest.raises(MetadataError, match="display name 'Ac me' must be ASCII alphanumerics"):
         ParticipantTag(Role.CLAIMANT, "Ac me", "fZN8L")
-    with pytest.raises(InvalidCharacter):
+    with pytest.raises(MetadataError, match="display name '' must be ASCII alphanumerics"):
         ParticipantTag(Role.CLAIMANT, "", "fZN8L")
-    with pytest.raises(InvalidCharacter):
+    with pytest.raises(MetadataError, match="suffix 'fZN80' has non-base58 characters"):
         ParticipantTag(Role.CLAIMANT, "Acme", "fZN80")  # '0' not base58
 
 
 def test_seat_single_token():
     tags = tuple(ParticipantTag(role, f"N{role.value}", "fZN8L")
                  for role in (Role.ARBITRATOR, Role.CLAIMANT, Role.RESPONDENT))
-    with pytest.raises(InvalidCharacter):
+    with pytest.raises(MetadataError,
+                       match="seat 'The Hague' must be one space-free printable ASCII token"):
         AwardMetadata(tags, "The Hague", FRAGMENT)
     # Space-free multiword seats are the supported spelling.
     assert AwardMetadata(tags, "TheHague", FRAGMENT).seat == "TheHague"

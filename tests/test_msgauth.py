@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaward.crypto import MAINNET, TESTNET, PrivateKey, pubkey_to_address, sha256
-from eaward.metadata import BadFragmentLength, MetadataError, match_fragment, signature_fragment
+from eaward.metadata import MetadataError, match_fragment, signature_fragment
 from eaward.msgauth import MalformedSignature, message_digest, sign_message, verify_message
 
 from conftest import ADDR_A, ADDR_C, ADDR_R, ATTEST_MESSAGE, FRAGMENT, SIGNATURE_B64
@@ -50,7 +50,7 @@ def test_match_fragment_mutation_false():
 
 
 def test_match_fragment_length_check():
-    with pytest.raises(BadFragmentLength):
+    with pytest.raises(MetadataError, match="fragment is 27 characters, expected 28"):
         match_fragment(SIGNATURE_B64, FRAGMENT[:-1])
 
 

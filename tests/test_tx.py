@@ -6,11 +6,8 @@ from eaward.crypto import TESTNET, MAINNET
 from eaward.errors import MalformedHex
 from eaward.tx import (
     MalformedScript,
-    PayloadTooLong,
     Script,
-    TrailingBytes,
     Transaction,
-    TruncatedData,
     TxError,
     TxInput,
     TxOutput,
@@ -127,12 +124,12 @@ def test_parse_serialize_identity_on_hex(tx):
 
 
 def test_parse_rejects_truncated(demo_tx_hex):
-    with pytest.raises(TruncatedData):
+    with pytest.raises(TxError, match="needed 4 bytes, got 3"):
         parse_transaction(demo_tx_hex[:-2])
 
 
 def test_parse_rejects_trailing(demo_tx_hex):
-    with pytest.raises(TrailingBytes):
+    with pytest.raises(TxError, match="extra bytes after transaction"):
         parse_transaction(demo_tx_hex + "00")
 
 
@@ -336,7 +333,7 @@ def test_build_nulldata_limits():
     script = build_nulldata_script(b"\x00" * 80)
     assert len(script.raw) == 83
     assert nulldata_payload(script) == b"\x00" * 80
-    with pytest.raises(PayloadTooLong):
+    with pytest.raises(TxError, match="nulldata payload is 81 bytes, limit 80"):
         build_nulldata_script(b"\x00" * 81)
 
 
