@@ -162,7 +162,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     try:
         confirmed = json_field(doc, "", "confirmed", bool, False)
     except TypeError as exc:
-        raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
+        raise MalformedStatus(f"bad status from {src.endpoint}: {exc}") from exc
     if not confirmed:
         return TxStatus(None, 0)
     tip_status, tip_body = src.http_get(f"{src.endpoint}/blocks/tip/height", src.timeout)
@@ -174,7 +174,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
                                             tz=timezone.utc)
         block_hash = json_field(doc, "", "block_hash", str, None)
     except (TypeError, ValueError, OverflowError, OSError) as exc:
-        raise MalformedStatus(f"bad status from {src.endpoint}: {exc!r}") from exc
+        raise MalformedStatus(f"bad status from {src.endpoint}: {exc}") from exc
     if confirmations < 1:
         raise MalformedStatus(
             f"tip height from {src.endpoint} is below the transaction's block height")

@@ -157,12 +157,14 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
 # secp256k1 point arithmetic (a = 0)
 #
 # Affine points are (x, y); Jacobian points are (X, Y, Z) for
-# (X/Z^2, Y/Z^3); None is the point at infinity in either form. Every scalar
-# multiplication runs through _multiply, a Straus-Shamir ladder over w-NAF
-# digits as in libsecp256k1: each scalar is split by the GLV endomorphism
-# into two halves of at most 129 bits, all halves share one chain of
-# doublings, and at each nonzero digit one mixed Jacobian+affine addition
-# of a precomputed odd multiple follows. The arithmetic is variable-time.
+# (X/Z^2, Y/Z^3); None is the point at infinity in either form. A multiple
+# of G alone (a signing nonce, a public key) comes from _mul_g, a signed comb
+# over a fixed table. Recovery, whose second term has a variable base, runs
+# through _multiply, a Straus-Shamir ladder over w-NAF digits as in
+# libsecp256k1: each scalar is split by the GLV endomorphism into two halves
+# of at most 129 bits, all halves share one chain of doublings, and at each
+# nonzero digit one mixed Jacobian+affine addition of a precomputed odd
+# multiple follows. The arithmetic is variable-time.
 # ---------------------------------------------------------------------------
 
 # The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
@@ -288,15 +290,82 @@ def _multiply(terms) -> tuple[int, int] | None:
     return _to_affine(acc)
 
 
-# Fixed base: 64 odd multiples of G and of LAMBDA*G, built once at import. A
-# variable base (the R of a recovery) gets a width-5 table of 8 points per call.
+# Recovery's fixed base: 64 odd multiples of G and of LAMBDA*G, built once at
+# import. A variable base (the R of a recovery) gets a width-5 table of 8
+# points per call.
 _G_WINDOW = 8
 _G_TABLE = _odd_multiples((_GX, _GY), _G_WINDOW)
 _R_WINDOW = 5
 
+# G alone: the signed multi-comb of Hamburg ("Fast and compact elliptic-curve
+# cryptography", IACR ePrint 2012/309), as in libsecp256k1's ecmult_gen. Bit
+# i = SPACING*(TEETH*b + t) + s of a BITS-bit scalar d is tooth t at offset s
+# of block b. Reading every bit as a digit +1 (set) or -1 (clear) gives the
+# value 2*d - (2**BITS - 1), so d = (k + 2**BITS - 1)/2 mod N makes the
+# digits sum to k. For each offset s, block b's TEETH digits select
+#   V_b(j) = sum over t of (+1 if bit t of j else -1) * 2**(SPACING*(TEETH*b + t)) * G,
+# and V_b(~j) = -V_b(j), so a row keeps only the 2**(TEETH-1) points whose
+# top digit is -1. k*G is then SPACING-1 doublings and BLOCKS*SPACING mixed
+# additions.
+_COMB_BLOCKS, _COMB_TEETH, _COMB_SPACING = 4, 6, 11
+_COMB_BITS = _COMB_BLOCKS * _COMB_TEETH * _COMB_SPACING  # 264, at least 256
+_COMB_MASK = (1 << _COMB_TEETH) - 1
+
+
+def _comb_table():
+    """_COMB_BLOCKS rows of V_b(j), 0 <= j < 2**(TEETH-1), as affine points,
+    built with two batch inversions."""
+    # Tooth q = TEETH*b + t is 2**(SPACING*q) * G. Turning its digit from -1
+    # to +1 adds twice the tooth, the next point of the doubling chain.
+    jac = []
+    pt = (_GX, _GY, 1)
+    for _ in range(_COMB_BLOCKS * _COMB_TEETH):
+        twice = _double(pt)
+        jac += [pt, twice]
+        pt = twice
+        for _ in range(_COMB_SPACING - 1):
+            pt = _double(pt)
+    affine = _batch_to_affine(jac)
+    rows = []
+    for first in range(0, len(affine), 2 * _COMB_TEETH):
+        teeth = affine[first:first + 2 * _COMB_TEETH:2]
+        twice = affine[first + 1:first + 2 * _COMB_TEETH:2]
+        acc = None
+        for tooth in teeth:
+            acc = _add_affine(acc, tooth)
+        x, y, z = acc
+        row = [(x, _P - y, z)]  # V_b(0): every digit -1
+        for j in range(1, 1 << (_COMB_TEETH - 1)):
+            # V_b(j) turns the lowest set bit of j from -1 into +1.
+            row.append(_add_affine(row[j & (j - 1)], twice[(j & -j).bit_length() - 1]))
+        rows += row
+    flat = _batch_to_affine(rows)
+    width = 1 << (_COMB_TEETH - 1)
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+_COMB_TABLE = _comb_table()
+
 
 def _mul_g(k: int) -> tuple[int, int] | None:
-    return _multiply([(k, _G_WINDOW, _G_TABLE)])
+    """k*G as an affine point, or None for infinity."""
+    d = (k + (1 << _COMB_BITS) - 1) * ((_N + 1) // 2) % _N  # (N+1)/2 halves mod N
+    bits = format(d, f"0{_COMB_BITS}b")
+    acc = None
+    for start in range(_COMB_SPACING):
+        acc = _double(acc)
+        # bits is most significant first and BITS long, so this slice is
+        # offset SPACING-1-start of every block, tooth q at bit q.
+        column = int(bits[start::_COMB_SPACING], 2)
+        for row in _COMB_TABLE:
+            j = column & _COMB_MASK
+            column >>= _COMB_TEETH
+            if j >> (_COMB_TEETH - 1):
+                x, y = row[j ^ _COMB_MASK]
+                acc = _add_affine(acc, (x, _P - y))
+            else:
+                acc = _add_affine(acc, row[j])
+    return _to_affine(acc)
 
 
 def _lift_x(x: int, odd: int) -> tuple[int, int]:

@@ -281,8 +281,9 @@ def test_live_status_confirmed(tip, confirmations):
                          ids=MALFORMED_LIVE_STATUS.keys())
 def test_live_malformed_status_is_typed(doc, tip):
     source = _live(live_status_responses(doc, tip))
-    with pytest.raises(MalformedStatus):
+    with pytest.raises(MalformedStatus) as caught:
         get_tx_status(source, _demo_txid())
+    assert "Error(" not in str(caught.value)
 
 
 def test_live_status_unconfirmed():

@@ -343,7 +343,8 @@ def test_certify_malformed_live_status_exit_2(capsys, monkeypatch, demo_tx_hex, 
     responses[f"http://x/tx/{DEMO_TXID}/hex"] = (200, demo_tx_hex.encode())
     monkeypatch.setattr(cli, "ChainSource", functools.partial(
         ChainSource, http_get=lambda url, timeout: responses[url]))
-    _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
+    err = _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
+    assert "Error(" not in err
 
 
 def _data_error(capsys, *argv):

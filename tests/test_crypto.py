@@ -1,5 +1,7 @@
 import base64
+import importlib.util
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,10 +286,11 @@ def test_public_key_uncompressed_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# The Straus-Shamir w-NAF ladder against the reference double-and-add
+# The comb and the Straus-Shamir w-NAF ladder against the reference
+# double-and-add
 # ---------------------------------------------------------------------------
 # A plain Jacobian double-and-add and a recovery by three separate
-# multiplications: the slow reference the ladder must agree with.
+# multiplications: the slow reference the comb and the ladder must agree with.
 
 _P = 2**256 - 2**32 - 977
 _N = crypto.CURVE_ORDER
@@ -386,6 +389,53 @@ scalars = st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(min_value=1, max_
 @given(k=scalars)
 def test_public_key_matches_reference(k):
     assert PrivateKey(k).public_key() == reference_public_key(k)
+
+
+# The scalars whose comb recoding d = (k + 2**BITS - 1)/2 mod N is 0 (every
+# digit -1) and N - 1.
+_COMB_D_ZERO = (1 - 2**crypto._COMB_BITS) % _N
+_COMB_D_TOP = (-1 - 2**crypto._COMB_BITS) % _N
+
+
+def test_comb_recoding_edges():
+    for k, d in ((_COMB_D_ZERO, 0), (_COMB_D_TOP, _N - 1)):
+        assert (2 * d - (2**crypto._COMB_BITS - 1) - k) % _N == 0
+    assert crypto._COMB_BITS >= 256
+    assert sum(len(row) for row in crypto._COMB_TABLE) == 128
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=1, max_value=_N - 1))
+@example(k=1)                           # also 2**0
+@example(k=2)
+@example(k=_N - 1)
+@example(k=_N - 2)
+@example(k=(_N + 1) // 2)
+@example(k=2**crypto._COMB_SPACING)
+@example(k=2**255)
+@example(k=_COMB_D_ZERO)
+@example(k=_COMB_D_TOP)
+def test_comb_matches_reference(k):
+    assert crypto._mul_g(k) == reference_mul(k, _G)
+
+
+def _load_refcrypto():
+    """perfbench's independent implementation from the public specifications."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refcrypto.py"
+    spec = importlib.util.spec_from_file_location("refcrypto", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+refcrypto = _load_refcrypto()
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=scalars, digest=st.binary(min_size=32, max_size=32))
+def test_sign_matches_independent_implementation(d, digest):
+    got = ecdsa_sign_recoverable(PrivateKey(d), digest).to_bytes()
+    assert got == refcrypto.sign_recoverable(d, digest)
 
 
 # r + N is a field element only for r < P - N, so small r reach recovery ids 2/3.
