@@ -368,13 +368,38 @@ def _mul_g(k: int) -> tuple[int, int] | None:
     return _to_affine(acc)
 
 
+_OFF_FIELD = "x coordinate out of field range"
+_OFF_CURVE = "no curve point for x coordinate"
+
+
+def _jacobi(a: int) -> int:
+    """The Legendre symbol (a | P): 1 for a nonzero square mod P, -1 for a
+    non-square, 0 for a multiple of P. The binary Jacobi-symbol algorithm
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.10),
+    several times cheaper here than Euler's criterion or a square root."""
+    a %= _P
+    n = _P
+    t = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        # (2 | n) = -1 for n = 3, 5 mod 8; reciprocity flips the sign when
+        # a = n = 3 mod 4.
+        if zeros & 1 and (n & 7) in (3, 5):
+            t = -t
+        if a & n & 2:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 def _lift_x(x: int, odd: int) -> tuple[int, int]:
     if x >= _P:
-        raise RecoveryFailed("x coordinate out of field range")
+        raise RecoveryFailed(_OFF_FIELD)
     y_sq = (pow(x, 3, _P) + 7) % _P
     y = pow(y_sq, (_P + 1) // 4, _P)
     if y * y % _P != y_sq:
-        raise RecoveryFailed("no curve point for x coordinate")
+        raise RecoveryFailed(_OFF_CURVE)
     if (y & 1) != odd:
         y = _P - y
     return x, y
@@ -398,10 +423,14 @@ class PublicKey:
     def __post_init__(self):
         if len(self.data) != 33 or self.data[0] not in (2, 3):
             raise CryptoError("public key must be 33 bytes with 0x02/0x03 prefix")
-        try:
-            _lift_x(int.from_bytes(self.data[1:], "big"), self.data[0] & 1)
-        except RecoveryFailed as exc:
-            raise CryptoError(f"not a curve point: {exc}") from exc
+        # x is on the curve when x**3 + 7 is a square; y is left to point().
+        # No curve point has y = 0 (the group order is odd), so the symbol
+        # is never 0 here and either prefix names a point.
+        x = int.from_bytes(self.data[1:], "big")
+        if x >= _P:
+            raise CryptoError(f"not a curve point: {_OFF_FIELD}")
+        if _jacobi(x * x * x + 7) < 0:
+            raise CryptoError(f"not a curve point: {_OFF_CURVE}")
 
     @classmethod
     def from_point(cls, point: tuple[int, int]) -> "PublicKey":

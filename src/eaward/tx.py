@@ -191,6 +191,14 @@ class Script:
 
     def ops(self) -> tuple[ScriptOp, ...]:
         """Parsed opcode/push sequence; raises MalformedScript on overruns."""
+        ops, fault = self._parse()
+        if fault:
+            raise MalformedScript(fault)
+        return tuple(ops)
+
+    def _parse(self) -> tuple[list[ScriptOp], str | None]:
+        """The ops before the first overrun, and the overrun's message or
+        None when the whole script parses."""
         out = []
         i = 0
         raw = self.raw
@@ -202,23 +210,23 @@ class Script:
             elif op <= 75:
                 data = raw[i:i + op]
                 if len(data) != op:
-                    raise MalformedScript("push runs past end of script")
+                    return out, "push runs past end of script"
                 out.append(ScriptOp(op, data))
                 i += op
             elif op in (OP_PUSHDATA1, OP_PUSHDATA2, OP_PUSHDATA4):
                 width = {OP_PUSHDATA1: 1, OP_PUSHDATA2: 2, OP_PUSHDATA4: 4}[op]
                 if i + width > len(raw):
-                    raise MalformedScript("pushdata length field truncated")
+                    return out, "pushdata length field truncated"
                 n = int.from_bytes(raw[i:i + width], "little")
                 i += width
                 data = raw[i:i + n]
                 if len(data) != n:
-                    raise MalformedScript("pushdata runs past end of script")
+                    return out, "pushdata runs past end of script"
                 out.append(ScriptOp(op, data))
                 i += n
             else:
                 out.append(ScriptOp(op))
-        return tuple(out)
+        return out, None
 
     def pushes(self) -> tuple[bytes, ...]:
         return tuple(op.data for op in self.ops() if op.is_push)
@@ -226,9 +234,13 @@ class Script:
 
 def script_to_asm(script: Script) -> str:
     """Space-separated console rendering: pushes as hex, small ints as
-    decimal, everything else as OP_* names."""
+    decimal, everything else as OP_* names. A script that stops parsing
+    renders the ops before the fault and then "[error]", as Bitcoin Core's
+    ScriptToAsmStr does: an output script or coinbase scriptSig may be any
+    bytes."""
+    ops, fault = script._parse()
     tokens = []
-    for op in script.ops():
+    for op in ops:
         if op.opcode == OP_0:
             tokens.append("0")
         elif op.is_push:
@@ -239,6 +251,8 @@ def script_to_asm(script: Script) -> str:
             tokens.append(str(op.opcode - 0x50))
         else:
             tokens.append(_OPCODE_NAMES.get(op.opcode, f"OP_UNKNOWN_0x{op.opcode:02x}"))
+    if fault:
+        tokens.append("[error]")
     return " ".join(tokens)
 
 
@@ -477,7 +491,10 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
             entry["txinwitness"] = [item.hex() for item in txin.witness]
         doc["vin"].append(entry)
     for n, txout in enumerate(tx.outputs):
-        decoded = decode_script(txout.script_pubkey, network)
+        try:
+            decoded = decode_script(txout.script_pubkey, network)
+        except MalformedScript:
+            decoded = DecodedScript("nonstandard", txout.script_pubkey)
         doc["vout"].append({
             "value": format_btc(txout.value),
             "n": n,

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,8 @@ import eaward
 from eaward import cli
 from eaward.chain import ChainSource
 from eaward.cli import main
-from eaward.tx import Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script, compute_txid
+from eaward.tx import (Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script,
+                       compute_txid, parse_transaction)
 from eaward.crypto import PrivateKey, sha256
 
 from conftest import (
@@ -119,6 +121,25 @@ def test_tx_decode_raw_hex(capsys, demo_tx_hex):
     assert doc["txid"] == DEMO_TXID
     assert doc["vin"][0]["scriptSig"]["asm"].split(" ")[3] == REDEEM_HEX
     assert doc["vout"][0]["scriptPubKey"]["asm"].startswith("OP_RETURN 412d4a6f68")
+
+
+def test_tx_decode_reports_unparseable_scripts(capsys, demo_tx_hex):
+    # An output script or a coinbase scriptSig may be any bytes; one that
+    # stops parsing renders as Bitcoin Core's decoderawtransaction does.
+    tx = parse_transaction(demo_tx_hex)
+    odd = [TxOutput(0, Script(raw)) for raw in (b"\x4c", b"\x51\x4c")]
+    txin = replace(tx.inputs[0], script_sig=Script(b"\x03\x01\x02"))
+    code, out, err = run(capsys, "tx", "decode",
+                         replace(tx, inputs=(txin,), outputs=tx.outputs + tuple(odd)).to_hex())
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    _, demo_out, _ = run(capsys, "tx", "decode", demo_tx_hex)
+    assert doc["vout"][:len(tx.outputs)] == json.loads(demo_out)["vout"]
+    assert doc["vin"][0]["scriptSig"] == {"asm": "[error]", "hex": "030102"}
+    assert [v["scriptPubKey"] for v in doc["vout"][len(tx.outputs):]] == [
+        {"asm": "[error]", "hex": "4c", "type": "nonstandard"},
+        {"asm": "1 [error]", "hex": "514c", "type": "nonstandard"},
+    ]
 
 
 def test_tx_decode_by_txid_from_fixture(capsys):

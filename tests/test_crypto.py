@@ -222,14 +222,60 @@ def test_private_key_range_checks():
         PrivateKey.from_bytes(b"\x01" * 31)
 
 
+_P = 2**256 - 2**32 - 977
+# x coordinates at the edges of the key check: 0, 5 and P - 1 (x**3 + 7 a
+# non-square), P and 2**256 - 1 (outside the field), and G.x with its
+# endomorphism image BETA*G.x (on the curve).
+_EDGE_X = [0, 5, _P - 1, _P, 2**256 - 1, crypto._GX,
+           crypto._BETA * crypto._GX % _P]
+
+
+def _key_refusal(x, odd):
+    try:
+        PublicKey(bytes([2 + odd]) + x.to_bytes(32, "big"))
+    except CryptoError as exc:
+        return str(exc)
+    return None
+
+
+def _lift_refusal(x, odd):
+    """What the square root says of x, as PublicKey would word it."""
+    try:
+        crypto._lift_x(x, odd)
+    except RecoveryFailed as exc:
+        return f"not a curve point: {exc}"
+    return None
+
+
 def test_public_key_validation():
     with pytest.raises(CryptoError, match="public key must be 33 bytes with 0x02/0x03 prefix"):
         PublicKey(b"\x05" + bytes(32))
     with pytest.raises(CryptoError, match="public key must be 33 bytes with 0x02/0x03 prefix"):
         PublicKey(bytes(33))
-    # x == p - 1 is not on the curve
-    with pytest.raises(CryptoError, match="not a curve point"):
-        PublicKey(b"\x02" + (2**256 - 2**32 - 978).to_bytes(32, "big"))
+    off_curve = "not a curve point: no curve point for x coordinate"
+    off_field = "not a curve point: x coordinate out of field range"
+    for odd in (0, 1):
+        verdicts = [_key_refusal(x, odd) for x in _EDGE_X]
+        assert verdicts == [_lift_refusal(x, odd) for x in _EDGE_X]
+        assert verdicts == [off_curve] * 3 + [off_field] * 2 + [None] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(st.sampled_from(_EDGE_X), st.integers(0, 2**256 - 1)),
+       odd=st.integers(0, 1))
+def test_public_key_accepts_exactly_the_liftable_x(x, odd):
+    """The Legendre-symbol check refuses exactly the x the square root
+    cannot lift, with the same message."""
+    assert _key_refusal(x, odd) == _lift_refusal(x, odd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.one_of(st.sampled_from([0, 1, 2, 5, _P - 1, _P, 3 * _P]),
+                   st.integers(0, 2**768)))
+@example(a=0)
+def test_jacobi_matches_euler_criterion(a):
+    euler = pow(a, (_P - 1) // 2, _P)
+    assert crypto._jacobi(a) == {0: 0, 1: 1, _P - 1: -1}[euler]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +338,6 @@ def test_public_key_uncompressed_serialization_roundtrip():
 # A plain Jacobian double-and-add and a recovery by three separate
 # multiplications: the slow reference the comb and the ladder must agree with.
 
-_P = 2**256 - 2**32 - 977
 _N = crypto.CURVE_ORDER
 _G = (crypto._GX, crypto._GY)
 _INFINITY = (0, 1, 0)

@@ -247,6 +247,19 @@ def test_malformed_script_ops():
         Script(b"\x4c").ops()  # PUSHDATA1 missing length
     with pytest.raises(MalformedScript):
         Script(b"\x05ab").ops()  # push runs past end
+    with pytest.raises(MalformedScript):
+        decode_script(Script(b"\x51\x4c"), TESTNET)
+
+
+@pytest.mark.parametrize("raw, asm", [
+    (b"\x4c", "[error]"),
+    (b"\x51\x4c", "1 [error]"),
+    (b"\x51\x4d\x01", "1 [error]"),      # PUSHDATA2 length cut short
+    (b"\x76\x05ab", "OP_DUP [error]"),   # push runs past end
+    (b"\x4c\x03ab", "[error]"),           # pushdata runs past end
+])
+def test_asm_of_malformed_script_stops_at_error(raw, asm):
+    assert script_to_asm(Script(raw)) == asm
 
 
 # ---------------------------------------------------------------------------
