@@ -6,6 +6,10 @@ subcommands print exactly "true" or "false" on stdout.
 
 Private keys are never taken as positional arguments; `msg sign` reads them
 from a file path or an env:NAME reference.
+
+Each command is a process of its own, so start-up is most of its time: the
+handlers import the modules they run in their own bodies, and a process
+loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -15,29 +19,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .anchor import (
-    AwardDocument,
-    ObjectStore,
-    build_anchor_script,
-    checksum_award,
-    verify_anchor,
-)
-from .attestation import (
-    extract_metadata,
-    issue_certificate,
-    load_agreement,
-    metadata_for_agreement,
-    validate_agreement,
-)
-from .chain import ChainSource, broadcast, format_time, get_tx_status, get_transaction
-from .crypto import Network, PrivateKey, network_by_name
 from .errors import EawardError, NotFound, Refusal, parse_hex
-from .escrow import build_redeem_script, load_policy, p2sh_address
-from .metadata import Role, attest_message, decode_metadata, encode_metadata
-from .msgauth import SignedMessage, sign_message, verify_message
-from .tx import Txid, decode_script, parse_transaction, transaction_report
+
+if TYPE_CHECKING:
+    from .chain import ChainSource
+    from .crypto import Network, PrivateKey
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -57,12 +46,16 @@ def _emit(args, doc: dict, human_lines: list[str]):
 
 
 def _network(args, fallback: Network | None = None) -> Network:
+    from .crypto import network_by_name
+
     if args.network:
         return network_by_name(args.network)
     return fallback or network_by_name("testnet")
 
 
 def _source(args) -> ChainSource:
+    from .chain import ChainSource
+
     mode = args.source
     endpoint = args.endpoint or os.environ.get("EAWARD_ENDPOINT")
     fixture_root = args.fixture_root or os.environ.get("EAWARD_FIXTURE_ROOT")
@@ -84,6 +77,8 @@ def _store_root(args) -> Path:
 
 
 def _read_private_key(ref: str) -> PrivateKey:
+    from .crypto import PrivateKey
+
     if ref.startswith("env:"):
         name = ref[4:]
         text = os.environ.get(name)
@@ -95,7 +90,7 @@ def _read_private_key(ref: str) -> PrivateKey:
         raise UsageError(f"key file {ref} does not exist")
     try:
         return PrivateKey.from_bytes(parse_hex(path.read_text()))
-    except (UnicodeError, EawardError) as exc:
+    except (OSError, UnicodeError, EawardError) as exc:
         raise UsageError(f"key file {ref}: {exc}") from exc
 
 
@@ -104,6 +99,8 @@ def _read_private_key(ref: str) -> PrivateKey:
 # ---------------------------------------------------------------------------
 
 def cmd_agreement_validate(args) -> int:
+    from .attestation import load_agreement, validate_agreement
+
     agreement = load_agreement(args.file)
     review = validate_agreement(agreement)
     doc = {"ok": review.ok,
@@ -117,6 +114,8 @@ def cmd_agreement_validate(args) -> int:
 
 
 def cmd_escrow_address(args) -> int:
+    from .escrow import build_redeem_script, load_policy, p2sh_address
+
     policy, file_net = load_policy(args.policy_file)
     net = _network(args, fallback=file_net)
     redeem = build_redeem_script(policy)
@@ -128,6 +127,9 @@ def cmd_escrow_address(args) -> int:
 
 
 def cmd_meta_encode(args) -> int:
+    from .attestation import load_agreement, metadata_for_agreement
+    from .metadata import attest_message, encode_metadata
+
     agreement = load_agreement(args.agreement)
     meta = metadata_for_agreement(agreement, args.sig)
     payload = encode_metadata(meta)
@@ -139,6 +141,8 @@ def cmd_meta_encode(args) -> int:
 
 
 def cmd_meta_decode(args) -> int:
+    from .metadata import decode_metadata
+
     meta = decode_metadata(parse_hex(args.hex))
     doc = {
         "participants": [
@@ -156,6 +160,9 @@ def cmd_meta_decode(args) -> int:
 
 
 def cmd_script_decode(args) -> int:
+    from .escrow import p2sh_address
+    from .tx import decode_script
+
     net = _network(args)
     decoded = decode_script(args.hex, net)
     doc = decoded.to_report()
@@ -167,6 +174,9 @@ def cmd_script_decode(args) -> int:
 
 
 def cmd_tx_decode(args) -> int:
+    from .chain import get_transaction
+    from .tx import Txid, parse_transaction, transaction_report
+
     net = _network(args)
     text = args.tx.strip()
     if len(text) == 64:
@@ -178,12 +188,17 @@ def cmd_tx_decode(args) -> int:
 
 
 def cmd_tx_broadcast(args) -> int:
+    from .chain import broadcast
+
     txid = broadcast(_source(args), args.hex)
     _emit(args, {"txid": txid.hex()}, [txid.hex()])
     return EXIT_OK
 
 
 def cmd_msg_sign(args) -> int:
+    from .crypto import PrivateKey
+    from .msgauth import sign_message
+
     key = _read_private_key(args.key_ref)
     if args.uncompressed:
         key = PrivateKey(key.scalar, compressed=False)
@@ -195,12 +210,16 @@ def cmd_msg_sign(args) -> int:
 
 
 def cmd_msg_verify(args) -> int:
+    from .msgauth import verify_message
+
     ok = verify_message(args.address, args.signature, args.message)
     print("true" if ok else "false")
     return EXIT_OK if ok else EXIT_FALSE
 
 
 def cmd_anchor_create(args) -> int:
+    from .anchor import AwardDocument, ObjectStore, build_anchor_script, checksum_award
+
     doc_file = AwardDocument.from_file(args.file)
     digest = checksum_award(doc_file)
     script = build_anchor_script(digest)
@@ -216,6 +235,10 @@ def cmd_anchor_create(args) -> int:
 
 
 def cmd_anchor_verify(args) -> int:
+    from .anchor import AwardDocument, verify_anchor
+    from .chain import format_time, get_transaction, get_tx_status
+    from .tx import Txid
+
     doc_file = AwardDocument.from_file(args.file)
     source = _source(args)
     proof = verify_anchor(doc_file, get_transaction(source, Txid.from_hex(args.txid)))
@@ -233,6 +256,12 @@ def cmd_anchor_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .attestation import extract_metadata, issue_certificate, load_agreement
+    from .chain import get_transaction, get_tx_status
+    from .metadata import Role, attest_message
+    from .msgauth import SignedMessage
+    from .tx import Txid
+
     agreement = load_agreement(args.agreement)
     source = _source(args)
     txid = Txid.from_hex(args.txid)

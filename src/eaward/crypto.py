@@ -1,4 +1,5 @@
-"""Byte-level primitives: digests, base58check addresses, recoverable ECDSA.
+"""Byte-level primitives: digests, compact sizes, base58check addresses,
+recoverable ECDSA.
 
 Everything downstream (scripts, escrow addresses, signed messages, anchors)
 reduces to these operations. All functions are pure; signing is deterministic
@@ -7,8 +8,10 @@ reduces to these operations. All functions are pure; signing is deterministic
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 
 from .errors import EawardError, parse_hex
@@ -62,8 +65,20 @@ def hash160(data: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# base58check
+# Byte encodings: compact size, base58check
 # ---------------------------------------------------------------------------
+
+def write_compact_size(n: int) -> bytes:
+    """The variable-length integer that prefixes every length in a
+    transaction and a signed message."""
+    if n < 0xFD:
+        return struct.pack("<B", n)
+    if n <= 0xFFFF:
+        return b"\xfd" + struct.pack("<H", n)
+    if n <= 0xFFFFFFFF:
+        return b"\xfe" + struct.pack("<I", n)
+    return b"\xff" + struct.pack("<Q", n)
+
 
 def base58check_encode(version: int, payload: bytes) -> str:
     raw = bytes([version]) + payload
@@ -290,12 +305,17 @@ def _multiply(terms) -> tuple[int, int] | None:
     return _to_affine(acc)
 
 
-# Recovery's fixed base: 64 odd multiples of G and of LAMBDA*G, built once at
-# import. A variable base (the R of a recovery) gets a width-5 table of 8
-# points per call.
+# Recovery's fixed base: 64 odd multiples of G and of LAMBDA*G, built on the
+# first recovery. A variable base (the R of a recovery) gets a width-5 table
+# of 8 points per call.
 _G_WINDOW = 8
-_G_TABLE = _odd_multiples((_GX, _GY), _G_WINDOW)
 _R_WINDOW = 5
+
+
+@functools.cache
+def _g_table():
+    return _odd_multiples((_GX, _GY), _G_WINDOW)
+
 
 # G alone: the signed multi-comb of Hamburg ("Fast and compact elliptic-curve
 # cryptography", IACR ePrint 2012/309), as in libsecp256k1's ecmult_gen. Bit
@@ -312,9 +332,10 @@ _COMB_BITS = _COMB_BLOCKS * _COMB_TEETH * _COMB_SPACING  # 264, at least 256
 _COMB_MASK = (1 << _COMB_TEETH) - 1
 
 
+@functools.cache
 def _comb_table():
     """_COMB_BLOCKS rows of V_b(j), 0 <= j < 2**(TEETH-1), as affine points,
-    built with two batch inversions."""
+    built on the first call with two batch inversions."""
     # Tooth q = TEETH*b + t is 2**(SPACING*q) * G. Turning its digit from -1
     # to +1 adds twice the tooth, the next point of the doubling chain.
     jac = []
@@ -344,20 +365,18 @@ def _comb_table():
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
-_COMB_TABLE = _comb_table()
-
-
 def _mul_g(k: int) -> tuple[int, int] | None:
     """k*G as an affine point, or None for infinity."""
     d = (k + (1 << _COMB_BITS) - 1) * ((_N + 1) // 2) % _N  # (N+1)/2 halves mod N
     bits = format(d, f"0{_COMB_BITS}b")
+    table = _comb_table()
     acc = None
     for start in range(_COMB_SPACING):
         acc = _double(acc)
         # bits is most significant first and BITS long, so this slice is
         # offset SPACING-1-start of every block, tooth q at bit q.
         column = int(bits[start::_COMB_SPACING], 2)
-        for row in _COMB_TABLE:
+        for row in table:
             j = column & _COMB_MASK
             column >>= _COMB_TEETH
             if j >> (_COMB_TEETH - 1):
@@ -568,7 +587,7 @@ def ecdsa_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
     r_inv = pow(sig.r, -1, _N)
     # Q = r^-1 * (s*R - e*G) = (-e * r^-1)*G + (s * r^-1)*R
     q = _multiply([
-        (-e * r_inv % _N, _G_WINDOW, _G_TABLE),
+        (-e * r_inv % _N, _G_WINDOW, _g_table()),
         (sig.s * r_inv % _N, _R_WINDOW, _odd_multiples(big_r, _R_WINDOW)),
     ])
     if q is None:

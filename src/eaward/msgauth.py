@@ -24,9 +24,9 @@ from .crypto import (
     ecdsa_sign_recoverable,
     p2pkh_network,
     pubkey_to_address,
+    write_compact_size,
 )
 from .errors import EawardError
-from .tx import write_compact_size
 
 MESSAGE_PREFIX = b"\x18Bitcoin Signed Message:\n"
 

@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass
 from io import BytesIO
 
-from .crypto import Address, Network, hash160, hash256
+from .crypto import Address, Network, hash160, hash256, write_compact_size
 from .errors import EawardError, parse_hex
 
 MAX_MONEY = 21_000_000 * 100_000_000  # satoshi
@@ -108,16 +108,6 @@ class _Reader:
     @property
     def exhausted(self) -> bool:
         return self._io.tell() == self._len
-
-
-def write_compact_size(n: int) -> bytes:
-    if n < 0xFD:
-        return struct.pack("<B", n)
-    if n <= 0xFFFF:
-        return b"\xfd" + struct.pack("<H", n)
-    if n <= 0xFFFFFFFF:
-        return b"\xfe" + struct.pack("<I", n)
-    return b"\xff" + struct.pack("<Q", n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +228,11 @@ def script_to_asm(script: Script) -> str:
     renders the ops before the fault and then "[error]", as Bitcoin Core's
     ScriptToAsmStr does: an output script or coinbase scriptSig may be any
     bytes."""
-    ops, fault = script._parse()
+    return _asm(*script._parse())
+
+
+def _asm(ops, fault: str | None) -> str:
+    """script_to_asm of a script that parsed to ops and fault."""
     tokens = []
     for op in ops:
         if op.opcode == OP_0:
@@ -264,12 +258,14 @@ def script_to_asm(script: Script) -> str:
 class DecodedScript:
     kind: str  # p2pkh | p2sh | multisig | nulldata | nonstandard
     script: Script
+    ops: tuple[ScriptOp, ...]  # as parsed, up to the fault if there is one
+    fault: str | None = None  # why parsing stopped; only nonstandard has one
     req_sigs: int | None = None
     addresses: tuple[Address, ...] | None = None
     payload: bytes | None = None
 
     def to_report(self) -> dict:
-        doc = {"asm": script_to_asm(self.script), "hex": self.script.hex(),
+        doc = {"asm": _asm(self.ops, self.fault), "hex": self.script.hex(),
                "type": self.kind}
         if self.req_sigs is not None:
             doc["reqSigs"] = self.req_sigs
@@ -288,31 +284,46 @@ def _looks_like_pubkey(data: bytes) -> bool:
 
 def nulldata_payload(script: Script) -> bytes | None:
     """Concatenated push payload when the script is an OP_RETURN carrier."""
-    try:
-        ops = script.ops()
-    except MalformedScript:
-        return None
+    ops, fault = script._parse()
+    return None if fault else _nulldata_payload(ops)
+
+
+def _nulldata_payload(ops) -> bytes | None:
+    """nulldata_payload of a script that parsed whole to ops."""
     if ops and ops[0].opcode == OP_RETURN and all(o.opcode <= OP_16 for o in ops[1:]):
         return b"".join(o.data for o in ops[1:] if o.data is not None)
     return None
 
 
 def decode_script(script: Script | str, network: Network) -> DecodedScript:
-    """Classify a script and derive its addresses for the given network."""
+    """Classify a script and derive its addresses for the given network;
+    MalformedScript when it does not parse."""
     if isinstance(script, str):
         script = Script.from_hex(script)
-    ops = script.ops()
+    decoded = _decode(script, network)
+    if decoded.fault:
+        raise MalformedScript(decoded.fault)
+    return decoded
+
+
+def _decode(script: Script, network: Network) -> DecodedScript:
+    """decode_script's answer from one parse, except that a script that does
+    not parse is nonstandard and carries its fault."""
+    parsed, fault = script._parse()
+    ops = tuple(parsed)
+    if fault:
+        return DecodedScript("nonstandard", script, ops, fault)
 
     if (len(ops) == 5 and ops[0].opcode == OP_DUP and ops[1].opcode == OP_HASH160
             and ops[2].is_push and len(ops[2].data) == 20
             and ops[3].opcode == OP_EQUALVERIFY and ops[4].opcode == OP_CHECKSIG):
         addr = Address.from_parts(network.p2pkh_version, ops[2].data)
-        return DecodedScript("p2pkh", script, req_sigs=1, addresses=(addr,))
+        return DecodedScript("p2pkh", script, ops, req_sigs=1, addresses=(addr,))
 
     if (len(ops) == 3 and ops[0].opcode == OP_HASH160 and ops[1].is_push
             and len(ops[1].data) == 20 and ops[2].opcode == OP_EQUAL):
         addr = Address.from_parts(network.p2sh_version, ops[1].data)
-        return DecodedScript("p2sh", script, req_sigs=1, addresses=(addr,))
+        return DecodedScript("p2sh", script, ops, req_sigs=1, addresses=(addr,))
 
     if (len(ops) >= 4 and ops[-1].opcode == OP_CHECKMULTISIG
             and OP_1 <= ops[0].opcode <= OP_16 and OP_1 <= ops[-2].opcode <= OP_16):
@@ -324,13 +335,13 @@ def decode_script(script: Script | str, network: Network) -> DecodedScript:
             addresses = tuple(
                 Address.from_parts(network.p2pkh_version, hash160(k.data)) for k in keys
             )
-            return DecodedScript("multisig", script, req_sigs=m, addresses=addresses)
+            return DecodedScript("multisig", script, ops, req_sigs=m, addresses=addresses)
 
-    payload = nulldata_payload(script)
+    payload = _nulldata_payload(ops)
     if payload is not None:
-        return DecodedScript("nulldata", script, payload=payload)
+        return DecodedScript("nulldata", script, ops, payload=payload)
 
-    return DecodedScript("nonstandard", script)
+    return DecodedScript("nonstandard", script, ops)
 
 
 def build_nulldata_script(payload: bytes) -> Script:
@@ -491,10 +502,7 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
             entry["txinwitness"] = [item.hex() for item in txin.witness]
         doc["vin"].append(entry)
     for n, txout in enumerate(tx.outputs):
-        try:
-            decoded = decode_script(txout.script_pubkey, network)
-        except MalformedScript:
-            decoded = DecodedScript("nonstandard", txout.script_pubkey)
+        decoded = _decode(txout.script_pubkey, network)
         doc["vout"].append({
             "value": format_btc(txout.value),
             "n": n,

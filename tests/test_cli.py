@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import dis
 import functools
 import hashlib
 import io
@@ -9,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -205,9 +208,12 @@ def test_msg_sign_env_key(capsys, monkeypatch):
     assert code == 0 and len(out.strip()) == 88
 
 
-def test_msg_sign_missing_key_exit_2(capsys):
+def test_msg_sign_missing_key_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "msg", "sign", "/does/not/exist", "m")
     assert code == 2 and "key file" in err
+    # A path that exists but is no readable file.
+    code, _, err = run(capsys, "msg", "sign", str(tmp_path), "m")
+    assert code == 2 and err.startswith(f"error: key file {tmp_path}: ")
 
 
 def test_anchor_create_and_verify_through_broadcast(capsys, tmp_path):
@@ -362,7 +368,7 @@ def test_certify_malformed_fixture_status_exit_2(capsys, tmp_path, status):
 def test_certify_malformed_live_status_exit_2(capsys, monkeypatch, demo_tx_hex, doc, tip):
     responses = live_status_responses(doc, tip)
     responses[f"http://x/tx/{DEMO_TXID}/hex"] = (200, demo_tx_hex.encode())
-    monkeypatch.setattr(cli, "ChainSource", functools.partial(
+    monkeypatch.setattr("eaward.chain.ChainSource", functools.partial(
         ChainSource, http_get=lambda url, timeout: responses[url]))
     err = _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
     assert "Error(" not in err
@@ -443,11 +449,12 @@ def test_fixture_mode_never_imports_requests():
 @pytest.mark.parametrize("module",
                          ["msgauth", "metadata", "escrow", "chain", "anchor", "attestation"])
 def test_module_import_loads_only_its_layers(module):
-    # Domain modules import only the primitives, and metadata needs no tx;
-    # attestation sits above them.
+    # Domain modules import only the primitives, and metadata and msgauth
+    # need no tx; attestation sits above them.
     # eaward._ripemd160 is crypto's fallback where hashlib lacks RIPEMD-160.
     below = ("chain", "escrow", "metadata", "msgauth") if module == "attestation" else ()
-    primitives = ("crypto", "errors") if module == "metadata" else ("crypto", "errors", "tx")
+    primitives = (("crypto", "errors") if module in ("metadata", "msgauth")
+                  else ("crypto", "errors", "tx"))
     loaded = ["eaward", *(f"eaward.{m}" for m in (*primitives, module, *below))]
     script = (
         f"import sys, eaward.{module}\n"
@@ -455,6 +462,56 @@ def test_module_import_loads_only_its_layers(module):
         "             if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'))\n"
     )
     assert _run_fresh(script) == f"{sorted(loaded)}\n"
+
+
+@pytest.mark.parametrize("argv,modules,tables", [
+    (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE],
+     ["crypto", "errors", "msgauth"], {"_comb_table": 0, "_g_table": 1}),
+    (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE],
+     ["crypto", "errors", "msgauth"], {"_comb_table": 1, "_g_table": 0}),
+    (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID],
+     ["chain", "crypto", "errors", "tx"], {"_comb_table": 0, "_g_table": 0}),
+], ids=["msg_verify", "msg_sign", "tx_decode"])
+def test_command_loads_only_its_modules_and_tables(argv, modules, tables):
+    # A fresh process imports the modules its command runs and builds a
+    # fixed-base table only for the multiplication it does.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import eaward.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert eaward.cli.main({argv!r}) == 0\n"
+        "from eaward import crypto\n"
+        "print(json.dumps([\n"
+        "    sorted(m for m in sys.modules\n"
+        "           if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'),\n"
+        "    {t.__name__: t.cache_info().currsize for t in (crypto._comb_table,\n"
+        "                                                   crypto._g_table)}]))\n"
+    )
+    with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
+        loaded, built = json.loads(_run_fresh(script))
+    assert loaded == sorted(["eaward", "eaward.cli", *(f"eaward.{m}" for m in modules)])
+    assert built == tables
+
+
+def _global_loads(code):
+    """Names that code, and every function or comprehension nested in it,
+    reads with LOAD_GLOBAL."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_loads(const)
+    return names
+
+
+def test_every_global_a_cli_function_reads_exists():
+    # Handlers import their modules in their own bodies, so a name left
+    # behind by a missing import would only fail in a branch that runs it.
+    functions = [f for f in vars(cli).values()
+                 if isinstance(f, types.FunctionType) and f.__module__ == cli.__name__]
+    assert len(functions) > 15
+    missing = {(f.__name__, name) for f in functions for name in _global_loads(f.__code__)
+               if name not in vars(cli) and not hasattr(builtins, name)}
+    assert not missing
 
 
 def test_usage_error_exit_code():
@@ -848,7 +905,7 @@ def test_any_explorer_answer_keeps_exit_contract(hex_answer, status_answer, tip_
                  "http://x/blocks/tip/height": tip_answer}
     live = functools.partial(ChainSource, http_get=lambda url, timeout: responses[url])
     status, served = hex_answer
-    with mock.patch.object(cli, "ChainSource", live):
+    with mock.patch("eaward.chain.ChainSource", live):
         for command in _FETCHING:
             _assert_exit_contract(["--source", "live", "--endpoint", "http://x", *command],
                                   served_ok=status == 200 and _hashes_to_demo_txid(served))

@@ -446,7 +446,7 @@ def test_comb_recoding_edges():
     for k, d in ((_COMB_D_ZERO, 0), (_COMB_D_TOP, _N - 1)):
         assert (2 * d - (2**crypto._COMB_BITS - 1) - k) % _N == 0
     assert crypto._COMB_BITS >= 256
-    assert sum(len(row) for row in crypto._COMB_TABLE) == 128
+    assert sum(len(row) for row in crypto._comb_table()) == 128
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +509,7 @@ def test_two_term_ladder_matches_reference(k1, k2):
     # Both terms over G with the two table widths the recovery uses, so the
     # mixed addition meets its doubling and cancelling cases.
     got = crypto._multiply([
-        (k1, crypto._G_WINDOW, crypto._G_TABLE),
+        (k1, crypto._G_WINDOW, crypto._g_table()),
         (k2, crypto._R_WINDOW, crypto._odd_multiples(_G, crypto._R_WINDOW)),
     ])
     assert got == reference_mul((k1 + k2) % _N, _G)

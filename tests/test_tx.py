@@ -370,3 +370,55 @@ def test_transaction_report_field_paths(demo_tx):
     assert redeem_report["reqSigs"] == 2
     assert redeem_report["type"] == "multisig"
     assert redeem_report["addresses"] == GOLDEN_ADDRESSES
+
+
+def test_transaction_report_parses_each_script_once(demo_tx, monkeypatch):
+    parsed = []
+    parse = Script._parse
+
+    def counting_parse(script):
+        parsed.append(script.raw)
+        return parse(script)
+
+    monkeypatch.setattr(Script, "_parse", counting_parse)
+    transaction_report(demo_tx, TESTNET)
+    scripts = ([txin.script_sig.raw for txin in demo_tx.inputs]
+               + [txout.script_pubkey.raw for txout in demo_tx.outputs])
+    assert sorted(parsed) == sorted(scripts)
+
+
+def standard_scripts():
+    """Scripts of every kind decode_script names except nonstandard."""
+    hash20 = st.binary(min_size=20, max_size=20)
+    keys = st.lists(st.builds(lambda prefix, x: bytes([prefix]) + x, st.sampled_from([2, 3]),
+                              st.binary(min_size=32, max_size=32)),
+                    min_size=1, max_size=3)
+    return st.one_of(
+        hash20.map(lambda h: b"\x76\xa9\x14" + h + b"\x88\xac"),
+        hash20.map(lambda h: b"\xa9\x14" + h + b"\x87"),
+        keys.map(lambda ks: b"\x51" + b"".join(push_data(k) for k in ks)
+                 + bytes([0x50 + len(ks), 0xAE])),
+        st.binary(max_size=80).map(lambda payload: build_nulldata_script(payload).raw),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=60),
+    standard_scripts(),
+    # Truncated standard scripts: pushes that run past the end.
+    standard_scripts().flatmap(lambda raw: st.integers(0, len(raw)).map(lambda n: raw[:n])),
+))
+def test_report_output_is_asm_plus_decode_script(raw):
+    script = Script(raw)
+    tx = Transaction(1, (TxInput(Txid(bytes(32)), 0, Script(b"")),), (TxOutput(0, script),))
+    report = transaction_report(tx, TESTNET)["vout"][0]["scriptPubKey"]
+    try:
+        decoded = decode_script(script, TESTNET).to_report()
+    except MalformedScript:
+        decoded = {"type": "nonstandard"}
+    assert report["asm"] == script_to_asm(script)
+    assert report["hex"] == raw.hex()
+    assert report["type"] == decoded["type"]
+    assert report.get("addresses") == decoded.get("addresses")
+    assert report.get("reqSigs") == decoded.get("reqSigs")
