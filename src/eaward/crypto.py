@@ -173,13 +173,13 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
 #
 # Affine points are (x, y); Jacobian points are (X, Y, Z) for
 # (X/Z^2, Y/Z^3); None is the point at infinity in either form. A multiple
-# of G alone (a signing nonce, a public key) comes from _mul_g, a signed comb
-# over a fixed table. Recovery, whose second term has a variable base, runs
-# through _multiply, a Straus-Shamir ladder over w-NAF digits as in
-# libsecp256k1: each scalar is split by the GLV endomorphism into two halves
-# of at most 129 bits, all halves share one chain of doublings, and at each
-# nonzero digit one mixed Jacobian+affine addition of a precomputed odd
-# multiple follows. The arithmetic is variable-time.
+# of G alone (a signing nonce, a public key) comes from _mul_g, a signed
+# fixed window over a fixed table. Recovery, whose second term has a
+# variable base, runs through _multiply, a Straus-Shamir ladder over w-NAF
+# digits as in libsecp256k1: each scalar is split by the GLV endomorphism
+# into two halves of at most 129 bits, all halves share one chain of
+# doublings, and at each nonzero digit one mixed Jacobian+affine addition of
+# a precomputed odd multiple follows. The arithmetic is variable-time.
 # ---------------------------------------------------------------------------
 
 # The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
@@ -317,73 +317,48 @@ def _g_table():
     return _odd_multiples((_GX, _GY), _G_WINDOW)
 
 
-# G alone: the signed multi-comb of Hamburg ("Fast and compact elliptic-curve
-# cryptography", IACR ePrint 2012/309), as in libsecp256k1's ecmult_gen. Bit
-# i = SPACING*(TEETH*b + t) + s of a BITS-bit scalar d is tooth t at offset s
-# of block b. Reading every bit as a digit +1 (set) or -1 (clear) gives the
-# value 2*d - (2**BITS - 1), so d = (k + 2**BITS - 1)/2 mod N makes the
-# digits sum to k. For each offset s, block b's TEETH digits select
-#   V_b(j) = sum over t of (+1 if bit t of j else -1) * 2**(SPACING*(TEETH*b + t)) * G,
-# and V_b(~j) = -V_b(j), so a row keeps only the 2**(TEETH-1) points whose
-# top digit is -1. k*G is then SPACING-1 doublings and BLOCKS*SPACING mixed
-# additions.
-_COMB_BLOCKS, _COMB_TEETH, _COMB_SPACING = 4, 6, 11
-_COMB_BITS = _COMB_BLOCKS * _COMB_TEETH * _COMB_SPACING  # 264, at least 256
-_COMB_MASK = (1 << _COMB_TEETH) - 1
+# G alone: a signed fixed window of 5 bits, as libsecp256k1's ecmult_gen
+# did before its comb. k < N is read as 52 signed base-32 digits in -15..16
+# (a digit above 16 becomes d - 32 and carries one; 260 bits absorb the top
+# carry), and row i of the table holds j*32**i*G for j = 1..16, so k*G is one
+# mixed addition per nonzero digit and no doublings.
+_WINDOW_ROWS = 52
 
 
 @functools.cache
-def _comb_table():
-    """_COMB_BLOCKS rows of V_b(j), 0 <= j < 2**(TEETH-1), as affine points,
+def _window_table():
+    """_WINDOW_ROWS rows of j*32**i*G, 1 <= j <= 16, as affine points,
     built on the first call with two batch inversions."""
-    # Tooth q = TEETH*b + t is 2**(SPACING*q) * G. Turning its digit from -1
-    # to +1 adds twice the tooth, the next point of the doubling chain.
-    jac = []
-    pt = (_GX, _GY, 1)
-    for _ in range(_COMB_BLOCKS * _COMB_TEETH):
-        twice = _double(pt)
-        jac += [pt, twice]
-        pt = twice
-        for _ in range(_COMB_SPACING - 1):
+    bases = [(_GX, _GY, 1)]
+    for _ in range(_WINDOW_ROWS - 1):
+        pt = bases[-1]
+        for _ in range(5):
             pt = _double(pt)
-    affine = _batch_to_affine(jac)
-    rows = []
-    for first in range(0, len(affine), 2 * _COMB_TEETH):
-        teeth = affine[first:first + 2 * _COMB_TEETH:2]
-        twice = affine[first + 1:first + 2 * _COMB_TEETH:2]
+        bases.append(pt)
+    jac = []
+    for base in _batch_to_affine(bases):
         acc = None
-        for tooth in teeth:
-            acc = _add_affine(acc, tooth)
-        x, y, z = acc
-        row = [(x, _P - y, z)]  # V_b(0): every digit -1
-        for j in range(1, 1 << (_COMB_TEETH - 1)):
-            # V_b(j) turns the lowest set bit of j from -1 into +1.
-            row.append(_add_affine(row[j & (j - 1)], twice[(j & -j).bit_length() - 1]))
-        rows += row
-    flat = _batch_to_affine(rows)
-    width = 1 << (_COMB_TEETH - 1)
-    return [flat[i:i + width] for i in range(0, len(flat), width)]
+        for _ in range(16):
+            acc = _add_affine(acc, base)
+            jac.append(acc)
+    flat = _batch_to_affine(jac)
+    return [flat[i:i + 16] for i in range(0, len(flat), 16)]
 
 
 def _mul_g(k: int) -> tuple[int, int] | None:
-    """k*G as an affine point, or None for infinity."""
-    d = (k + (1 << _COMB_BITS) - 1) * ((_N + 1) // 2) % _N  # (N+1)/2 halves mod N
-    bits = format(d, f"0{_COMB_BITS}b")
-    table = _comb_table()
+    """k*G for 0 <= k < N as an affine point, or None for infinity."""
     acc = None
-    for start in range(_COMB_SPACING):
-        acc = _double(acc)
-        # bits is most significant first and BITS long, so this slice is
-        # offset SPACING-1-start of every block, tooth q at bit q.
-        column = int(bits[start::_COMB_SPACING], 2)
-        for row in table:
-            j = column & _COMB_MASK
-            column >>= _COMB_TEETH
-            if j >> (_COMB_TEETH - 1):
-                x, y = row[j ^ _COMB_MASK]
-                acc = _add_affine(acc, (x, _P - y))
-            else:
-                acc = _add_affine(acc, row[j])
+    for row in _window_table():
+        d = k & 31
+        k >>= 5
+        if d > 16:
+            d -= 32
+            k += 1
+        if d > 0:
+            acc = _add_affine(acc, row[d - 1])
+        elif d < 0:
+            x, y = row[-d - 1]
+            acc = _add_affine(acc, (x, _P - y))
     return _to_affine(acc)
 
 

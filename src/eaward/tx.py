@@ -9,7 +9,7 @@ serialization regardless of how the transaction arrived.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import BytesIO
 
 from .crypto import Address, Network, hash160, hash256, write_compact_size
@@ -34,7 +34,8 @@ OP_CHECKSIG = 0xAC
 OP_CHECKMULTISIG = 0xAE
 
 _OPCODE_NAMES = {
-    0x61: "OP_NOP", 0x63: "OP_IF", 0x64: "OP_NOTIF", 0x67: "OP_ELSE",
+    0x50: "OP_RESERVED", 0x61: "OP_NOP", 0x62: "OP_VER", 0x63: "OP_IF",
+    0x64: "OP_NOTIF", 0x65: "OP_VERIF", 0x66: "OP_VERNOTIF", 0x67: "OP_ELSE",
     0x68: "OP_ENDIF", 0x69: "OP_VERIFY", 0x6A: "OP_RETURN",
     0x6B: "OP_TOALTSTACK", 0x6C: "OP_FROMALTSTACK", 0x6D: "OP_2DROP",
     0x6E: "OP_2DUP", 0x6F: "OP_3DUP", 0x70: "OP_2OVER", 0x71: "OP_2ROT",
@@ -44,7 +45,8 @@ _OPCODE_NAMES = {
     0x7E: "OP_CAT", 0x7F: "OP_SUBSTR", 0x80: "OP_LEFT", 0x81: "OP_RIGHT",
     0x82: "OP_SIZE", 0x83: "OP_INVERT", 0x84: "OP_AND", 0x85: "OP_OR",
     0x86: "OP_XOR", 0x87: "OP_EQUAL", 0x88: "OP_EQUALVERIFY",
-    0x8B: "OP_1ADD", 0x8C: "OP_1SUB", 0x8D: "OP_2MUL", 0x8E: "OP_2DIV",
+    0x89: "OP_RESERVED1", 0x8A: "OP_RESERVED2", 0x8B: "OP_1ADD",
+    0x8C: "OP_1SUB", 0x8D: "OP_2MUL", 0x8E: "OP_2DIV",
     0x8F: "OP_NEGATE", 0x90: "OP_ABS", 0x91: "OP_NOT", 0x92: "OP_0NOTEQUAL",
     0x93: "OP_ADD", 0x94: "OP_SUB", 0x95: "OP_MUL", 0x96: "OP_DIV",
     0x97: "OP_MOD", 0x98: "OP_LSHIFT", 0x99: "OP_RSHIFT",
@@ -59,7 +61,7 @@ _OPCODE_NAMES = {
     0xB0: "OP_NOP1", 0xB1: "OP_CHECKLOCKTIMEVERIFY",
     0xB2: "OP_CHECKSEQUENCEVERIFY", 0xB3: "OP_NOP4", 0xB4: "OP_NOP5",
     0xB5: "OP_NOP6", 0xB6: "OP_NOP7", 0xB7: "OP_NOP8", 0xB8: "OP_NOP9",
-    0xB9: "OP_NOP10",
+    0xB9: "OP_NOP10", 0xBA: "OP_CHECKSIGADD", 0xFF: "OP_INVALIDOPCODE",
 }
 
 
@@ -171,6 +173,14 @@ class ScriptOp:
 @dataclass(frozen=True)
 class Script:
     raw: bytes
+    # Set once, from _parse, when the script is made.
+    parsed: tuple[ScriptOp, ...] = field(init=False, compare=False, repr=False)
+    fault: str | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        parsed, fault = self._parse()
+        object.__setattr__(self, "parsed", tuple(parsed))
+        object.__setattr__(self, "fault", fault)
 
     @classmethod
     def from_hex(cls, text: str) -> "Script":
@@ -181,10 +191,9 @@ class Script:
 
     def ops(self) -> tuple[ScriptOp, ...]:
         """Parsed opcode/push sequence; raises MalformedScript on overruns."""
-        ops, fault = self._parse()
-        if fault:
-            raise MalformedScript(fault)
-        return tuple(ops)
+        if self.fault:
+            raise MalformedScript(self.fault)
+        return self.parsed
 
     def _parse(self) -> tuple[list[ScriptOp], str | None]:
         """The ops before the first overrun, and the overrun's message or
@@ -228,13 +237,8 @@ def script_to_asm(script: Script) -> str:
     renders the ops before the fault and then "[error]", as Bitcoin Core's
     ScriptToAsmStr does: an output script or coinbase scriptSig may be any
     bytes."""
-    return _asm(*script._parse())
-
-
-def _asm(ops, fault: str | None) -> str:
-    """script_to_asm of a script that parsed to ops and fault."""
     tokens = []
-    for op in ops:
+    for op in script.parsed:
         if op.opcode == OP_0:
             tokens.append("0")
         elif op.is_push:
@@ -245,7 +249,7 @@ def _asm(ops, fault: str | None) -> str:
             tokens.append(str(op.opcode - 0x50))
         else:
             tokens.append(_OPCODE_NAMES.get(op.opcode, f"OP_UNKNOWN_0x{op.opcode:02x}"))
-    if fault:
+    if script.fault:
         tokens.append("[error]")
     return " ".join(tokens)
 
@@ -258,14 +262,12 @@ def _asm(ops, fault: str | None) -> str:
 class DecodedScript:
     kind: str  # p2pkh | p2sh | multisig | nulldata | nonstandard
     script: Script
-    ops: tuple[ScriptOp, ...]  # as parsed, up to the fault if there is one
-    fault: str | None = None  # why parsing stopped; only nonstandard has one
     req_sigs: int | None = None
     addresses: tuple[Address, ...] | None = None
     payload: bytes | None = None
 
     def to_report(self) -> dict:
-        doc = {"asm": _asm(self.ops, self.fault), "hex": self.script.hex(),
+        doc = {"asm": script_to_asm(self.script), "hex": self.script.hex(),
                "type": self.kind}
         if self.req_sigs is not None:
             doc["reqSigs"] = self.req_sigs
@@ -284,13 +286,9 @@ def _looks_like_pubkey(data: bytes) -> bool:
 
 def nulldata_payload(script: Script) -> bytes | None:
     """Concatenated push payload when the script is an OP_RETURN carrier."""
-    ops, fault = script._parse()
-    return None if fault else _nulldata_payload(ops)
-
-
-def _nulldata_payload(ops) -> bytes | None:
-    """nulldata_payload of a script that parsed whole to ops."""
-    if ops and ops[0].opcode == OP_RETURN and all(o.opcode <= OP_16 for o in ops[1:]):
+    ops = script.parsed
+    if (script.fault is None and ops and ops[0].opcode == OP_RETURN
+            and all(o.opcode <= OP_16 for o in ops[1:])):
         return b"".join(o.data for o in ops[1:] if o.data is not None)
     return None
 
@@ -300,30 +298,22 @@ def decode_script(script: Script | str, network: Network) -> DecodedScript:
     MalformedScript when it does not parse."""
     if isinstance(script, str):
         script = Script.from_hex(script)
-    decoded = _decode(script, network)
-    if decoded.fault:
-        raise MalformedScript(decoded.fault)
-    return decoded
+    ops = script.ops()
 
-
-def _decode(script: Script, network: Network) -> DecodedScript:
-    """decode_script's answer from one parse, except that a script that does
-    not parse is nonstandard and carries its fault."""
-    parsed, fault = script._parse()
-    ops = tuple(parsed)
-    if fault:
-        return DecodedScript("nonstandard", script, ops, fault)
-
+    # Only the exact templates, whose hash is pushed by the direct 20-byte
+    # push 0x14, as in Bitcoin Core's Solver: BIP 16 evaluates no other form
+    # of P2SH, so naming the escrow's address for one would be evidence the
+    # bytes do not support.
     if (len(ops) == 5 and ops[0].opcode == OP_DUP and ops[1].opcode == OP_HASH160
-            and ops[2].is_push and len(ops[2].data) == 20
+            and ops[2].opcode == 0x14
             and ops[3].opcode == OP_EQUALVERIFY and ops[4].opcode == OP_CHECKSIG):
         addr = Address.from_parts(network.p2pkh_version, ops[2].data)
-        return DecodedScript("p2pkh", script, ops, req_sigs=1, addresses=(addr,))
+        return DecodedScript("p2pkh", script, req_sigs=1, addresses=(addr,))
 
-    if (len(ops) == 3 and ops[0].opcode == OP_HASH160 and ops[1].is_push
-            and len(ops[1].data) == 20 and ops[2].opcode == OP_EQUAL):
+    if (len(ops) == 3 and ops[0].opcode == OP_HASH160 and ops[1].opcode == 0x14
+            and ops[2].opcode == OP_EQUAL):
         addr = Address.from_parts(network.p2sh_version, ops[1].data)
-        return DecodedScript("p2sh", script, ops, req_sigs=1, addresses=(addr,))
+        return DecodedScript("p2sh", script, req_sigs=1, addresses=(addr,))
 
     if (len(ops) >= 4 and ops[-1].opcode == OP_CHECKMULTISIG
             and OP_1 <= ops[0].opcode <= OP_16 and OP_1 <= ops[-2].opcode <= OP_16):
@@ -335,13 +325,13 @@ def _decode(script: Script, network: Network) -> DecodedScript:
             addresses = tuple(
                 Address.from_parts(network.p2pkh_version, hash160(k.data)) for k in keys
             )
-            return DecodedScript("multisig", script, ops, req_sigs=m, addresses=addresses)
+            return DecodedScript("multisig", script, req_sigs=m, addresses=addresses)
 
-    payload = _nulldata_payload(ops)
+    payload = nulldata_payload(script)
     if payload is not None:
-        return DecodedScript("nulldata", script, ops, payload=payload)
+        return DecodedScript("nulldata", script, payload=payload)
 
-    return DecodedScript("nonstandard", script, ops)
+    return DecodedScript("nonstandard", script)
 
 
 def build_nulldata_script(payload: bytes) -> Script:
@@ -502,7 +492,9 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
             entry["txinwitness"] = [item.hex() for item in txin.witness]
         doc["vin"].append(entry)
     for n, txout in enumerate(tx.outputs):
-        decoded = _decode(txout.script_pubkey, network)
+        script = txout.script_pubkey
+        decoded = (DecodedScript("nonstandard", script) if script.fault
+                   else decode_script(script, network))
         doc["vout"].append({
             "value": format_btc(txout.value),
             "n": n,

@@ -118,6 +118,25 @@ def test_script_decode(capsys):
     assert len(doc["addresses"]) == 3
 
 
+def test_script_and_tx_decode_name_no_address_for_non_canonical_templates(capsys, demo_tx_hex):
+    # The PUSHDATA1/2/4 forms of P2SH and P2PKH are nonstandard, as in
+    # Bitcoin Core; the canonical forms keep their type and address.
+    h = bytes(range(20)).hex()
+    cases = {f"a914{h}87": "p2sh", f"76a914{h}88ac": "p2pkh"}
+    for push in ("4c14", "4d1400", "4e14000000"):
+        cases[f"a9{push}{h}87"] = cases[f"76a9{push}{h}88ac"] = "nonstandard"
+    tx = parse_transaction(demo_tx_hex)
+    outputs = tuple(TxOutput(0, Script.from_hex(raw)) for raw in cases)
+    code, out, _ = run(capsys, "tx", "decode", replace(tx, outputs=outputs).to_hex())
+    assert code == 0
+    reported = [v["scriptPubKey"] for v in json.loads(out)["vout"]]
+    for (raw, kind), in_tx in zip(cases.items(), reported, strict=True):
+        code, out, _ = run(capsys, "script", "decode", raw)
+        doc = json.loads(out)
+        assert code == 0 and doc["type"] == in_tx["type"] == kind
+        assert ("addresses" in doc) == ("addresses" in in_tx) == (kind != "nonstandard")
+
+
 def test_tx_decode_raw_hex(capsys, demo_tx_hex):
     code, out, _ = run(capsys, "tx", "decode", demo_tx_hex)
     doc = json.loads(out)
@@ -466,11 +485,11 @@ def test_module_import_loads_only_its_layers(module):
 
 @pytest.mark.parametrize("argv,modules,tables", [
     (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE],
-     ["crypto", "errors", "msgauth"], {"_comb_table": 0, "_g_table": 1}),
+     ["crypto", "errors", "msgauth"], {"_window_table": 0, "_g_table": 1}),
     (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE],
-     ["crypto", "errors", "msgauth"], {"_comb_table": 1, "_g_table": 0}),
+     ["crypto", "errors", "msgauth"], {"_window_table": 1, "_g_table": 0}),
     (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID],
-     ["chain", "crypto", "errors", "tx"], {"_comb_table": 0, "_g_table": 0}),
+     ["chain", "crypto", "errors", "tx"], {"_window_table": 0, "_g_table": 0}),
 ], ids=["msg_verify", "msg_sign", "tx_decode"])
 def test_command_loads_only_its_modules_and_tables(argv, modules, tables):
     # A fresh process imports the modules its command runs and builds a
@@ -484,7 +503,7 @@ def test_command_loads_only_its_modules_and_tables(argv, modules, tables):
         "print(json.dumps([\n"
         "    sorted(m for m in sys.modules\n"
         "           if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'),\n"
-        "    {t.__name__: t.cache_info().currsize for t in (crypto._comb_table,\n"
+        "    {t.__name__: t.cache_info().currsize for t in (crypto._window_table,\n"
         "                                                   crypto._g_table)}]))\n"
     )
     with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):

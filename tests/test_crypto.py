@@ -332,11 +332,12 @@ def test_public_key_uncompressed_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# The comb and the Straus-Shamir w-NAF ladder against the reference
+# The fixed window and the Straus-Shamir w-NAF ladder against the reference
 # double-and-add
 # ---------------------------------------------------------------------------
 # A plain Jacobian double-and-add and a recovery by three separate
-# multiplications: the slow reference the comb and the ladder must agree with.
+# multiplications: the slow reference the window and the ladder must agree
+# with.
 
 _N = crypto.CURVE_ORDER
 _G = (crypto._GX, crypto._GY)
@@ -436,32 +437,36 @@ def test_public_key_matches_reference(k):
     assert PrivateKey(k).public_key() == reference_public_key(k)
 
 
-# The scalars whose comb recoding d = (k + 2**BITS - 1)/2 mod N is 0 (every
-# digit -1) and N - 1.
-_COMB_D_ZERO = (1 - 2**crypto._COMB_BITS) % _N
-_COMB_D_TOP = (-1 - 2**crypto._COMB_BITS) % _N
-
-
-def test_comb_recoding_edges():
-    for k, d in ((_COMB_D_ZERO, 0), (_COMB_D_TOP, _N - 1)):
-        assert (2 * d - (2**crypto._COMB_BITS - 1) - k) % _N == 0
-    assert crypto._COMB_BITS >= 256
-    assert sum(len(row) for row in crypto._comb_table()) == 128
+# Scalars at the window's edges: the largest positive digit (16), the first
+# carry (17), a digit of -1 (31), and every digit 16 or every raw digit 17
+# (so each window carries into the next).
+_ALL_DIGITS_16 = sum(16 * 32**i for i in range(51))
+_ALL_RAW_DIGITS_17 = sum(17 * 32**i for i in range(51))
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(min_value=1, max_value=_N - 1))
-@example(k=1)                           # also 2**0
+@example(k=1)
 @example(k=2)
+@example(k=16)
+@example(k=17)
+@example(k=31)
+@example(k=32)
+@example(k=2**255)
 @example(k=_N - 1)
 @example(k=_N - 2)
 @example(k=(_N + 1) // 2)
-@example(k=2**crypto._COMB_SPACING)
-@example(k=2**255)
-@example(k=_COMB_D_ZERO)
-@example(k=_COMB_D_TOP)
-def test_comb_matches_reference(k):
+@example(k=_ALL_DIGITS_16)
+@example(k=_ALL_RAW_DIGITS_17)
+def test_mul_g_matches_reference(k):
     assert crypto._mul_g(k) == reference_mul(k, _G)
+
+
+def test_window_table_rows_are_multiples_of_g():
+    table = crypto._window_table()
+    assert len(table) == 52 and all(len(row) == 16 for row in table)
+    for i, j in ((0, 1), (0, 16), (1, 1), (25, 7), (51, 1), (51, 16)):
+        assert table[i][j - 1] == reference_mul(j * 32**i, _G)
 
 
 def _load_refcrypto():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaward.anchor import AwardDocument, HashMismatch, verify_anchor
 from eaward.crypto import TESTNET, MAINNET
 from eaward.errors import MalformedHex
 from eaward.tx import (
@@ -228,6 +229,21 @@ def test_decode_p2pkh_and_p2sh():
     assert decode_script(p2sh, MAINNET).addresses[0].text.startswith("3")
 
 
+@pytest.mark.parametrize("template", ["p2pkh", "p2sh"])
+@pytest.mark.parametrize("prefix", [b"\x4c\x14", b"\x4d\x14\x00", b"\x4e\x14\x00\x00\x00"],
+                         ids=["pushdata1", "pushdata2", "pushdata4"])
+def test_decode_non_canonical_templates_are_nonstandard(template, prefix):
+    # The hash pushed by PUSHDATA1/2/4 parses to the same 20 bytes, but
+    # Bitcoin Core's Solver matches only the direct push 0x14, and BIP 16
+    # evaluates no other form of P2SH: no address may be named for it.
+    push = prefix + bytes(20)
+    raw = b"\x76\xa9" + push + b"\x88\xac" if template == "p2pkh" else b"\xa9" + push + b"\x87"
+    decoded = decode_script(Script(raw), TESTNET)
+    assert decoded.kind == "nonstandard"
+    assert decoded.req_sigs is None and decoded.addresses is None
+    assert "addresses" not in decoded.to_report()
+
+
 def test_decode_multisig_accepts_uncompressed_keys():
     key65 = b"\x04" + bytes(64)
     script = Script(bytes([0x51]) + push_data(key65) + bytes([0x51, 0xAE]))
@@ -287,6 +303,17 @@ def test_asm_one_byte_push_disambiguation():
     # The documented ambiguity: one-byte pushes 0x10..0x16 render like opcodes.
     assert script_to_asm(Script(push_data(b"\x10"))) == "10"
     assert script_to_asm(Script(bytes([0x5A]))) == "10"
+
+
+@pytest.mark.parametrize("opcode, name", [
+    (0x50, "OP_RESERVED"), (0x62, "OP_VER"), (0x65, "OP_VERIF"), (0x66, "OP_VERNOTIF"),
+    (0x89, "OP_RESERVED1"), (0x8A, "OP_RESERVED2"), (0xBA, "OP_CHECKSIGADD"),
+    (0xFF, "OP_INVALIDOPCODE"), (0xBB, "OP_UNKNOWN_0xbb"), (0xFE, "OP_UNKNOWN_0xfe"),
+])
+def test_asm_names_defined_opcodes(opcode, name):
+    # Bitcoin Core's GetOpName names every defined opcode; only undefined
+    # bytes render as OP_UNKNOWN.
+    assert script_to_asm(Script(bytes([opcode]))) == name
 
 
 # asm token -> opcode byte, for the non-push tokens the property draws.
@@ -372,7 +399,9 @@ def test_transaction_report_field_paths(demo_tx):
     assert redeem_report["addresses"] == GOLDEN_ADDRESSES
 
 
-def test_transaction_report_parses_each_script_once(demo_tx, monkeypatch):
+def test_transaction_report_parses_each_script_once(demo_tx_hex, monkeypatch):
+    # Parsing, reporting, the anchor scan and the OP_RETURN scan of one
+    # transaction all read the parse made when each Script was built.
     parsed = []
     parse = Script._parse
 
@@ -381,9 +410,13 @@ def test_transaction_report_parses_each_script_once(demo_tx, monkeypatch):
         return parse(script)
 
     monkeypatch.setattr(Script, "_parse", counting_parse)
-    transaction_report(demo_tx, TESTNET)
-    scripts = ([txin.script_sig.raw for txin in demo_tx.inputs]
-               + [txout.script_pubkey.raw for txout in demo_tx.outputs])
+    tx = parse_transaction(demo_tx_hex)
+    transaction_report(tx, TESTNET)
+    with pytest.raises(HashMismatch):
+        verify_anchor(AwardDocument(b"not anchored here"), tx)
+    assert extract_op_return(tx) == [bytes.fromhex(PAYLOAD_HEX)]
+    scripts = ([txin.script_sig.raw for txin in tx.inputs]
+               + [txout.script_pubkey.raw for txout in tx.outputs])
     assert sorted(parsed) == sorted(scripts)
 
 
