@@ -9,6 +9,14 @@ loads only the modules it uses.
 """
 
 from .errors import EawardError
-from .crypto import TESTNET
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # eaward.TESTNET loads crypto on first use, so `--version`, `--help`
+    # and usage errors do not.
+    if name == "TESTNET":
+        from .crypto import TESTNET
+        return TESTNET
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .crypto import sha256
@@ -18,7 +18,6 @@ from .errors import EawardError, NotFound, Refusal
 from .tx import (
     Script,
     Transaction,
-    Txid,
     build_nulldata_script,
     compute_txid,
     nulldata_payload,
@@ -37,24 +36,21 @@ class HashMismatch(AnchorError, Refusal):
     pass
 
 
-@dataclass(frozen=True)
-class AwardDocument:
-    data: bytes
+class AwardDocument(namedtuple("AwardDocument", "data")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.data:
+    def __new__(cls, data: bytes):
+        if not data:
             raise AnchorError("award document is empty")
+        return super().__new__(cls, data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AwardDocument":
         return cls(Path(path).read_bytes())
 
 
-@dataclass(frozen=True)
-class AnchorProof:
-    doc_hash: bytes
-    txid: Txid
-    vout_index: int
+class AnchorProof(namedtuple("AnchorProof", "doc_hash txid vout_index")):
+    __slots__ = ()
 
     def to_report(self) -> dict:
         return {

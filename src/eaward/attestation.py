@@ -10,14 +10,14 @@ exist unless all three are established.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .chain import TxStatus, format_time
 from .crypto import Address, Network, p2pkh_network, pubkey_to_address
 from .errors import EawardError, Refusal, json_document, json_field, json_text, parse_hex
-from .escrow import EscrowPolicy, build_redeem_script, policy_from_dict
+from .escrow import build_redeem_script, policy_from_dict
 from .metadata import (
     AwardMetadata,
     MetadataError,
@@ -34,7 +34,6 @@ from .msgauth import SignedMessage, decode_signature, verify_message
 from .tx import (
     Script,
     Transaction,
-    Txid,
     compute_txid,
     decode_script,
     extract_op_return,
@@ -64,26 +63,18 @@ class NoTimeEvidence(AttestationError, Refusal):
     pass
 
 
-@dataclass(frozen=True)
-class Party:
-    role: Role
-    legal_name: str
-    display_name: str
-    address: Address
+class Party(namedtuple("Party", "role legal_name display_name address")):
+    __slots__ = ()
 
     def tag(self) -> ParticipantTag:
         """This party's metadata tag; MetadataError if no line can carry it."""
         return ParticipantTag(self.role, self.display_name, self.address.text[-SUFFIX_LEN:])
 
 
-@dataclass(frozen=True)
-class ArbitrationAgreement:
-    parties: tuple[Party, ...]
-    seat: str
-    seat_jurisdiction: str
-    reasoned_award_opt_out: bool
-    policy: EscrowPolicy
-    agreement_text_hash: bytes | None = None
+class ArbitrationAgreement(namedtuple(
+        "ArbitrationAgreement", "parties seat seat_jurisdiction reasoned_award_opt_out policy "
+        "agreement_text_hash", defaults=(None,))):
+    __slots__ = ()
 
     def party(self, role: Role) -> Party:
         for p in self.parties:
@@ -102,10 +93,8 @@ class ArbitrationAgreement:
         return net
 
 
-@dataclass(frozen=True)
-class AgreementReview:
-    violations: tuple[str, ...]
-    warnings: tuple[str, ...]
+class AgreementReview(namedtuple("AgreementReview", "violations warnings")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -173,21 +162,14 @@ def _refuse_invalid(agreement: ArbitrationAgreement):
 # Linkage
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartyLinkage:
-    role: Role
-    suffix_match: bool
-    address_in_script: bool
-    name_match: bool
+class PartyLinkage(namedtuple("PartyLinkage",
+                              "role suffix_match address_in_script name_match")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinkageReport:
-    txid: Txid
-    metadata: AwardMetadata
-    per_party: tuple[PartyLinkage, ...]
-    seat_match: bool
-    script_match: bool
+class LinkageReport(namedtuple("LinkageReport",
+                               "txid metadata per_party seat_match script_match")):
+    __slots__ = ()
 
     def failures(self) -> list[str]:
         """Each linkage item that does not hold, by name."""
@@ -280,16 +262,10 @@ def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> Linka
 # Certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuthenticationCertificate:
-    txid: Txid
-    origin_evidence: dict
-    time_evidence: dict
-    intent_evidence: dict
-    certifier: str
-    findings: tuple[str, ...]
-    statement: str
-    issued_at: datetime
+class AuthenticationCertificate(namedtuple(
+        "AuthenticationCertificate", "txid origin_evidence time_evidence intent_evidence "
+        "certifier findings statement issued_at")):
+    __slots__ = ()
 
     def to_report(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,44 +61,46 @@ def _http_post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
     return resp.status_code, resp.content
 
 
-@dataclass
 class ChainSource:
-    mode: str  # "live" | "fixture"
-    network: Network = TESTNET
-    endpoint: str | None = None
-    fixture_root: Path | None = None
-    timeout: float = DEFAULT_TIMEOUT
-    # Injection seam for live-mode tests; production code leaves these alone.
-    http_get: callable = field(default=_http_get, repr=False)
-    http_post: callable = field(default=_http_post, repr=False)
+    """Where transactions come from: mode "live" (endpoint) or "fixture"
+    (fixture_root). http_get and http_post are the injection seam for
+    live-mode tests; production code leaves them alone."""
 
-    def __post_init__(self):
-        if not 0 < self.timeout < math.inf:  # also false for NaN
+    def __init__(self, mode: str, network: Network = TESTNET, endpoint: str | None = None,
+                 fixture_root: Path | None = None, timeout: float = DEFAULT_TIMEOUT,
+                 http_get=_http_get, http_post=_http_post):
+        if not 0 < timeout < math.inf:  # also false for NaN
             raise ChainError(f"timeout must be a positive number of seconds, "
-                             f"got {self.timeout!r}")
-        if self.mode == "live":
-            if not self.endpoint:
+                             f"got {timeout!r}")
+        if mode == "live":
+            if not endpoint:
                 raise ChainError("live source needs an endpoint URL")
-            self.endpoint = self.endpoint.rstrip("/")
-        elif self.mode == "fixture":
-            if not self.fixture_root:
+            endpoint = endpoint.rstrip("/")
+        elif mode == "fixture":
+            if not fixture_root:
                 raise ChainError("fixture source needs a fixture root directory")
-            self.fixture_root = Path(self.fixture_root)
+            fixture_root = Path(fixture_root)
         else:
-            raise ChainError(f"unknown source mode {self.mode!r}")
+            raise ChainError(f"unknown source mode {mode!r}")
+        self.mode = mode
+        self.network = network
+        self.endpoint = endpoint
+        self.fixture_root = fixture_root
+        self.timeout = timeout
+        self.http_get = http_get
+        self.http_post = http_post
 
 
-@dataclass(frozen=True)
-class TxStatus:
-    block_time: datetime | None
-    confirmations: int
-    block_hash: str | None = None
+class TxStatus(namedtuple("TxStatus", "block_time confirmations block_hash")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.confirmations < 0:
-            raise MalformedStatus(f"confirmations is negative: {self.confirmations}")
-        if (self.confirmations > 0) != (self.block_time is not None):
+    def __new__(cls, block_time: datetime | None, confirmations: int,
+                block_hash: str | None = None):
+        if confirmations < 0:
+            raise MalformedStatus(f"confirmations is negative: {confirmations}")
+        if (confirmations > 0) != (block_time is not None):
             raise MalformedStatus("block_time present iff confirmations > 0")
+        return super().__new__(cls, block_time, confirmations, block_hash)
 
 
 def _parse_time(text: str) -> datetime:

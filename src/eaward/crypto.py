@@ -12,7 +12,7 @@ import functools
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EawardError, parse_hex
 
@@ -114,13 +114,10 @@ def base58check_decode(text: str) -> tuple[int, bytes]:
     return raw[0], raw[1:-4]
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(namedtuple("Address", "version payload text")):
     """A base58check address: version byte + 20-byte payload + its text form."""
 
-    version: int
-    payload: bytes
-    text: str
+    __slots__ = ()
 
     @classmethod
     def from_parts(cls, version: int, payload: bytes) -> "Address":
@@ -137,13 +134,10 @@ class Address:
         return self.text
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(namedtuple("Network", "name p2pkh_version p2sh_version")):
     """Address-version table for a chain."""
 
-    name: str
-    p2pkh_version: int
-    p2sh_version: int
+    __slots__ = ()
 
 
 MAINNET = Network("mainnet", 0x00, 0x05)
@@ -403,8 +397,7 @@ def _lift_x(x: int, odd: int) -> tuple[int, int]:
 # Keys and signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(namedtuple("PublicKey", "data")):
     """A curve point in 33-byte compressed SEC1 form (prefix 0x02/0x03).
 
     Third-party scripts may carry 65-byte uncompressed keys; those are
@@ -412,28 +405,27 @@ class PublicKey:
     instances.
     """
 
-    data: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.data) != 33 or self.data[0] not in (2, 3):
+    def __new__(cls, data: bytes):
+        if len(data) != 33 or data[0] not in (2, 3):
             raise CryptoError("public key must be 33 bytes with 0x02/0x03 prefix")
         # x is on the curve when x**3 + 7 is a square; y is left to point().
         # No curve point has y = 0 (the group order is odd), so the symbol
         # is never 0 here and either prefix names a point.
-        x = int.from_bytes(self.data[1:], "big")
+        x = int.from_bytes(data[1:], "big")
         if x >= _P:
             raise CryptoError(f"not a curve point: {_OFF_FIELD}")
         if _jacobi(x * x * x + 7) < 0:
             raise CryptoError(f"not a curve point: {_OFF_CURVE}")
+        return super().__new__(cls, data)
 
     @classmethod
     def from_point(cls, point: tuple[int, int]) -> "PublicKey":
         """The key of a curve point this module computed. The point is
         not checked again; outside input goes through PublicKey(bytes)."""
         x, y = point
-        key = object.__new__(cls)
-        object.__setattr__(key, "data", bytes([2 + (y & 1)]) + x.to_bytes(32, "big"))
-        return key
+        return tuple.__new__(cls, (bytes([2 + (y & 1)]) + x.to_bytes(32, "big"),))
 
     @classmethod
     def from_hex(cls, text: str) -> "PublicKey":
@@ -452,14 +444,13 @@ class PublicKey:
         return self.data.hex()
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    scalar: int
-    compressed: bool = True
+class PrivateKey(namedtuple("PrivateKey", "scalar compressed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.scalar < _N:
+    def __new__(cls, scalar: int, compressed: bool = True):
+        if not 0 < scalar < _N:
             raise CryptoError("private key scalar out of range")
+        return super().__new__(cls, scalar, compressed)
 
     @classmethod
     def from_bytes(cls, raw: bytes, compressed: bool = True) -> "PrivateKey":
@@ -471,18 +462,16 @@ class PrivateKey:
         return PublicKey.from_point(_mul_g(self.scalar))
 
 
-@dataclass(frozen=True)
-class RecoverableSig:
+class RecoverableSig(namedtuple("RecoverableSig", "header r s")):
     """header(1) || r(32) || s(32); header 27..34 encodes recovery id and
     whether the signer's key serializes compressed."""
 
-    header: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 27 <= self.header <= 34:
-            raise RecoveryFailed(f"header byte {self.header} out of range 27..34")
+    def __new__(cls, header: int, r: int, s: int):
+        if not 27 <= header <= 34:
+            raise RecoveryFailed(f"header byte {header} out of range 27..34")
+        return super().__new__(cls, header, r, s)
 
     @property
     def recovery_id(self) -> int:

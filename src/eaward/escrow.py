@@ -8,7 +8,7 @@ sorting is applied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .crypto import Address, Network, PublicKey, hash160, network_by_name
@@ -20,19 +20,18 @@ class PolicyInvalid(EawardError):
     pass
 
 
-@dataclass(frozen=True)
-class EscrowPolicy:
+class EscrowPolicy(namedtuple("EscrowPolicy", "m pubkeys")):
     """Quorum size and the ordered public keys of an escrow."""
 
-    m: int
-    pubkeys: tuple[PublicKey, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.pubkeys)
-        if not 1 <= self.m <= n <= 15:
-            raise PolicyInvalid(f"need 1 <= m <= n <= 15, got m={self.m}, n={n}")
-        if len({k.data for k in self.pubkeys}) != n:
+    def __new__(cls, m: int, pubkeys: tuple[PublicKey, ...]):
+        n = len(pubkeys)
+        if not 1 <= m <= n <= 15:
+            raise PolicyInvalid(f"need 1 <= m <= n <= 15, got m={m}, n={n}")
+        if len({k.data for k in pubkeys}) != n:
             raise PolicyInvalid("duplicate public keys in policy")
+        return super().__new__(cls, m, pubkeys)
 
     @property
     def n(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .crypto import BASE58_ALPHABET
 from .errors import EawardError
@@ -45,48 +45,45 @@ _SEAT_RE = re.compile(r"^[!-~]+$")  # printable ASCII, no spaces
 _FRAGMENT_RE = re.compile(r"^[0-9A-Za-z+/=]+$")
 
 
-@dataclass(frozen=True)
-class ParticipantTag:
-    role: Role
-    display_name: str
-    suffix: str
+class ParticipantTag(namedtuple("ParticipantTag", "role display_name suffix")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.display_name):
+    def __new__(cls, role: Role, display_name: str, suffix: str):
+        if not _NAME_RE.match(display_name):
             raise MetadataError(
-                f"display name {self.display_name!r} must be ASCII alphanumerics")
-        if len(self.suffix) != SUFFIX_LEN:
+                f"display name {display_name!r} must be ASCII alphanumerics")
+        if len(suffix) != SUFFIX_LEN:
             raise MetadataError(
-                f"suffix {self.suffix!r} must be exactly {SUFFIX_LEN} characters")
-        if any(c not in BASE58_ALPHABET for c in self.suffix):
-            raise MetadataError(f"suffix {self.suffix!r} has non-base58 characters")
+                f"suffix {suffix!r} must be exactly {SUFFIX_LEN} characters")
+        if any(c not in BASE58_ALPHABET for c in suffix):
+            raise MetadataError(f"suffix {suffix!r} has non-base58 characters")
+        return super().__new__(cls, role, display_name, suffix)
 
     def token(self) -> str:
         return f"{self.role.value}-{self.display_name}-{self.suffix}"
 
 
-@dataclass(frozen=True)
-class AwardMetadata:
-    participants: tuple[ParticipantTag, ParticipantTag, ParticipantTag]
-    seat: str
-    sig_fragment: str
+class AwardMetadata(namedtuple("AwardMetadata", "participants seat sig_fragment")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        roles = tuple(p.role for p in self.participants)
+    def __new__(cls, participants: tuple[ParticipantTag, ...], seat: str, sig_fragment: str):
+        roles = tuple(p.role for p in participants)
         if len(set(roles)) != len(roles):
             raise MetadataError("one tag per role required")
         if roles != ROLE_ORDER:
             raise MetadataError("participants must appear in A, C, R order")
-        if not _SEAT_RE.match(self.seat):
+        if not _SEAT_RE.match(seat):
             raise MetadataError(
-                f"seat {self.seat!r} must be one space-free printable ASCII token")
-        if len(self.sig_fragment) != FRAGMENT_LEN:
+                f"seat {seat!r} must be one space-free printable ASCII token")
+        if len(sig_fragment) != FRAGMENT_LEN:
             raise MetadataError(f"signature fragment must be {FRAGMENT_LEN} characters")
-        if not _FRAGMENT_RE.match(self.sig_fragment):
+        if not _FRAGMENT_RE.match(sig_fragment):
             raise MetadataError("signature fragment has non-base64 characters")
+        self = super().__new__(cls, participants, seat, sig_fragment)
         if len(self.text()) > PAYLOAD_LIMIT:
             raise MetadataError(
                 f"metadata line is {len(self.text())} bytes, limit {PAYLOAD_LIMIT}")
+        return self
 
     def participant(self, role: Role) -> ParticipantTag:
         return self.participants[ROLE_ORDER.index(role)]

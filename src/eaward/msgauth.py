@@ -10,7 +10,7 @@ need to tell "unverifiable input" apart from "verified not-matching".
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .crypto import (
     Address,
@@ -35,11 +35,8 @@ class MalformedSignature(EawardError):
     pass
 
 
-@dataclass(frozen=True)
-class SignedMessage:
-    address: Address
-    message: str
-    signature_b64: str
+class SignedMessage(namedtuple("SignedMessage", "address message signature_b64")):
+    __slots__ = ()
 
 
 def message_digest(message: str) -> bytes:

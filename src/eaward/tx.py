@@ -9,13 +9,14 @@ serialization regardless of how the transaction arrived.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
 from io import BytesIO
 
 from .crypto import Address, Network, hash160, hash256, write_compact_size
 from .errors import EawardError, parse_hex
 
 MAX_MONEY = 21_000_000 * 100_000_000  # satoshi
+MAX_PUBKEYS_PER_MULTISIG = 20
 
 # Script opcodes used by this artifact's standard-script surface.
 OP_0 = 0x00
@@ -116,15 +117,15 @@ class _Reader:
 # Txid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Txid:
+class Txid(namedtuple("Txid", "hash")):
     """hash256 of the stripped serialization; displayed byte-reversed."""
 
-    hash: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.hash) != 32:
+    def __new__(cls, hash: bytes):
+        if len(hash) != 32:
             raise TxError("txid must wrap 32 bytes")
+        return super().__new__(cls, hash)
 
     @classmethod
     def from_hex(cls, text: str) -> "Txid":
@@ -158,29 +159,28 @@ def push_data(data: bytes) -> bytes:
     return bytes([OP_PUSHDATA4]) + struct.pack("<I", n) + data
 
 
-@dataclass(frozen=True)
-class ScriptOp:
+class ScriptOp(namedtuple("ScriptOp", "opcode data", defaults=(None,))):
     """One parsed script element: opcode plus pushed data when it is a push."""
 
-    opcode: int
-    data: bytes | None = None
+    __slots__ = ()
 
     @property
     def is_push(self) -> bool:
         return self.data is not None
 
 
-@dataclass(frozen=True)
-class Script:
-    raw: bytes
-    # Set once, from _parse, when the script is made.
-    parsed: tuple[ScriptOp, ...] = field(init=False, compare=False, repr=False)
-    fault: str | None = field(init=False, compare=False, repr=False)
+class Script(namedtuple("Script", "raw parsed fault")):
+    """The bytes raw, and what _parse makes of them when the script is made:
+    parsed and fault follow from raw, so equal raw means equal scripts."""
 
-    def __post_init__(self):
-        parsed, fault = self._parse()
-        object.__setattr__(self, "parsed", tuple(parsed))
-        object.__setattr__(self, "fault", fault)
+    __slots__ = ()
+
+    def __new__(cls, raw: bytes):
+        parsed, fault = cls._parse(raw)
+        return super().__new__(cls, raw, tuple(parsed), fault)
+
+    def __getnewargs__(self):  # what copy and pickle pass to __new__
+        return (self.raw,)
 
     @classmethod
     def from_hex(cls, text: str) -> "Script":
@@ -195,12 +195,12 @@ class Script:
             raise MalformedScript(self.fault)
         return self.parsed
 
-    def _parse(self) -> tuple[list[ScriptOp], str | None]:
+    @staticmethod
+    def _parse(raw: bytes) -> tuple[list[ScriptOp], str | None]:
         """The ops before the first overrun, and the overrun's message or
         None when the whole script parses."""
         out = []
         i = 0
-        raw = self.raw
         while i < len(raw):
             op = raw[i]
             i += 1
@@ -258,13 +258,11 @@ def script_to_asm(script: Script) -> str:
 # Script classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecodedScript:
-    kind: str  # p2pkh | p2sh | multisig | nulldata | nonstandard
-    script: Script
-    req_sigs: int | None = None
-    addresses: tuple[Address, ...] | None = None
-    payload: bytes | None = None
+class DecodedScript(namedtuple("DecodedScript", "kind script req_sigs addresses payload",
+                               defaults=(None, None, None))):
+    """kind is p2pkh, p2sh, multisig, nulldata or nonstandard."""
+
+    __slots__ = ()
 
     def to_report(self) -> dict:
         doc = {"asm": script_to_asm(self.script), "hex": self.script.hex(),
@@ -277,11 +275,25 @@ class DecodedScript:
 
 
 def _looks_like_pubkey(data: bytes) -> bool:
+    """Bitcoin Core's CPubKey::ValidSize: 33 bytes after prefix 2 or 3, 65
+    after 4, or after 6 or 7 (a hybrid key)."""
     if len(data) == 33:
         return data[0] in (2, 3)
     if len(data) == 65:
-        return data[0] == 4
+        return data[0] in (4, 6, 7)
     return False
+
+
+def _multisig_count(op: ScriptOp) -> int | None:
+    """The count 1..MAX_PUBKEYS_PER_MULTISIG that op encodes as Bitcoin
+    Core's GetScriptNumber reads it, or None. Core takes OP_1..OP_16 or a
+    minimal push of a minimal number; in this range the only such pushes
+    are 17..20, each pushed as one byte by opcode 0x01."""
+    if OP_1 <= op.opcode <= OP_16:
+        return op.opcode - 0x50
+    if op.opcode == 1 and 17 <= op.data[0] <= MAX_PUBKEYS_PER_MULTISIG:
+        return op.data[0]
+    return None
 
 
 def nulldata_payload(script: Script) -> bytes | None:
@@ -315,12 +327,13 @@ def decode_script(script: Script | str, network: Network) -> DecodedScript:
         addr = Address.from_parts(network.p2sh_version, ops[1].data)
         return DecodedScript("p2sh", script, req_sigs=1, addresses=(addr,))
 
-    if (len(ops) >= 4 and ops[-1].opcode == OP_CHECKMULTISIG
-            and OP_1 <= ops[0].opcode <= OP_16 and OP_1 <= ops[-2].opcode <= OP_16):
-        m = ops[0].opcode - 0x50
-        n = ops[-2].opcode - 0x50
+    # Bitcoin Core's MatchMultisig: m <key>... n OP_CHECKMULTISIG, with
+    # 1 <= m <= n <= 20 and n keys.
+    if len(ops) >= 4 and ops[-1].opcode == OP_CHECKMULTISIG:
+        m = _multisig_count(ops[0])
+        n = _multisig_count(ops[-2])
         keys = ops[1:-2]
-        if (n == len(keys) and 1 <= m <= n <= 15
+        if (m and n and m <= n == len(keys)
                 and all(k.is_push and _looks_like_pubkey(k.data) for k in keys)):
             addresses = tuple(
                 Address.from_parts(network.p2pkh_version, hash160(k.data)) for k in keys
@@ -346,36 +359,28 @@ def build_nulldata_script(payload: bytes) -> Script:
 # Transactions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TxInput:
-    prev_txid: Txid
-    prev_vout: int
-    script_sig: Script
-    sequence: int = 0xFFFFFFFF
-    witness: tuple[bytes, ...] = ()
+class TxInput(namedtuple("TxInput", "prev_txid prev_vout script_sig sequence witness",
+                         defaults=(0xFFFFFFFF, ()))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TxOutput:
-    value: int  # satoshi
-    script_pubkey: Script
+class TxOutput(namedtuple("TxOutput", "value script_pubkey")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.value <= MAX_MONEY:
-            raise TxError(f"output value {self.value} outside 0..{MAX_MONEY}")
+    def __new__(cls, value: int, script_pubkey: Script):  # value in satoshi
+        if not 0 <= value <= MAX_MONEY:
+            raise TxError(f"output value {value} outside 0..{MAX_MONEY}")
+        return super().__new__(cls, value, script_pubkey)
 
 
-@dataclass(frozen=True)
-class Transaction:
-    version: int
-    inputs: tuple[TxInput, ...]
-    outputs: tuple[TxOutput, ...]
-    locktime: int = 0
-    segwit: bool = False
+class Transaction(namedtuple("Transaction", "version inputs outputs locktime segwit")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.inputs or not self.outputs:
+    def __new__(cls, version: int, inputs: tuple[TxInput, ...], outputs: tuple[TxOutput, ...],
+                locktime: int = 0, segwit: bool = False):
+        if not inputs or not outputs:
             raise TxError("transaction needs at least one input and one output")
+        return super().__new__(cls, version, inputs, outputs, locktime, segwit)
 
     def serialize(self, include_witness: bool | None = None) -> bytes:
         if include_witness is None:

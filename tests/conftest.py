@@ -108,6 +108,12 @@ requires_real_transaction = pytest.mark.skipif(
 )
 
 
+def rebuild(record, **changes):
+    """record with changes, built again through its class so that every
+    check the class makes runs again."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
 def golden_pubkeys() -> tuple[PublicKey, PublicKey, PublicKey]:
     return tuple(PublicKey.from_hex(h) for h in (PK1_HEX, PK2_HEX, PK3_HEX))
 

@@ -82,6 +82,7 @@ from conftest import (
     REDEEM_HEX,
     SIGNATURE_B64,
     ZERO_PAYLOAD_ADDR,
+    rebuild,
     requires_real_transaction,
 )
 
@@ -206,11 +207,9 @@ def test_criterion_4_single_fault_mutations(tmp_path):
         outputs = (TxOutput(tx.outputs[0].value, build_nulldata_script(payload)),)
         return Transaction(tx.version, tx.inputs, outputs, tx.locktime)
 
-    from dataclasses import replace as dc_replace
-
     # (1) wrong seat -> linkage failure
     with pytest.raises(LinkageFailed):
-        reissue(agreement=dc_replace(agreement, seat="Paris"))
+        reissue(agreement=rebuild(agreement, seat="Paris"))
 
     # (2) swapped party address, with its policy key -> linkage failure
     decoy = PrivateKey.from_bytes(sha256(b"decoy respondent")).public_key()
@@ -218,21 +217,21 @@ def test_criterion_4_single_fault_mutations(tmp_path):
     parties[2] = Party(Role.RESPONDENT, "Baker", "Baker", pubkey_to_address(decoy, TESTNET))
     policy = EscrowPolicy(agreement.policy.m, (*agreement.policy.pubkeys[:2], decoy))
     with pytest.raises(LinkageFailed):
-        reissue(agreement=dc_replace(agreement, parties=tuple(parties), policy=policy))
+        reissue(agreement=rebuild(agreement, parties=tuple(parties), policy=policy))
 
     # (2a) swapped party address alone: the agreement contradicts its own
     # policy, so it is refused as invalid input, not answered "false"
     parties[2] = Party(Role.RESPONDENT, "Baker", "Baker",
                        Address.from_text(ZERO_PAYLOAD_ADDR))
     with pytest.raises(AttestationError, match="agreement is invalid") as invalid:
-        reissue(agreement=dc_replace(agreement, parties=tuple(parties)))
+        reissue(agreement=rebuild(agreement, parties=tuple(parties)))
     assert not isinstance(invalid.value, Refusal)
 
     # (2b) changed display name -> linkage failure
     parties = list(agreement.parties)
-    parties[1] = dc_replace(parties[1], display_name="Mallory")
+    parties[1] = rebuild(parties[1], display_name="Mallory")
     with pytest.raises(LinkageFailed, match="claimant display name"):
-        reissue(agreement=dc_replace(agreement, parties=tuple(parties)))
+        reissue(agreement=rebuild(agreement, parties=tuple(parties)))
 
     # (3) tampered signature fragment in the payload -> attestation invalid
     tampered = ATTEST_MESSAGE + " Y" + FRAGMENT[1:]
@@ -249,7 +248,7 @@ def test_criterion_4_single_fault_mutations(tmp_path):
         reissue(status=None)
 
     # (6) corrupted attestation signature -> attestation invalid
-    corrupted = dc_replace(
+    corrupted = rebuild(
         attestation,
         signature_b64=(SIGNATURE_B64[:40]
                        + ("A" if SIGNATURE_B64[40] != "A" else "B")

@@ -47,6 +47,7 @@ from conftest import (
     SIGNATURE_B64,
     ZERO_PAYLOAD_ADDR,
     golden_policy,
+    rebuild,
 )
 
 ISSUED_AT = datetime(2026, 8, 9, 12, 0, 0, tzinfo=timezone.utc)
@@ -545,14 +546,13 @@ def test_metadata_for_agreement_suffix_invariant(synthetic_case):
 
 def test_linkage_overall_is_conjunction(golden_agreement, demo_tx):
     report = match_transaction(golden_agreement, demo_tx)
-    from dataclasses import replace
     from eaward.attestation import PartyLinkage
     assert report.overall
-    weakened = replace(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, False, True),
+    weakened = rebuild(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, False, True),
                                           *report.per_party[1:]))
     assert not weakened.overall
-    renamed = replace(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, True, False),
+    renamed = rebuild(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, True, False),
                                          *report.per_party[1:]))
     assert not renamed.overall
-    assert not replace(report, script_match=False).overall
-    assert not replace(report, seat_match=False).overall
+    assert not rebuild(report, script_match=False).overall
+    assert not rebuild(report, seat_match=False).overall

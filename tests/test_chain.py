@@ -263,6 +263,21 @@ def test_live_http_error_is_transport_error():
         get_transaction(source, _demo_txid())
 
 
+def test_live_status_404_is_not_found():
+    source = _live({f"http://x/tx/{DEMO_TXID}/status": (404, b"not found")})
+    with pytest.raises(NotFound) as caught:
+        get_tx_status(source, _demo_txid())
+    assert str(caught.value) == f"source has no transaction {DEMO_TXID}"
+
+
+def test_live_status_http_error_is_transport_error():
+    # The body is not read: it may be an error page of any shape.
+    source = _live({f"http://x/tx/{DEMO_TXID}/status": (503, b'{"confirmed": false}')})
+    with pytest.raises(ChainError) as caught:
+        get_tx_status(source, _demo_txid())
+    assert str(caught.value) == "source returned HTTP 503"
+
+
 @pytest.mark.parametrize("tip,confirmations", [(b"1500099", 100), (b"1500000", 1)])
 def test_live_status_confirmed(tip, confirmations):
     status_doc = {"confirmed": True, "block_height": 1_500_000,

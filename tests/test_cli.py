@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import types
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +24,7 @@ from eaward import cli
 from eaward.chain import ChainSource
 from eaward.cli import main
 from eaward.tx import (Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script,
-                       compute_txid, parse_transaction)
+                       compute_txid, parse_transaction, push_data)
 from eaward.crypto import PrivateKey, sha256
 
 from conftest import (
@@ -38,9 +37,12 @@ from conftest import (
     P2SH_TESTNET,
     PAYLOAD_HEX,
     PK1_HEX,
+    PK2_HEX,
+    PK3_HEX,
     REDEEM_HEX,
     SIGNATURE_B64,
     live_status_responses,
+    rebuild,
 )
 
 AGREEMENT = str(FIXTURES / "agreement.json")
@@ -127,7 +129,7 @@ def test_script_and_tx_decode_name_no_address_for_non_canonical_templates(capsys
         cases[f"a9{push}{h}87"] = cases[f"76a9{push}{h}88ac"] = "nonstandard"
     tx = parse_transaction(demo_tx_hex)
     outputs = tuple(TxOutput(0, Script.from_hex(raw)) for raw in cases)
-    code, out, _ = run(capsys, "tx", "decode", replace(tx, outputs=outputs).to_hex())
+    code, out, _ = run(capsys, "tx", "decode", rebuild(tx, outputs=outputs).to_hex())
     assert code == 0
     reported = [v["scriptPubKey"] for v in json.loads(out)["vout"]]
     for (raw, kind), in_tx in zip(cases.items(), reported, strict=True):
@@ -150,9 +152,9 @@ def test_tx_decode_reports_unparseable_scripts(capsys, demo_tx_hex):
     # stops parsing renders as Bitcoin Core's decoderawtransaction does.
     tx = parse_transaction(demo_tx_hex)
     odd = [TxOutput(0, Script(raw)) for raw in (b"\x4c", b"\x51\x4c")]
-    txin = replace(tx.inputs[0], script_sig=Script(b"\x03\x01\x02"))
+    txin = rebuild(tx.inputs[0], script_sig=Script(b"\x03\x01\x02"))
     code, out, err = run(capsys, "tx", "decode",
-                         replace(tx, inputs=(txin,), outputs=tx.outputs + tuple(odd)).to_hex())
+                         rebuild(tx, inputs=(txin,), outputs=tx.outputs + tuple(odd)).to_hex())
     assert (code, err) == (0, "")
     doc = json.loads(out)
     _, demo_out, _ = run(capsys, "tx", "decode", demo_tx_hex)
@@ -393,6 +395,63 @@ def test_certify_malformed_live_status_exit_2(capsys, monkeypatch, demo_tx_hex, 
     assert "Error(" not in err
 
 
+@pytest.mark.parametrize("tip", [b"900000", b"1500099"])
+def test_certify_live_tip_query_error_exit_2(capsys, monkeypatch, demo_tx_hex, tip):
+    # An error page whose body happens to be digits is not a tip height;
+    # b"1500099" would give the demo transaction 100 confirmations.
+    responses = live_status_responses(
+        {"confirmed": True, "block_height": 1_500_000, "block_time": 1553788013}, tip)
+    responses["http://x/blocks/tip/height"] = (500, tip)
+    responses[f"http://x/tx/{DEMO_TXID}/hex"] = (200, demo_tx_hex.encode())
+    monkeypatch.setattr("eaward.chain.ChainSource", functools.partial(
+        ChainSource, http_get=lambda url, timeout: responses[url]))
+    err = _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
+    assert err == "error: tip height query returned HTTP 500\n"
+
+
+def _spend_revealing(tmp_path, demo_tx_hex, redeem: bytes) -> tuple[str, str]:
+    """A fixture root holding the demo spend with redeem as the final push
+    of its scriptSig, confirmed as the demo is; and that spend's txid."""
+    tx = parse_transaction(demo_tx_hex)
+    pushes = tx.inputs[0].script_sig.pushes()
+    script_sig = Script(b"".join(push_data(p) for p in (*pushes[:-1], redeem)))
+    spend = rebuild(tx, inputs=(rebuild(tx.inputs[0], script_sig=script_sig),))
+    txid = compute_txid(spend).hex()
+    root = tmp_path / "chain"
+    root.mkdir()
+    (root / f"{txid}.hex").write_text(spend.to_hex())
+    shutil.copy(CHAIN_DIR / f"{DEMO_TXID}.status", root / f"{txid}.status")
+    return str(root), txid
+
+
+def _certify_spend(capsys, root, txid):
+    return run(capsys, "--fixture-root", root, "certify", AGREEMENT, txid,
+               "--attestation", SIGNATURE_B64, "--certifier", "W")
+
+
+def test_certify_revealed_p2pkh_script_exit_2(capsys, tmp_path, demo_tx_hex):
+    root, txid = _spend_revealing(tmp_path, demo_tx_hex,
+                                  bytes.fromhex(f"76a914{bytes(20).hex()}88ac"))
+    assert _certify_spend(capsys, root, txid) == (
+        2, "", "error: revealed script is p2pkh, not multisig\n")
+
+
+@pytest.mark.parametrize("redeem", [
+    # 1-of-16 over the three agreement keys and 13 more.
+    "51" + "".join(f"21{k}" for k in (PK1_HEX, PK2_HEX, PK3_HEX))
+    + "".join(f"2102{i:064x}" for i in range(13)) + "60ae",
+    # The agreement's 2-of-3 with the third key in hybrid form.
+    f"5221{PK1_HEX}21{PK2_HEX}4106{PK3_HEX[2:]}{'00' * 32}53ae",
+], ids=["16_keys", "hybrid_key"])
+def test_certify_refuses_any_other_multisig_exit_1(capsys, tmp_path, demo_tx_hex, redeem):
+    # decode_script names these multisig, as Bitcoin Core does; only the
+    # agreement's exact redeem script links a spend to it.
+    root, txid = _spend_revealing(tmp_path, demo_tx_hex, bytes.fromhex(redeem))
+    code, out, err = _certify_spend(capsys, root, txid)
+    assert (code, out) == (1, "false\n")
+    assert err.startswith("error: agreement does not match transaction: redeem script")
+
+
 def _data_error(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -483,33 +542,64 @@ def test_module_import_loads_only_its_layers(module):
     assert _run_fresh(script) == f"{sorted(loaded)}\n"
 
 
-@pytest.mark.parametrize("argv,modules,tables", [
-    (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE],
+@pytest.mark.parametrize("argv,code,modules,tables", [
+    (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"], {"_window_table": 0, "_g_table": 1}),
-    (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE],
+    (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"], {"_window_table": 1, "_g_table": 0}),
-    (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID],
+    (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID], 0,
      ["chain", "crypto", "errors", "tx"], {"_window_table": 0, "_g_table": 0}),
-], ids=["msg_verify", "msg_sign", "tx_decode"])
-def test_command_loads_only_its_modules_and_tables(argv, modules, tables):
+    # The demo transaction carries the metadata line, not this document's digest.
+    (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", AWARD, DEMO_TXID], 1,
+     ["anchor", "chain", "crypto", "errors", "tx"], {"_window_table": 0, "_g_table": 0}),
+    (["--fixture-root", str(CHAIN_DIR), "certify", AGREEMENT, DEMO_TXID,
+      "--attestation", SIGNATURE_B64, "--certifier", "W"], 0,
+     ["attestation", "chain", "crypto", "errors", "escrow", "metadata", "msgauth", "tx"],
+     {"_window_table": 0, "_g_table": 1}),
+], ids=["msg_verify", "msg_sign", "tx_decode", "anchor_verify", "certify"])
+def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables):
     # A fresh process imports the modules its command runs and builds a
-    # fixed-base table only for the multiplication it does.
+    # fixed-base table only for the multiplication it does. Its records are
+    # tuples, so neither dataclasses nor the inspect module it imports loads.
     script = (
         "import contextlib, io, json, sys\n"
         "import eaward.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert eaward.cli.main({argv!r}) == 0\n"
+        f"    assert eaward.cli.main({argv!r}) == {code}\n"
+        "unwanted = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
         "from eaward import crypto\n"
         "print(json.dumps([\n"
         "    sorted(m for m in sys.modules\n"
         "           if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'),\n"
         "    {t.__name__: t.cache_info().currsize for t in (crypto._window_table,\n"
-        "                                                   crypto._g_table)}]))\n"
+        "                                                   crypto._g_table)},\n"
+        "    unwanted]))\n"
     )
     with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
-        loaded, built = json.loads(_run_fresh(script))
+        loaded, built, unwanted = json.loads(_run_fresh(script))
     assert loaded == sorted(["eaward", "eaward.cli", *(f"eaward.{m}" for m in modules)])
     assert built == tables
+    assert unwanted == []
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["msg"]],
+                         ids=["version", "help", "usage_error"])
+def test_version_help_and_usage_errors_load_no_crypto(argv):
+    # The package root serves TESTNET on first access, not at import.
+    script = (
+        "import contextlib, io, sys\n"
+        "import eaward, eaward.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "    try:\n"
+        f"        eaward.cli.main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'eaward'))\n"
+        "from eaward import TESTNET\n"
+        "print(TESTNET is sys.modules['eaward.crypto'].TESTNET is eaward.TESTNET)\n"
+    )
+    assert _run_fresh(script) == "['eaward', 'eaward.cli', 'eaward.errors']\nTrue\n"
 
 
 def _global_loads(code):

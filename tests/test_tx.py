@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaward.anchor import AwardDocument, HashMismatch, verify_anchor
-from eaward.crypto import TESTNET, MAINNET
+from eaward.crypto import MAINNET, TESTNET, Address, hash160
 from eaward.errors import MalformedHex
 from eaward.tx import (
     MalformedScript,
@@ -258,6 +258,58 @@ def test_decode_multisig_rejects_bad_key_shapes():
     assert decode_script(script, TESTNET).kind == "nonstandard"
 
 
+def _multisig(m: bytes, keys: list[bytes], n: bytes) -> Script:
+    return Script(m + b"".join(push_data(k) for k in keys) + n + bytes([0xAE]))
+
+
+_KEY = bytes([2]) + bytes(range(32))
+
+
+@pytest.mark.parametrize("count,n,kind", [
+    (15, b"\x5f", "multisig"),
+    (16, b"\x60", "multisig"),
+    (17, b"\x01\x11", "multisig"),
+    (20, b"\x01\x14", "multisig"),
+    (21, b"\x01\x15", "nonstandard"),
+    (16, b"\x01\x10", "nonstandard"),
+    (17, b"\x02\x11\x00", "nonstandard"),
+    (17, b"\x4c\x01\x11", "nonstandard"),
+], ids=["15_keys", "16_keys", "17_keys_minimal_push", "20_keys_minimal_push", "21_keys",
+        "16_pushed_not_op16", "17_two_byte_number", "17_pushdata1"])
+def test_decode_multisig_counts_as_bitcoin_core(count, n, kind):
+    # Bitcoin Core's MatchMultisig: n is OP_1..OP_16 or a minimal push of
+    # a minimal number, and 1 <= m <= n <= 20.
+    decoded = decode_script(_multisig(b"\x51", [_KEY] * count, n), TESTNET)
+    assert decoded.kind == kind
+    if kind == "multisig":
+        assert decoded.req_sigs == 1 and len(decoded.addresses) == count
+
+
+def test_decode_multisig_reads_m_as_script_number():
+    keys = [_KEY] * 18
+    assert decode_script(_multisig(b"\x01\x12", keys, b"\x01\x12"), TESTNET).req_sigs == 18
+    # m above n, and m pushed where OP_2 is the minimal form.
+    assert decode_script(_multisig(b"\x01\x13", keys, b"\x01\x12"), TESTNET).kind \
+        == "nonstandard"
+    assert decode_script(_multisig(b"\x01\x02", keys[:3], b"\x53"), TESTNET).kind \
+        == "nonstandard"
+
+
+@pytest.mark.parametrize("key,kind", [
+    (b"\x05" + bytes(64), "nonstandard"),
+    (b"\x06" + bytes(64), "multisig"),
+    (b"\x07" + bytes(64), "multisig"),
+    (b"\x06" + bytes(32), "nonstandard"),
+    (b"\x04" + bytes(32), "nonstandard"),
+], ids=["0x05", "0x06_hybrid", "0x07_hybrid", "0x06_33_bytes", "0x04_33_bytes"])
+def test_decode_multisig_key_prefix_and_size(key, kind):
+    # CPubKey::ValidSize: 33 bytes after 0x02/0x03, 65 after 0x04/0x06/0x07.
+    decoded = decode_script(_multisig(b"\x51", [key], b"\x51"), TESTNET)
+    assert decoded.kind == kind
+    if kind == "multisig":
+        assert decoded.addresses == (Address.from_parts(TESTNET.p2pkh_version, hash160(key)),)
+
+
 def test_malformed_script_ops():
     with pytest.raises(MalformedScript):
         Script(b"\x4c").ops()  # PUSHDATA1 missing length
@@ -405,9 +457,9 @@ def test_transaction_report_parses_each_script_once(demo_tx_hex, monkeypatch):
     parsed = []
     parse = Script._parse
 
-    def counting_parse(script):
-        parsed.append(script.raw)
-        return parse(script)
+    def counting_parse(raw):
+        parsed.append(raw)
+        return parse(raw)
 
     monkeypatch.setattr(Script, "_parse", counting_parse)
     tx = parse_transaction(demo_tx_hex)
