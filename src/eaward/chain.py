@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .crypto import Network, TESTNET
 from .errors import EawardError, MalformedHex, NotFound, json_document, json_field
 from .tx import Transaction, Txid, TxError, compute_txid, parse_transaction
@@ -39,36 +41,65 @@ DEFAULT_TIMEOUT = 10.0
 _sidecar_lock = threading.Lock()
 
 
-# `requests` is imported only when a live request is sent: importing it costs
-# more than the rest of the package, and fixture mode never needs it.
-def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
-    import requests
+# The longest answer an explorer may give to any call below: the hex of the
+# largest transaction a block can hold (4,000,000 bytes) and a line ending.
+MAX_BODY = 2 * 4_000_000 + 1
 
+
+# urllib is imported only when a live request is sent: fixture mode and the
+# offline commands never need it.
+def _http(url: str, timeout: float, body: bytes | None = None) -> tuple[int, bytes]:
+    """(HTTP status, body) of a POST of body to url, or of a GET when body is
+    None. timeout bounds connecting and each read, and is a deadline for the
+    whole request checked between reads of the body; an answer over MAX_BODY
+    bytes is refused. Only http and https are fetched, redirects included;
+    proxies come from the environment."""
+    from http.client import HTTPException, IncompleteRead
+    from urllib.request import (HTTPDefaultErrorHandler, HTTPError, HTTPErrorProcessor,
+                                HTTPHandler, HTTPRedirectHandler, HTTPSHandler,
+                                OpenerDirector, ProxyHandler, Request, UnknownHandler,
+                                getproxies)
+
+    where = f"{'GET' if body is None else 'POST'} {url}"
+    opener = OpenerDirector()
+    for handler in (ProxyHandler({k: v for k, v in getproxies().items()
+                                  if k in ("http", "https")}),
+                    UnknownHandler(), HTTPHandler(), HTTPSHandler(), HTTPDefaultErrorHandler(),
+                    HTTPRedirectHandler(), HTTPErrorProcessor()):
+        opener.add_handler(handler)
+    deadline = time.monotonic() + timeout
     try:
-        resp = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
-        raise ChainError(f"GET {url}: {exc}") from exc
-    return resp.status_code, resp.content
-
-
-def _http_post(url: str, body: bytes, timeout: float) -> tuple[int, bytes]:
-    import requests
-
-    try:
-        resp = requests.post(url, data=body, timeout=timeout)
-    except requests.RequestException as exc:
-        raise ChainError(f"POST {url}: {exc}") from exc
-    return resp.status_code, resp.content
+        request = Request(url, body, {"User-Agent": f"eaward/{__version__}"})
+        if body is not None:
+            request.add_header("Content-Type", "text/plain")
+        try:
+            answer = opener.open(request, timeout=timeout)
+        except HTTPError as error:  # an error status is an answer too
+            answer = error
+        with answer:
+            chunks, size = [], 0
+            while chunk := answer.read1(65536):
+                size += len(chunk)
+                if size > MAX_BODY:
+                    raise ChainError(f"{where}: answer exceeds {MAX_BODY} bytes")
+                if time.monotonic() > deadline:
+                    raise ChainError(f"{where}: no complete answer within {timeout:g} s")
+                chunks.append(chunk)
+            if answer.length:  # closed before Content-Length bytes came
+                raise IncompleteRead(b"".join(chunks), answer.length)
+        return answer.status, b"".join(chunks)
+    except (OSError, ValueError, HTTPException) as exc:
+        raise ChainError(f"{where}: {getattr(exc, 'reason', exc)}") from exc
 
 
 class ChainSource:
     """Where transactions come from: mode "live" (endpoint) or "fixture"
-    (fixture_root). http_get and http_post are the injection seam for
-    live-mode tests; production code leaves them alone."""
+    (fixture_root). http is the injection seam for live-mode tests;
+    production code leaves it alone."""
 
     def __init__(self, mode: str, network: Network = TESTNET, endpoint: str | None = None,
                  fixture_root: Path | None = None, timeout: float = DEFAULT_TIMEOUT,
-                 http_get=_http_get, http_post=_http_post):
+                 http=_http):
         if not 0 < timeout < math.inf:  # also false for NaN
             raise ChainError(f"timeout must be a positive number of seconds, "
                              f"got {timeout!r}")
@@ -87,8 +118,7 @@ class ChainSource:
         self.endpoint = endpoint
         self.fixture_root = fixture_root
         self.timeout = timeout
-        self.http_get = http_get
-        self.http_post = http_post
+        self.http = http
 
 
 class TxStatus(namedtuple("TxStatus", "block_time confirmations block_hash")):
@@ -119,7 +149,7 @@ def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
             raise NotFound(f"no fixture for {txid.hex()}")
         hex_text = path.read_bytes().decode("ascii", errors="replace")
     else:
-        status, body = src.http_get(f"{src.endpoint}/tx/{txid.hex()}/hex", src.timeout)
+        status, body = src.http(f"{src.endpoint}/tx/{txid.hex()}/hex", src.timeout)
         if status == 404:
             raise NotFound(f"source has no transaction {txid.hex()}")
         if status != 200:
@@ -155,7 +185,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
             return TxStatus(None, 0)  # known but unconfirmed
         raise NotFound(f"no status fixture for {txid.hex()}")
 
-    status, body = src.http_get(f"{src.endpoint}/tx/{txid.hex()}/status", src.timeout)
+    status, body = src.http(f"{src.endpoint}/tx/{txid.hex()}/status", src.timeout)
     if status == 404:
         raise NotFound(f"source has no transaction {txid.hex()}")
     if status != 200:
@@ -167,7 +197,7 @@ def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
         raise MalformedStatus(f"bad status from {src.endpoint}: {exc}") from exc
     if not confirmed:
         return TxStatus(None, 0)
-    tip_status, tip_body = src.http_get(f"{src.endpoint}/blocks/tip/height", src.timeout)
+    tip_status, tip_body = src.http(f"{src.endpoint}/blocks/tip/height", src.timeout)
     if tip_status != 200:
         raise ChainError(f"tip height query returned HTTP {tip_status}")
     try:
@@ -199,8 +229,7 @@ def broadcast(src: ChainSource, hex_text: str) -> Txid:
                 path.write_text(hex_text.strip() + "\n")
         return txid
 
-    status, body = src.http_post(f"{src.endpoint}/tx", hex_text.encode("ascii"),
-                                 src.timeout)
+    status, body = src.http(f"{src.endpoint}/tx", src.timeout, hex_text.encode("ascii"))
     if status != 200:
         raise ChainError(f"source refused broadcast: HTTP {status} {body[:200]!r}")
     return txid

@@ -36,11 +36,20 @@ def parse_hex(text: str) -> bytes:
     return bytes.fromhex(text)
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
 def json_document(data: bytes, origin: str, error: type[EawardError]) -> dict:
     """The JSON object in the UTF-8 bytes data, read from origin (a path or
-    URL). Anything else raises error, naming origin."""
+    URL). Anything else, or an object that repeats a key, raises error,
+    naming origin."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise error(f"unparseable JSON in {origin}: {exc}") from exc
     if type(doc) is not dict:

@@ -9,7 +9,9 @@ test vectors).
 
 from __future__ import annotations
 
+import http.server
 import json
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -94,10 +96,71 @@ MALFORMED_LIVE_STATUS = {
 
 
 def live_status_responses(doc: dict | None, tip: bytes) -> dict:
-    """http_get answers, keyed by URL, of an explorer at http://x."""
+    """Transport answers, keyed by URL, of an explorer at http://x."""
     body = b"{oops" if doc is None else json.dumps(doc).encode()
     return {f"http://x/tx/{DEMO_TXID}/status": (200, body),
             "http://x/blocks/tip/height": (200, tip)}
+
+
+# What an Esplora explorer answers for DEMO_TXID, by path, when it holds the
+# fixture chain: the same transaction, block time, block hash and number of
+# confirmations as the .hex and .status fixtures.
+_DEMO_STATUS = json.loads((CHAIN_DIR / f"{DEMO_TXID}.status").read_text())
+_BLOCK_HEIGHT = 1_500_000
+ESPLORA_ANSWERS = {
+    f"/tx/{DEMO_TXID}/hex": (200, (CHAIN_DIR / f"{DEMO_TXID}.hex").read_bytes().strip()),
+    f"/tx/{DEMO_TXID}/status": (200, json.dumps({
+        "confirmed": True, "block_height": _BLOCK_HEIGHT,
+        "block_time": int(BLOCK_TIME.timestamp()),
+        "block_hash": _DEMO_STATUS["blockHash"]}).encode()),
+    "/blocks/tip/height": (200, str(_BLOCK_HEIGHT + _DEMO_STATUS["confirmations"] - 1).encode()),
+}
+
+
+class _ExplorerHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each path from server.routes: (status, body) or (status,
+    body, headers), or a callable that writes the answer itself. Other
+    paths are 404."""
+
+    def do_GET(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.received.append((self.command, self.path, self.headers, body))
+        answer = self.server.routes.get(self.path, (404, b"not found"))
+        if callable(answer):
+            answer(self)
+        else:
+            self.reply(*answer)
+
+    do_POST = do_GET
+
+    def reply(self, status: int, body: bytes, headers: dict | None = None):
+        self.send_response(status)
+        for name, value in {"Content-Length": str(len(body)), **(headers or {})}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def explorer():
+    """ESPLORA_ANSWERS served over HTTP on 127.0.0.1 from a daemon thread,
+    for one test: server.url is its endpoint, server.routes may be edited,
+    and server.received lists each request as (method, path, headers, body)."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ExplorerHandler)
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    server.routes = dict(ESPLORA_ANSWERS)
+    server.received = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
 
 requires_real_transaction = pytest.mark.skipif(
     not REAL_TX_FIXTURE.exists(),

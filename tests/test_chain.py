@@ -4,9 +4,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-import requests
 
-from eaward import chain
+from eaward import __version__, chain
 from eaward.chain import (
     ChainError,
     ChainSource,
@@ -178,8 +177,7 @@ def test_broadcast_rejects_malformed_before_transport():
     def explode(*args, **kwargs):
         raise AssertionError("transport must not be reached")
 
-    source = ChainSource("live", TESTNET, endpoint="http://example.invalid",
-                         http_post=explode, http_get=explode)
+    source = ChainSource("live", TESTNET, endpoint="http://example.invalid", http=explode)
     with pytest.raises(ChainError, match="unparseable transaction: needed"):
         broadcast(source, "deadbeef")
 
@@ -223,16 +221,14 @@ def test_status_invariant():
 # ---------------------------------------------------------------------------
 
 def _live(responses: dict, posts: list | None = None) -> ChainSource:
-    def fake_get(url, timeout):
+    def fake_http(url, timeout, body=None):
         assert timeout == 10.0
-        return responses[url]
-
-    def fake_post(url, body, timeout):
+        if body is None:
+            return responses[url]
         posts.append((url, body))
         return 200, b"ok"
 
-    return ChainSource("live", TESTNET, endpoint="http://x",
-                       http_get=fake_get, http_post=fake_post)
+    return ChainSource("live", TESTNET, endpoint="http://x", http=fake_http)
 
 
 def test_live_get_transaction_verified(demo_tx_hex):
@@ -326,28 +322,46 @@ def test_live_connection_failure_is_transport_error():
         get_transaction(source, _demo_txid())
 
 
-class _Response:
-    status_code = 200
-    content = b"01000000"
+# ---------------------------------------------------------------------------
+# The default transport against a loopback explorer
+# ---------------------------------------------------------------------------
+
+def test_default_transport_returns_status_and_body(explorer, demo_tx_hex):
+    explorer.routes["/tx"] = (200, DEMO_TXID.encode())
+    assert chain._http(f"{explorer.url}/tx/{DEMO_TXID}/hex", 2.5) == (200, demo_tx_hex.encode())
+    assert chain._http(f"{explorer.url}/tx", 2.5, b"0200") == (200, DEMO_TXID.encode())
+    assert chain._http(f"{explorer.url}/nowhere", 2.5) == (404, b"not found")
+    (get, _, get_headers, get_body), (post, _, post_headers, post_body), _ = explorer.received
+    assert (get, get_body, get_headers["User-Agent"]) == ("GET", b"", f"eaward/{__version__}")
+    assert "Content-Type" not in get_headers
+    assert (post, post_body, post_headers["User-Agent"]) == ("POST", b"0200",
+                                                             f"eaward/{__version__}")
+    assert post_headers["Content-Type"] == "text/plain"
 
 
-def test_default_transport_returns_status_and_body(monkeypatch):
-    calls = []
-    monkeypatch.setattr(requests, "get", lambda url, **kw: calls.append((url, kw)) or _Response())
-    monkeypatch.setattr(requests, "post", lambda url, **kw: calls.append((url, kw)) or _Response())
-    assert chain._http_get("http://x/tx/ab/hex", 2.5) == (200, b"01000000")
-    assert chain._http_post("http://x/tx", b"00", 2.5) == (200, b"01000000")
-    assert calls == [("http://x/tx/ab/hex", {"timeout": 2.5}),
-                     ("http://x/tx", {"data": b"00", "timeout": 2.5})]
+def test_default_transport_request_errors_are_transport_errors():
+    # A closed local port and a URL with no scheme; no external egress.
+    with pytest.raises(ChainError, match="^POST http://127.0.0.1:9/tx: "):
+        chain._http("http://127.0.0.1:9/tx", 1.0, b"00")
+    with pytest.raises(ChainError, match="^GET x/tx/ab/hex: unknown url type"):
+        chain._http("x/tx/ab/hex", 1.0)
 
 
-def test_default_transport_request_errors_are_transport_errors(monkeypatch):
-    def refuse(url, **kwargs):
-        raise requests.ConnectionError("connection refused")
+def test_default_transport_refuses_short_answer(explorer):
+    explorer.routes["/short"] = (200, b"0200", {"Content-Length": "100"})
+    with pytest.raises(ChainError, match=r"^GET \S+/short: IncompleteRead\(4 bytes read"):
+        chain._http(f"{explorer.url}/short", 2.5)
 
-    monkeypatch.setattr(requests, "get", refuse)
-    monkeypatch.setattr(requests, "post", refuse)
-    with pytest.raises(ChainError, match="GET http://x/tx/ab/hex: connection refused"):
-        chain._http_get("http://x/tx/ab/hex", 1.0)
-    with pytest.raises(ChainError, match="POST http://x/tx: connection refused"):
-        chain._http_post("http://x/tx", b"00", 1.0)
+
+def test_default_transport_reads_a_chunked_answer(explorer):
+    def chunked(handler):
+        handler.protocol_version = "HTTP/1.1"
+        handler.send_response(200)
+        handler.send_header("Transfer-Encoding", "chunked")
+        handler.send_header("Connection", "close")
+        handler.end_headers()
+        handler.wfile.write(b"2\r\n02\r\n2\r\n00\r\n0\r\n\r\n")
+
+    explorer.routes["/chunked"] = chunked
+    assert chain._http(f"{explorer.url}/chunked", 2.5) == (200, b"0200")
+

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from pathlib import Path
 from unittest import mock
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import eaward
 from eaward import cli
-from eaward.chain import ChainSource
+from eaward.chain import MAX_BODY, ChainSource
 from eaward.cli import main
 from eaward.tx import (Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script,
                        compute_txid, parse_transaction, push_data)
@@ -390,7 +391,7 @@ def test_certify_malformed_live_status_exit_2(capsys, monkeypatch, demo_tx_hex, 
     responses = live_status_responses(doc, tip)
     responses[f"http://x/tx/{DEMO_TXID}/hex"] = (200, demo_tx_hex.encode())
     monkeypatch.setattr("eaward.chain.ChainSource", functools.partial(
-        ChainSource, http_get=lambda url, timeout: responses[url]))
+        ChainSource, http=lambda url, timeout: responses[url]))
     err = _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
     assert "Error(" not in err
 
@@ -404,7 +405,7 @@ def test_certify_live_tip_query_error_exit_2(capsys, monkeypatch, demo_tx_hex, t
     responses["http://x/blocks/tip/height"] = (500, tip)
     responses[f"http://x/tx/{DEMO_TXID}/hex"] = (200, demo_tx_hex.encode())
     monkeypatch.setattr("eaward.chain.ChainSource", functools.partial(
-        ChainSource, http_get=lambda url, timeout: responses[url]))
+        ChainSource, http=lambda url, timeout: responses[url]))
     err = _certify_data_error(capsys, "--source", "live", "--endpoint", "http://x")
     assert err == "error: tip height query returned HTTP 500\n"
 
@@ -510,20 +511,6 @@ def _run_fresh(script: str) -> str:
     return proc.stdout
 
 
-def test_fixture_mode_never_imports_requests():
-    script = (
-        "import contextlib, io, sys\n"
-        "import eaward, eaward.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert eaward.cli.main(['--fixture-root', {str(CHAIN_DIR)!r},"
-        f" 'tx', 'decode', {DEMO_TXID!r}]) == 0\n"
-        f"    assert eaward.cli.main(['msg', 'verify', {ADDR_A!r}, {SIGNATURE_B64!r},"
-        f" {ATTEST_MESSAGE!r}]) == 0\n"
-        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
-    )
-    assert _run_fresh(script) == "[]\n"
-
-
 @pytest.mark.parametrize("module",
                          ["msgauth", "metadata", "escrow", "chain", "anchor", "attestation"])
 def test_module_import_loads_only_its_layers(module):
@@ -560,13 +547,15 @@ def test_module_import_loads_only_its_layers(module):
 def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables):
     # A fresh process imports the modules its command runs and builds a
     # fixed-base table only for the multiplication it does. Its records are
-    # tuples, so neither dataclasses nor the inspect module it imports loads.
+    # tuples, so neither dataclasses nor the inspect module it imports loads,
+    # and in fixture mode no HTTP, TLS or `requests` module loads either.
     script = (
         "import contextlib, io, json, sys\n"
         "import eaward.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert eaward.cli.main({argv!r}) == {code}\n"
-        "unwanted = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "unwanted = sorted({'dataclasses', 'inspect', 'requests', 'urllib.request',\n"
+        "                   'http.client', 'ssl'} & set(sys.modules))\n"
         "from eaward import crypto\n"
         "print(json.dumps([\n"
         "    sorted(m for m in sys.modules\n"
@@ -811,6 +800,16 @@ def test_wrong_json_type_exit_2(capsys, tmp_path, name, path, value, argv):
     assert expected in err
 
 
+def _fixture_copies(tmp_path) -> dict:
+    """Copy the agreement, policy and chain fixtures into tmp_path; return
+    the names _VALIDATE, _ENCODE, _CERTIFY and _ESCROW are formatted with."""
+    for source in (FIXTURES / "agreement.json", FIXTURES / "policy.json",
+                   CHAIN_DIR / f"{DEMO_TXID}.hex", CHAIN_DIR / f"{DEMO_TXID}.status"):
+        shutil.copy(source, tmp_path)
+    return {"agreement": tmp_path / "agreement.json", "policy": tmp_path / "policy.json",
+            "chain": tmp_path}
+
+
 _UTF16 = object()  # the genuine file, re-encoded as UTF-16
 
 
@@ -823,15 +822,27 @@ _UTF16 = object()  # the genuine file, re-encoded as UTF-16
     (f"{DEMO_TXID}.status", _CERTIFY),
 ], ids=["agreement_validate", "agreement_certify", "policy_escrow", "status_certify"])
 def test_bad_json_document_names_its_file_exit_2(capsys, tmp_path, name, argv, data):
-    for source in (FIXTURES / "agreement.json", FIXTURES / "policy.json",
-                   CHAIN_DIR / f"{DEMO_TXID}.hex", CHAIN_DIR / f"{DEMO_TXID}.status"):
-        shutil.copy(source, tmp_path)
+    copies = _fixture_copies(tmp_path)
     file = tmp_path / name
     file.write_bytes(file.read_text().encode("utf-16") if data is _UTF16 else data)
-    _, err = _data_error(capsys, *(a.format(agreement=tmp_path / "agreement.json",
-                                            policy=tmp_path / "policy.json", chain=tmp_path)
-                                   for a in argv))
+    _, err = _data_error(capsys, *(a.format(**copies) for a in argv))
     assert str(file) in err
+
+
+@pytest.mark.parametrize("name,key,argv", [
+    ("agreement.json", "seat", _VALIDATE),
+    ("agreement.json", "seat", _CERTIFY),
+    ("policy.json", "m", _ESCROW),
+    (f"{DEMO_TXID}.status", "confirmations", _CERTIFY),
+], ids=["agreement_validate", "agreement_certify", "policy_escrow", "status_certify"])
+def test_duplicate_json_key_exit_2(capsys, tmp_path, name, key, argv):
+    # Read with the last value winning, {"seat": "Paris", …, "seat": "London"}
+    # would pass as London.
+    copies = _fixture_copies(tmp_path)
+    file = tmp_path / name
+    file.write_text(f'{{"{key}": "Paris", ' + file.read_text().lstrip()[1:])
+    _, err = _data_error(capsys, *(a.format(**copies) for a in argv))
+    assert err == f"error: unparseable JSON in {file}: duplicate key '{key}'\n"
 
 
 def test_non_utf8_message_exit_2(capsys, tmp_path):
@@ -1012,9 +1023,108 @@ def test_any_explorer_answer_keeps_exit_contract(hex_answer, status_answer, tip_
     responses = {f"http://x/tx/{DEMO_TXID}/hex": hex_answer,
                  f"http://x/tx/{DEMO_TXID}/status": status_answer,
                  "http://x/blocks/tip/height": tip_answer}
-    live = functools.partial(ChainSource, http_get=lambda url, timeout: responses[url])
+    live = functools.partial(ChainSource, http=lambda url, timeout: responses[url])
     status, served = hex_answer
     with mock.patch("eaward.chain.ChainSource", live):
         for command in _FETCHING:
             _assert_exit_contract(["--source", "live", "--endpoint", "http://x", *command],
                                   served_ok=status == 200 and _hashes_to_demo_txid(served))
+
+
+# ---------------------------------------------------------------------------
+# Live mode against a loopback explorer: the real transport, no egress
+# ---------------------------------------------------------------------------
+
+_TX_DECODE = ("tx", "decode", DEMO_TXID)
+_HEX_PATH = f"/tx/{DEMO_TXID}/hex"
+
+
+def _live(explorer, *argv):
+    return ("--source", "live", "--endpoint", explorer.url, *argv)
+
+
+def test_live_certify_needs_no_requests(capsys, explorer):
+    # `import requests` fails in this fresh process, as where it is not installed.
+    argv = ["--json", *_certify("--source", "live", "--endpoint", explorer.url)]
+    live = json.loads(_run_fresh("import sys\nsys.modules['requests'] = None\n"
+                                 f"import eaward.cli\nsys.exit(eaward.cli.main({argv!r}))\n"))
+    code, out, _ = run(capsys, "--json", *_certify("--fixture-root", str(CHAIN_DIR)))
+    fixture = json.loads(out)
+    assert code == 0
+    del live["issuedAt"], fixture["issuedAt"]
+    assert live == fixture
+    assert [(method, path) for method, path, _, _ in explorer.received] == [
+        ("GET", _HEX_PATH), ("GET", f"/tx/{DEMO_TXID}/status"), ("GET", "/blocks/tip/height")]
+
+
+def test_live_broadcast_posts_exactly_the_hex(capsys, explorer, demo_tx_hex):
+    explorer.routes["/tx"] = (200, DEMO_TXID.encode())
+    code, out, _ = run(capsys, *_live(explorer, "tx", "broadcast", demo_tx_hex))
+    assert (code, out) == (0, f"{DEMO_TXID}\n")
+    [(method, path, _, body)] = explorer.received
+    assert (method, path, body) == ("POST", "/tx", demo_tx_hex.encode())
+
+
+def test_live_redirect_is_followed(capsys, explorer):
+    explorer.routes["/moved"] = explorer.routes[_HEX_PATH]
+    explorer.routes[_HEX_PATH] = (302, b"", {"Location": "/moved"})
+    fixture = run(capsys, "--fixture-root", str(CHAIN_DIR), *_TX_DECODE)
+    assert run(capsys, *_live(explorer, *_TX_DECODE)) == fixture
+    assert [path for _, path, _, _ in explorer.received] == [_HEX_PATH, "/moved"]
+
+
+@pytest.mark.parametrize("scheme", ["ftp", "file"])
+def test_live_redirect_off_http_exit_2(capsys, explorer, tmp_path, scheme):
+    # Not even a local file holding the genuine hex is read through a redirect.
+    local = tmp_path / "hex"
+    local.write_bytes(explorer.routes[_HEX_PATH][1])
+    location = local.as_uri() if scheme == "file" else "ftp://127.0.0.1/hex"
+    explorer.routes[_HEX_PATH] = (302, b"", {"Location": location})
+    _data_error(capsys, *_live(explorer, *_TX_DECODE))
+
+
+def test_live_ftp_endpoint_exit_2(capsys):
+    _, err = _data_error(capsys, "--source", "live", "--endpoint", "ftp://127.0.0.1",
+                         *_TX_DECODE)
+    assert err == f"error: GET ftp://127.0.0.1{_HEX_PATH}: unknown url type: ftp\n"
+
+
+@pytest.mark.parametrize("status,message", [
+    (404, f"source has no transaction {DEMO_TXID}"),
+    (500, "source returned HTTP 500"),
+])
+def test_live_error_status_message(capsys, explorer, status, message):
+    explorer.routes[_HEX_PATH] = (status, b"<html>error</html>")
+    _, err = _data_error(capsys, *_live(explorer, *_TX_DECODE))
+    assert err == f"error: {message}\n"
+
+
+def test_live_answer_over_cap_exit_2(capsys, explorer):
+    explorer.routes[_HEX_PATH] = (200, b"0" * (MAX_BODY + 1))
+    _, err = _data_error(capsys, *_live(explorer, *_TX_DECODE))
+    assert err == f"error: GET {explorer.url}{_HEX_PATH}: answer exceeds {MAX_BODY} bytes\n"
+
+
+def test_live_drip_fed_answer_ends_at_the_deadline(capsys, explorer):
+    def drip(handler):
+        handler.send_response(200)
+        handler.end_headers()
+        with contextlib.suppress(OSError):  # until the client hangs up
+            for _ in range(100):
+                handler.wfile.write(b"0")
+                time.sleep(0.05)
+
+    explorer.routes[_HEX_PATH] = drip
+    start = time.monotonic()
+    _, err = _data_error(capsys, "--timeout", "0.5", *_live(explorer, *_TX_DECODE))
+    assert time.monotonic() - start < 2
+    assert err == f"error: GET {explorer.url}{_HEX_PATH}: no complete answer within 0.5 s\n"
+
+
+def test_live_status_with_duplicate_key_exit_2(capsys, explorer):
+    path = f"/tx/{DEMO_TXID}/status"
+    status, body = explorer.routes[path]
+    explorer.routes[path] = (status, b'{"block_height": 1, ' + body[1:])
+    err = _certify_data_error(capsys, *_live(explorer))
+    assert err == (f"error: unparseable JSON in {explorer.url}{path}: "
+                   "duplicate key 'block_height'\n")
