@@ -55,10 +55,6 @@ class AttestationInvalid(AttestationError, Refusal):
     pass
 
 
-class MissingArbitratorAttestation(AttestationError, Refusal):
-    pass
-
-
 class NoTimeEvidence(AttestationError, Refusal):
     pass
 
@@ -290,9 +286,11 @@ def issue_certificate(
 ) -> AuthenticationCertificate:
     """Assemble the evidence bundle; raises instead of issuing a weak one.
 
-    Every input is read first, and a bad one raises an error that is not a
-    Refusal; then linkage, time and attestations answer, in that order.
-    Origin: verified wallet signatures plus the full linkage report.
+    attestations must be exactly one, from the arbitrator's wallet, signing
+    the metadata line. Every input is read first, and a bad one raises an
+    error that is not a Refusal; then linkage, time and the attestation
+    answer, in that order.
+    Origin: the verified arbitrator signature plus the full linkage report.
     Time: block timestamp and confirmation count from the chain source.
     Intent: the agreement reference, its opt-out flag, and the signed line.
     """
@@ -304,29 +302,23 @@ def issue_certificate(
     if not report.overall:
         raise LinkageFailed(
             f"agreement does not match transaction: {', '.join(report.failures())}")
-    if status is None or status.block_time is None or status.confirmations <= 0:
+    if status is None or status.block_time is None:
         raise NoTimeEvidence("no confirmed block time for the transaction")
 
-    party_addresses = {p.address.text for p in agreement.parties}
-    for att in attestations:
-        if att.address.text not in party_addresses:
-            raise AttestationInvalid(
-                f"signer {att.address.text} is not a party to the agreement")
-        if not verify_message(att.address, att.signature_b64, att.message):
-            raise AttestationInvalid(
-                f"signature does not verify for {att.address.text}")
-
     arbitrator = agreement.party(Role.ARBITRATOR)
-    arb_attestation = next(
-        (a for a in attestations if a.address.text == arbitrator.address.text), None)
-    if arb_attestation is None:
-        raise MissingArbitratorAttestation(
-            "no verified attestation from the arbitrator's wallet")
-    if not match_fragment(arb_attestation.signature_b64, report.metadata.sig_fragment):
+    if [a.address.text for a in attestations] != [arbitrator.address.text]:
+        raise AttestationInvalid(
+            "expected one attestation, from the arbitrator's wallet "
+            f"{arbitrator.address.text}")
+    att, = attestations
+    if not verify_message(att.address, att.signature_b64, att.message):
+        raise AttestationInvalid(
+            f"signature does not verify for {att.address.text}")
+    if not match_fragment(att.signature_b64, report.metadata.sig_fragment):
         raise AttestationInvalid(
             "embedded signature fragment does not match the arbitrator attestation")
     expected_message = attest_message(report.metadata)
-    if arb_attestation.message != expected_message:
+    if att.message != expected_message:
         raise AttestationInvalid(
             "arbitrator attestation signs a different line than the metadata")
 
@@ -363,11 +355,8 @@ def issue_certificate(
     return AuthenticationCertificate(
         txid=txid,
         origin_evidence={
-            "attestations": [
-                {"address": a.address.text, "message": a.message,
-                 "signature": a.signature_b64}
-                for a in attestations
-            ],
+            "attestations": [{"address": att.address.text, "message": att.message,
+                              "signature": att.signature_b64}],
             "linkage": report.to_report(),
         },
         time_evidence={

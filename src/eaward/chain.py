@@ -77,6 +77,8 @@ def _http(url: str, timeout: float, body: bytes | None = None) -> tuple[int, byt
         except HTTPError as error:  # an error status is an answer too
             answer = error
         with answer:
+            if 300 <= answer.status < 400:  # a redirect the handler did not follow
+                raise ChainError(f"{where}: {answer.reason}")
             chunks, size = [], 0
             while chunk := answer.read1(65536):
                 size += len(chunk)

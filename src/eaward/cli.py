@@ -62,11 +62,10 @@ def _source(args) -> ChainSource:
     if mode == "live":
         if not endpoint:
             raise UsageError("live source needs --endpoint or EAWARD_ENDPOINT")
-        return ChainSource("live", _network(args), endpoint=endpoint,
-                           timeout=args.timeout)
+        return ChainSource("live", endpoint=endpoint, timeout=args.timeout)
     if not fixture_root:
         raise UsageError("fixture source needs --fixture-root or EAWARD_FIXTURE_ROOT")
-    return ChainSource("fixture", _network(args), fixture_root=Path(fixture_root))
+    return ChainSource("fixture", fixture_root=Path(fixture_root))
 
 
 def _store_root(args) -> Path:

@@ -70,10 +70,6 @@ class TxError(EawardError):
     pass
 
 
-class MalformedScript(TxError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Wire plumbing
 # ---------------------------------------------------------------------------
@@ -171,16 +167,14 @@ class ScriptOp(namedtuple("ScriptOp", "opcode data", defaults=(None,))):
 
 class Script(namedtuple("Script", "raw parsed fault")):
     """The bytes raw, and what _parse makes of them when the script is made:
-    parsed and fault follow from raw, so equal raw means equal scripts."""
+    parsed and fault follow from raw, so equal raw means equal scripts.
+    Both are made again from raw whatever is passed for them."""
 
     __slots__ = ()
 
-    def __new__(cls, raw: bytes):
+    def __new__(cls, raw: bytes, parsed=None, fault=None):
         parsed, fault = cls._parse(raw)
         return super().__new__(cls, raw, tuple(parsed), fault)
-
-    def __getnewargs__(self):  # what copy and pickle pass to __new__
-        return (self.raw,)
 
     @classmethod
     def from_hex(cls, text: str) -> "Script":
@@ -190,9 +184,9 @@ class Script(namedtuple("Script", "raw parsed fault")):
         return self.raw.hex()
 
     def ops(self) -> tuple[ScriptOp, ...]:
-        """Parsed opcode/push sequence; raises MalformedScript on overruns."""
+        """Parsed opcode/push sequence; raises TxError on overruns."""
         if self.fault:
-            raise MalformedScript(self.fault)
+            raise TxError(self.fault)
         return self.parsed
 
     @staticmethod
@@ -307,7 +301,7 @@ def nulldata_payload(script: Script) -> bytes | None:
 
 def decode_script(script: Script | str, network: Network) -> DecodedScript:
     """Classify a script and derive its addresses for the given network;
-    MalformedScript when it does not parse."""
+    TxError when it does not parse."""
     if isinstance(script, str):
         script = Script.from_hex(script)
     ops = script.ops()

@@ -22,7 +22,6 @@ from eaward.attestation import (
     AttestationError,
     AttestationInvalid,
     LinkageFailed,
-    MissingArbitratorAttestation,
     NoTimeEvidence,
     Party,
     issue_certificate,
@@ -266,8 +265,8 @@ def test_criterion_4_single_fault_mutations(tmp_path):
     with pytest.raises(TxidMismatch):
         get_transaction(poisoned, Txid.from_hex(DEMO_TXID))
 
-    # no attestation at all -> the dedicated error
-    with pytest.raises(MissingArbitratorAttestation):
+    # no attestation at all -> attestation invalid
+    with pytest.raises(AttestationInvalid):
         issue_certificate(agreement, tx, status, [], "W", ISSUED_AT)
 
     _report(4, "all seven single-fault mutations fail with their specific "

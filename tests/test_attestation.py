@@ -8,7 +8,6 @@ from eaward.attestation import (
     AttestationError,
     AttestationInvalid,
     LinkageFailed,
-    MissingArbitratorAttestation,
     NoTimeEvidence,
     Party,
     agreement_from_dict,
@@ -24,7 +23,7 @@ from eaward.chain import TxStatus
 from eaward.crypto import Address, PrivateKey, TESTNET, pubkey_to_address, sha256
 from eaward.errors import Refusal
 from eaward.escrow import EscrowPolicy
-from eaward.metadata import Role, attest_message, match_fragment
+from eaward.metadata import Role, attest_message, encode_metadata, match_fragment
 from eaward.msgauth import SignedMessage, sign_message
 from eaward.tx import (
     OP_RETURN,
@@ -397,7 +396,8 @@ def test_certificate_requires_time_evidence(golden_agreement, demo_tx,
 
 def test_certificate_requires_arbitrator_attestation(golden_agreement, demo_tx,
                                                      golden_status):
-    with pytest.raises(MissingArbitratorAttestation):
+    with pytest.raises(AttestationInvalid, match="expected one attestation, from the "
+                       f"arbitrator's wallet {ADDR_A}"):
         issue_certificate(golden_agreement, demo_tx, golden_status, [], "W",
                           ISSUED_AT)
 
@@ -423,13 +423,47 @@ def test_tampered_fragment_is_invalid(golden_agreement, demo_tx,
                           [golden_attestation], "W", ISSUED_AT)
 
 
-def test_non_party_signer_is_invalid(golden_agreement, demo_tx,
-                                     golden_attestation, golden_status):
+def test_non_party_signer_is_invalid(golden_agreement, demo_tx, golden_status):
     stranger_key = PrivateKey.from_bytes(sha256(b"stranger"))
     stranger = sign_message(stranger_key, ATTEST_MESSAGE, TESTNET)
-    with pytest.raises(AttestationInvalid):
+    with pytest.raises(AttestationInvalid, match="expected one attestation"):
         issue_certificate(golden_agreement, demo_tx, golden_status,
-                          [golden_attestation, stranger], "W", ISSUED_AT)
+                          [stranger], "W", ISSUED_AT)
+
+
+def test_second_attestation_is_invalid(synthetic_case):
+    case = synthetic_case
+    claimant = sign_message(case.keys[Role.CLAIMANT], case.attestation.message, TESTNET)
+    for attestations in ([case.attestation, claimant], [case.attestation] * 2):
+        with pytest.raises(AttestationInvalid, match="expected one attestation"):
+            issue_certificate(case.agreement, case.tx, case.status,
+                              attestations, "W", ISSUED_AT)
+
+
+def test_party_attestation_is_invalid(synthetic_case):
+    # A genuine signature of the metadata line, by a party who is not the
+    # arbitrator, is not the arbitrator's.
+    case = synthetic_case
+    for role in (Role.CLAIMANT, Role.RESPONDENT):
+        party = sign_message(case.keys[role], case.attestation.message, TESTNET)
+        with pytest.raises(AttestationInvalid, match="expected one attestation"):
+            issue_certificate(case.agreement, case.tx, case.status,
+                              [party], "W", ISSUED_AT)
+
+
+def test_attestation_of_another_line_is_invalid(synthetic_case):
+    # The arbitrator signs a line X and the metadata line L carries the tail
+    # of that signature: signature and fragment check out, but L is not X.
+    case = synthetic_case
+    other = sign_message(case.keys[Role.ARBITRATOR], case.attestation.message + " draft",
+                         TESTNET)
+    meta = metadata_for_agreement(case.agreement, other.signature_b64)
+    assert match_fragment(other.signature_b64, meta.sig_fragment)
+    assert attest_message(meta) != other.message
+    tx = _with_payload(case.tx, encode_metadata(meta))
+    with pytest.raises(AttestationInvalid,
+                       match="arbitrator attestation signs a different line than the metadata"):
+        issue_certificate(case.agreement, tx, case.status, [other], "W", ISSUED_AT)
 
 
 def test_single_fault_mutations_never_issue(golden_agreement, demo_tx,
@@ -521,19 +555,6 @@ def test_synthetic_fragment_invariant(synthetic_case):
     assert match_fragment(synthetic_case.attestation.signature_b64,
                           meta.sig_fragment)
     assert synthetic_case.attestation.message == attest_message(meta)
-
-
-def test_synthetic_party_attestations_accepted(synthetic_case):
-    case = synthetic_case
-    meta = extract_metadata(case.tx)
-    line = attest_message(meta)
-    extra = [
-        sign_message(case.keys[Role.CLAIMANT], line, TESTNET),
-        sign_message(case.keys[Role.RESPONDENT], line, TESTNET),
-    ]
-    cert = issue_certificate(case.agreement, case.tx, case.status,
-                             [case.attestation, *extra], "W", ISSUED_AT)
-    assert len(cert.origin_evidence["attestations"]) == 3
 
 
 def test_metadata_for_agreement_suffix_invariant(synthetic_case):

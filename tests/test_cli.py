@@ -26,10 +26,11 @@ from eaward.chain import MAX_BODY, ChainSource
 from eaward.cli import main
 from eaward.tx import (Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script,
                        compute_txid, parse_transaction, push_data)
-from eaward.crypto import PrivateKey, sha256
+from eaward.crypto import MAINNET, Address, PrivateKey, sha256
 
 from conftest import (
     ADDR_A,
+    ADDR_C,
     ATTEST_MESSAGE,
     CHAIN_DIR,
     DEMO_TXID,
@@ -206,6 +207,23 @@ def test_agreement_validate_bad(capsys, tmp_path):
     code, out, _ = run(capsys, "agreement", "validate", str(bad))
     assert code == 1
     assert "violation" in out
+
+
+_MAINNET_C = Address.from_parts(MAINNET.p2pkh_version, Address.from_text(ADDR_C).payload).text
+
+
+@pytest.mark.parametrize("path,value,violation", [
+    (("parties", 1, "address"), _MAINNET_C, "party addresses mix network version bytes"),
+    (("seat",), "", "agreement names no seat"),
+], ids=["mainnet_address", "empty_seat"])
+def test_agreement_validate_names_violation(capsys, tmp_path, path, value, violation):
+    file = tmp_path / "agreement.json"
+    shutil.copy(FIXTURES / "agreement.json", file)
+    _replace_field(file, path, value)
+    code, out, _ = run(capsys, "agreement", "validate", str(file))
+    lines = out.splitlines()
+    assert (code, lines[-1]) == (1, "invalid")
+    assert f"violation: {violation}" in lines
 
 
 def test_msg_sign_roundtrip_key_file(capsys, tmp_path):
@@ -1080,7 +1098,10 @@ def test_live_redirect_off_http_exit_2(capsys, explorer, tmp_path, scheme):
     local.write_bytes(explorer.routes[_HEX_PATH][1])
     location = local.as_uri() if scheme == "file" else "ftp://127.0.0.1/hex"
     explorer.routes[_HEX_PATH] = (302, b"", {"Location": location})
-    _data_error(capsys, *_live(explorer, *_TX_DECODE))
+    _, err = _data_error(capsys, *_live(explorer, *_TX_DECODE))
+    refusal = (f"Found - Redirection to url '{location}' is not allowed" if scheme == "file"
+               else "unknown url type: ftp")
+    assert err == f"error: GET {explorer.url}{_HEX_PATH}: {refusal}\n"
 
 
 def test_live_ftp_endpoint_exit_2(capsys):

@@ -211,6 +211,11 @@ def test_rebuilding_a_record_runs_its_checks():
         rebuild(output, value=-1)
     with pytest.raises(CryptoError, match="scalar out of range"):
         rebuild(PrivateKey(1), scalar=0)
+    # A script's parse is made again from its bytes, whatever is passed for it.
+    script = rebuild(Script(b"\x51"), raw=b"\x05ab")
+    assert script == Script(b"\x05ab")
+    assert (script.parsed, script.fault) == ((), "push runs past end of script")
+    assert rebuild(Script(b"\x51"), parsed=(), fault="forged") == Script(b"\x51")
     source = "".join(p.read_text() for p in Path(eaward.__file__).parent.glob("*.py"))
     assert not re.search(r"\._(make|replace)\(", source)
 

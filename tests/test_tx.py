@@ -3,16 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaward.anchor import AwardDocument, HashMismatch, verify_anchor
-from eaward.crypto import MAINNET, TESTNET, Address, hash160
+from eaward.crypto import MAINNET, TESTNET, Address, hash160, write_compact_size
 from eaward.errors import MalformedHex
 from eaward.tx import (
-    MalformedScript,
     Script,
     Transaction,
     TxError,
     TxInput,
     TxOutput,
     Txid,
+    _Reader,
     build_nulldata_script,
     compute_txid,
     decode_script,
@@ -149,6 +149,15 @@ def test_parse_rejects_non_canonical_compact_size(demo_tx_hex):
     widened = demo_tx_hex[:8] + "fd0100" + demo_tx_hex[10:]
     with pytest.raises(TxError):
         parse_transaction(widened)
+
+
+@pytest.mark.parametrize("n,size", [
+    (0xFC, 1), (0xFD, 3), (0xFFFF, 3), (0x10000, 5), (0xFFFFFFFF, 5), (0x100000000, 9),
+])
+def test_compact_size_roundtrip_at_each_width(n, size):
+    encoded = write_compact_size(n)
+    reader = _Reader(encoded)
+    assert (len(encoded), reader.read_compact_size(), reader.exhausted) == (size, n, True)
 
 
 def test_transaction_needs_inputs_and_outputs():
@@ -311,11 +320,11 @@ def test_decode_multisig_key_prefix_and_size(key, kind):
 
 
 def test_malformed_script_ops():
-    with pytest.raises(MalformedScript):
+    with pytest.raises(TxError, match="pushdata length field truncated"):
         Script(b"\x4c").ops()  # PUSHDATA1 missing length
-    with pytest.raises(MalformedScript):
+    with pytest.raises(TxError, match="push runs past end of script"):
         Script(b"\x05ab").ops()  # push runs past end
-    with pytest.raises(MalformedScript):
+    with pytest.raises(TxError, match="pushdata length field truncated"):
         decode_script(Script(b"\x51\x4c"), TESTNET)
 
 
@@ -451,6 +460,15 @@ def test_transaction_report_field_paths(demo_tx):
     assert redeem_report["addresses"] == GOLDEN_ADDRESSES
 
 
+@settings(max_examples=60, deadline=None)
+@given(transactions().filter(lambda tx: any(i.witness for i in tx.inputs)))
+def test_transaction_report_lists_each_witness_item(tx):
+    vin = transaction_report(tx, TESTNET)["vin"]
+    for txin, entry in zip(tx.inputs, vin, strict=True):
+        items = [bytes.fromhex(item) for item in entry.get("txinwitness", [])]
+        assert items == list(txin.witness)
+
+
 def test_transaction_report_parses_each_script_once(demo_tx_hex, monkeypatch):
     # Parsing, reporting, the anchor scan and the OP_RETURN scan of one
     # transaction all read the parse made when each Script was built.
@@ -500,7 +518,7 @@ def test_report_output_is_asm_plus_decode_script(raw):
     report = transaction_report(tx, TESTNET)["vout"][0]["scriptPubKey"]
     try:
         decoded = decode_script(script, TESTNET).to_report()
-    except MalformedScript:
+    except TxError:
         decoded = {"type": "nonstandard"}
     assert report["asm"] == script_to_asm(script)
     assert report["hex"] == raw.hex()
