@@ -59,13 +59,24 @@ def _http(url: str, timeout: float, body: bytes | None = None) -> tuple[int, byt
                                 HTTPHandler, HTTPRedirectHandler, HTTPSHandler,
                                 OpenerDirector, ProxyHandler, Request, UnknownHandler,
                                 getproxies)
+    from urllib.parse import urlsplit
+
+    class Redirects(HTTPRedirectHandler):
+        # urllib refuses a redirect to file:// but follows one to ftp://;
+        # both are refused here, with the reason urllib gives for file://.
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if urlsplit(newurl).scheme not in ("http", "https"):
+                raise HTTPError(newurl, code,
+                                f"{msg} - Redirection to url '{newurl}' is not allowed",
+                                headers, fp)
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
 
     where = f"{'GET' if body is None else 'POST'} {url}"
     opener = OpenerDirector()
     for handler in (ProxyHandler({k: v for k, v in getproxies().items()
                                   if k in ("http", "https")}),
                     UnknownHandler(), HTTPHandler(), HTTPSHandler(), HTTPDefaultErrorHandler(),
-                    HTTPRedirectHandler(), HTTPErrorProcessor()):
+                    Redirects(), HTTPErrorProcessor()):
         opener.add_handler(handler)
     deadline = time.monotonic() + timeout
     try:

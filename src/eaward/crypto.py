@@ -80,14 +80,24 @@ def write_compact_size(n: int) -> bytes:
     return b"\xff" + struct.pack("<Q", n)
 
 
+@functools.cache
+def _base58_pairs() -> list[str]:
+    """The 58 * 58 two-digit strings, built on the first encode."""
+    return [a + b for a in BASE58_ALPHABET for b in BASE58_ALPHABET]
+
+
 def base58check_encode(version: int, payload: bytes) -> str:
     raw = bytes([version]) + payload
     raw += hash256(raw)[:4]
     num = int.from_bytes(raw, "big")
-    text = ""
-    while num:
-        num, rem = divmod(num, 58)
-        text = BASE58_ALPHABET[rem] + text
+    pairs = _base58_pairs()
+    digits = []
+    while num:  # two digits per division
+        num, rem = divmod(num, 58 * 58)
+        digits.append(pairs[rem])
+    # The top pair may start with a zero digit; leading zero bytes are the
+    # only leading "1"s.
+    text = "".join(reversed(digits)).lstrip("1")
     pad = len(raw) - len(raw.lstrip(b"\x00"))
     return "1" * pad + text
 

@@ -2,8 +2,11 @@
 
 The hex form of a transaction is the record of interest here, so parsing and
 serialization are exact inverses: every byte of a valid input is accounted
-for and reproduced. Txids are computed over the witness-stripped
-serialization regardless of how the transaction arrived.
+for and reproduced. A Transaction keeps its serialization as raw; a parsed
+one keeps the very bytes it was read from, so reports, txids and anchors
+read those bytes instead of rebuilding them. Txids are computed over the
+witness-stripped serialization regardless of how the transaction arrived:
+for a legacy transaction that is raw itself.
 """
 
 from __future__ import annotations
@@ -367,41 +370,53 @@ class TxOutput(namedtuple("TxOutput", "value script_pubkey")):
         return super().__new__(cls, value, script_pubkey)
 
 
-class Transaction(namedtuple("Transaction", "version inputs outputs locktime segwit")):
+def _serialize(version: int, inputs: tuple[TxInput, ...], outputs: tuple[TxOutput, ...],
+               locktime: int, include_witness: bool) -> bytes:
+    out = bytearray(struct.pack("<i", version))
+    if include_witness:
+        out += b"\x00\x01"
+    out += write_compact_size(len(inputs))
+    for txin in inputs:
+        out += txin.prev_txid.hash
+        out += struct.pack("<I", txin.prev_vout)
+        out += write_compact_size(len(txin.script_sig.raw))
+        out += txin.script_sig.raw
+        out += struct.pack("<I", txin.sequence)
+    out += write_compact_size(len(outputs))
+    for txout in outputs:
+        out += struct.pack("<Q", txout.value)
+        out += write_compact_size(len(txout.script_pubkey.raw))
+        out += txout.script_pubkey.raw
+    if include_witness:
+        for txin in inputs:
+            out += write_compact_size(len(txin.witness))
+            for item in txin.witness:
+                out += write_compact_size(len(item))
+                out += item
+    out += struct.pack("<I", locktime)
+    return bytes(out)
+
+
+class Transaction(namedtuple("Transaction", "version inputs outputs locktime segwit raw")):
+    """raw is the serialization, with the witness when segwit is set. It
+    follows from the other fields and is made again from them whatever is
+    passed for it; parse_transaction keeps the bytes it read instead, which
+    are the same bytes because parsing is the exact inverse of serializing."""
+
     __slots__ = ()
 
     def __new__(cls, version: int, inputs: tuple[TxInput, ...], outputs: tuple[TxOutput, ...],
-                locktime: int = 0, segwit: bool = False):
+                locktime: int = 0, segwit: bool = False, raw=None):
         if not inputs or not outputs:
             raise TxError("transaction needs at least one input and one output")
-        return super().__new__(cls, version, inputs, outputs, locktime, segwit)
+        raw = _serialize(version, inputs, outputs, locktime, segwit)
+        return super().__new__(cls, version, inputs, outputs, locktime, segwit, raw)
 
     def serialize(self, include_witness: bool | None = None) -> bytes:
-        if include_witness is None:
-            include_witness = self.segwit
-        out = bytearray(struct.pack("<i", self.version))
-        if include_witness:
-            out += b"\x00\x01"
-        out += write_compact_size(len(self.inputs))
-        for txin in self.inputs:
-            out += txin.prev_txid.hash
-            out += struct.pack("<I", txin.prev_vout)
-            out += write_compact_size(len(txin.script_sig.raw))
-            out += txin.script_sig.raw
-            out += struct.pack("<I", txin.sequence)
-        out += write_compact_size(len(self.outputs))
-        for txout in self.outputs:
-            out += struct.pack("<Q", txout.value)
-            out += write_compact_size(len(txout.script_pubkey.raw))
-            out += txout.script_pubkey.raw
-        if include_witness:
-            for txin in self.inputs:
-                out += write_compact_size(len(txin.witness))
-                for item in txin.witness:
-                    out += write_compact_size(len(item))
-                    out += item
-        out += struct.pack("<I", self.locktime)
-        return bytes(out)
+        if include_witness is None or include_witness == self.segwit:
+            return self.raw
+        return _serialize(self.version, self.inputs, self.outputs, self.locktime,
+                          include_witness)
 
     def to_hex(self) -> str:
         return self.serialize().hex()
@@ -448,7 +463,12 @@ def parse_transaction(hex_text: str) -> Transaction:
     locktime = struct.unpack("<I", reader.read(4))[0]
     if not reader.exhausted:
         raise TxError("extra bytes after transaction")
-    return Transaction(version, tuple(inputs), tuple(outputs), locktime, segwit)
+    if not inputs or not outputs:
+        raise TxError("transaction needs at least one input and one output")
+    # Every byte was read back as it serializes, so raw is the record's
+    # serialization and need not be made again.
+    return tuple.__new__(Transaction, (version, tuple(inputs), tuple(outputs), locktime,
+                                       segwit, raw))
 
 
 def compute_txid(tx: Transaction) -> Txid:

@@ -10,6 +10,7 @@ test vectors).
 from __future__ import annotations
 
 import http.server
+import importlib.util
 import json
 import threading
 from dataclasses import dataclass
@@ -169,6 +170,18 @@ requires_real_transaction = pytest.mark.skipif(
         f"egress here); drop the explorer hex into {REAL_TX_FIXTURE} to enable"
     ),
 )
+
+
+def _load_refcrypto():
+    """perfbench's independent implementation from the public specifications."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refcrypto.py"
+    spec = importlib.util.spec_from_file_location("refcrypto", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+refcrypto = _load_refcrypto()
 
 
 def rebuild(record, **changes):

@@ -548,23 +548,30 @@ def test_module_import_loads_only_its_layers(module):
 
 
 @pytest.mark.parametrize("argv,code,modules,tables", [
+    # Verifying decodes the claimed address and encodes none.
     (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0,
-     ["crypto", "errors", "msgauth"], {"_window_table": 0, "_g_table": 1}),
+     ["crypto", "errors", "msgauth"],
+     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 0}),
     (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], 0,
-     ["crypto", "errors", "msgauth"], {"_window_table": 1, "_g_table": 0}),
+     ["crypto", "errors", "msgauth"],
+     {"_window_table": 1, "_g_table": 0, "_base58_pairs": 1}),
+    # The demo transaction's one output is nulldata, which has no address.
     (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID], 0,
-     ["chain", "crypto", "errors", "tx"], {"_window_table": 0, "_g_table": 0}),
+     ["chain", "crypto", "errors", "tx"],
+     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}),
     # The demo transaction carries the metadata line, not this document's digest.
     (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", AWARD, DEMO_TXID], 1,
-     ["anchor", "chain", "crypto", "errors", "tx"], {"_window_table": 0, "_g_table": 0}),
+     ["anchor", "chain", "crypto", "errors", "tx"],
+     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}),
     (["--fixture-root", str(CHAIN_DIR), "certify", AGREEMENT, DEMO_TXID,
       "--attestation", SIGNATURE_B64, "--certifier", "W"], 0,
      ["attestation", "chain", "crypto", "errors", "escrow", "metadata", "msgauth", "tx"],
-     {"_window_table": 0, "_g_table": 1}),
+     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 1}),
 ], ids=["msg_verify", "msg_sign", "tx_decode", "anchor_verify", "certify"])
 def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables):
     # A fresh process imports the modules its command runs and builds a
-    # fixed-base table only for the multiplication it does. Its records are
+    # fixed-base table only for the multiplication it does, and the base58
+    # pair table only when it encodes an address. Its records are
     # tuples, so neither dataclasses nor the inspect module it imports loads,
     # and in fixture mode no HTTP, TLS or `requests` module loads either.
     script = (
@@ -579,7 +586,8 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables):
         "    sorted(m for m in sys.modules\n"
         "           if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'),\n"
         "    {t.__name__: t.cache_info().currsize for t in (crypto._window_table,\n"
-        "                                                   crypto._g_table)},\n"
+        "                                                   crypto._g_table,\n"
+        "                                                   crypto._base58_pairs)},\n"
         "    unwanted]))\n"
     )
     with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
@@ -1099,9 +1107,8 @@ def test_live_redirect_off_http_exit_2(capsys, explorer, tmp_path, scheme):
     location = local.as_uri() if scheme == "file" else "ftp://127.0.0.1/hex"
     explorer.routes[_HEX_PATH] = (302, b"", {"Location": location})
     _, err = _data_error(capsys, *_live(explorer, *_TX_DECODE))
-    refusal = (f"Found - Redirection to url '{location}' is not allowed" if scheme == "file"
-               else "unknown url type: ftp")
-    assert err == f"error: GET {explorer.url}{_HEX_PATH}: {refusal}\n"
+    assert err == (f"error: GET {explorer.url}{_HEX_PATH}: "
+                   f"Found - Redirection to url '{location}' is not allowed\n")
 
 
 def test_live_ftp_endpoint_exit_2(capsys):

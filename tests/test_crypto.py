@@ -1,7 +1,5 @@
 import base64
-import importlib.util
 import string
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +22,15 @@ from eaward.crypto import (
 )
 from eaward.errors import EawardError, MalformedHex, parse_hex
 
-from conftest import ADDR_A, ADDR_C, ADDR_C_HASH160, PK1_HEX, SIGNATURE_B64, ZERO_PAYLOAD_ADDR
+from conftest import (
+    ADDR_A,
+    ADDR_C,
+    ADDR_C_HASH160,
+    PK1_HEX,
+    SIGNATURE_B64,
+    ZERO_PAYLOAD_ADDR,
+    refcrypto,
+)
 
 # Officially published RIPEMD-160 vectors.
 RIPEMD_VECTORS = [
@@ -101,6 +107,16 @@ def test_base58check_zero_payload_regression():
 def test_base58check_roundtrip_of_published_address():
     version, payload = base58check_decode("n2dSPmt5cv2hFNfQqoZtvRJ6bZmypNBSvH")
     assert base58check_encode(version, payload) == "n2dSPmt5cv2hFNfQqoZtvRJ6bZmypNBSvH"
+
+
+def test_base58check_encode_matches_independent_implementation():
+    # Every version byte, and 0..20 leading zero bytes in the payload: the
+    # zero bytes that become leading "1"s, and a top digit pair that starts
+    # with a zero digit.
+    for version in range(256):
+        for zeros in range(21):
+            payload = bytes(zeros) + crypto.sha256(bytes([version, zeros]))[:20 - zeros]
+            assert base58check_encode(version, payload) == refcrypto.b58check(version, payload)
 
 
 def test_base58check_invalid_characters():
@@ -467,18 +483,6 @@ def test_window_table_rows_are_multiples_of_g():
     assert len(table) == 52 and all(len(row) == 16 for row in table)
     for i, j in ((0, 1), (0, 16), (1, 1), (25, 7), (51, 1), (51, 16)):
         assert table[i][j - 1] == reference_mul(j * 32**i, _G)
-
-
-def _load_refcrypto():
-    """perfbench's independent implementation from the public specifications."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "refcrypto.py"
-    spec = importlib.util.spec_from_file_location("refcrypto", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-refcrypto = _load_refcrypto()
 
 
 @settings(max_examples=25, deadline=None)

@@ -41,6 +41,7 @@ from eaward.tx import (
     TxInput,
     TxOutput,
     Txid,
+    compute_txid,
     decode_script,
     parse_transaction,
 )
@@ -218,6 +219,21 @@ def test_rebuilding_a_record_runs_its_checks():
     assert rebuild(Script(b"\x51"), parsed=(), fault="forged") == Script(b"\x51")
     source = "".join(p.read_text() for p in Path(eaward.__file__).parent.glob("*.py"))
     assert not re.search(r"\._(make|replace)\(", source)
+
+
+def test_a_rebuilt_transaction_carries_its_own_bytes(demo_tx_hex):
+    # raw follows the fields: a changed copy of a parsed transaction is
+    # serialized again, and bytes passed for raw are not kept.
+    tx = parse_transaction(demo_tx_hex)
+    later = rebuild(tx, locktime=tx.locktime ^ 1)
+    assert later.raw[:-4] == tx.raw[:-4]
+    assert later.raw[-4:] == (tx.locktime ^ 1).to_bytes(4, "little")
+    assert parse_transaction(later.raw.hex()) == later
+    output = TxOutput(1, Script(b"\x51"))
+    paid = rebuild(tx, outputs=(output,))
+    assert parse_transaction(paid.serialize().hex()).outputs == (output,)
+    assert compute_txid(paid) != compute_txid(tx)
+    assert rebuild(tx, raw=b"forged") == tx
 
 
 def test_chain_source_keeps_its_fields():

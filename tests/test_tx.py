@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaward.anchor import AwardDocument, HashMismatch, verify_anchor
+from eaward.anchor import (
+    AwardDocument,
+    HashMismatch,
+    build_anchor_script,
+    checksum_award,
+    verify_anchor,
+)
+from eaward.attestation import match_transaction
+from eaward.chain import get_transaction
 from eaward.crypto import MAINNET, TESTNET, Address, hash160, write_compact_size
 from eaward.errors import MalformedHex
 from eaward.tx import (
@@ -13,6 +21,7 @@ from eaward.tx import (
     TxOutput,
     Txid,
     _Reader,
+    _serialize,
     build_nulldata_script,
     compute_txid,
     decode_script,
@@ -33,6 +42,8 @@ from conftest import (
     PK2_HEX,
     PK3_HEX,
     REDEEM_HEX,
+    rebuild,
+    refcrypto,
 )
 
 
@@ -124,6 +135,28 @@ def test_parse_serialize_identity_on_hex(tx):
     assert parse_transaction(hex_text).to_hex() == hex_text
 
 
+@settings(max_examples=60, deadline=None)
+@given(transactions())
+def test_parsed_record_keeps_the_bytes_read(tx):
+    # The record parse_transaction builds from the bytes it read equals the
+    # one the class builds, serializing, from the same fields.
+    hex_text = tx.serialize().hex()
+    parsed = parse_transaction(hex_text)
+    assert parsed.raw == bytes.fromhex(hex_text)
+    assert rebuild(parsed) == parsed
+
+
+@settings(max_examples=60, deadline=None)
+@given(transactions().filter(lambda tx: not tx.segwit))
+def test_legacy_txid_matches_independent_implementation(tx):
+    raw = refcrypto.serialize_tx(
+        tx.version,
+        [(i.prev_txid.hash, i.prev_vout, i.script_sig.raw, i.sequence) for i in tx.inputs],
+        [(o.value, o.script_pubkey.raw) for o in tx.outputs],
+        tx.locktime)
+    assert compute_txid(parse_transaction(raw.hex())).hex() == refcrypto.txid_hex(raw)
+
+
 def test_parse_rejects_truncated(demo_tx_hex):
     with pytest.raises(TxError, match="needed 4 bytes, got 3"):
         parse_transaction(demo_tx_hex[:-2])
@@ -164,6 +197,10 @@ def test_transaction_needs_inputs_and_outputs():
     out = TxOutput(1, Script(b"\x6a"))
     with pytest.raises(TxError):
         Transaction(2, (), (out,))
+    txin = TxInput(Txid(bytes(32)), 0, Script(b""))
+    no_outputs = _serialize(2, (txin,), (), 0, False).hex()
+    with pytest.raises(TxError, match="needs at least one input and one output"):
+        parse_transaction(no_outputs)
 
 
 def test_output_value_bounds():
@@ -488,6 +525,53 @@ def test_transaction_report_parses_each_script_once(demo_tx_hex, monkeypatch):
     scripts = ([txin.script_sig.raw for txin in tx.inputs]
                + [txout.script_pubkey.raw for txout in tx.outputs])
     assert sorted(parsed) == sorted(scripts)
+
+
+def _count_serializations(monkeypatch) -> list[bool]:
+    """include_witness of each serialization made from here on."""
+    made = []
+
+    def counting_serialize(*fields):
+        made.append(fields[-1])
+        return _serialize(*fields)
+
+    monkeypatch.setattr("eaward.tx._serialize", counting_serialize)
+    return made
+
+
+def test_read_path_serializes_nothing(demo_tx_hex, fixture_source, golden_agreement,
+                                      monkeypatch):
+    # A parsed legacy transaction is its own stripped serialization: the
+    # fetch's txid check, the report, the anchor scan and the escrow match
+    # all read the bytes that were parsed.
+    document = AwardDocument(b"anchored here")
+    anchoring = Transaction(1, (TxInput(Txid(bytes(32)), 0, Script(b"")),),
+                            (TxOutput(0, build_anchor_script(checksum_award(document))),))
+    made = _count_serializations(monkeypatch)
+    tx = parse_transaction(demo_tx_hex)
+    fetched = get_transaction(fixture_source, Txid.from_hex(DEMO_TXID))
+    report = transaction_report(fetched, TESTNET)
+    with pytest.raises(HashMismatch):
+        verify_anchor(AwardDocument(b"not anchored here"), fetched)
+    proof = verify_anchor(document, parse_transaction(anchoring.to_hex()))
+    linkage = match_transaction(golden_agreement, fetched)
+    assert made == []
+    assert fetched == tx and fetched.raw == bytes.fromhex(demo_tx_hex)
+    assert report["size"] == len(tx.raw) and linkage.txid.hex() == DEMO_TXID
+    assert proof.txid == compute_txid(anchoring)
+
+
+def test_segwit_txid_serializes_the_stripped_form_once(monkeypatch):
+    witnessed = TxInput(Txid(b"\x11" * 32), 0, Script(b""), 0xFFFFFFFF, (b"\x01\x02",))
+    hex_text = Transaction(2, (witnessed,), (TxOutput(5000, Script(b"\x6a\x01\x41")),),
+                           segwit=True).to_hex()
+    made = _count_serializations(monkeypatch)
+    tx = parse_transaction(hex_text)
+    assert (tx.serialize(), made) == (bytes.fromhex(hex_text), [])
+    compute_txid(tx)
+    assert made == [False]
+    transaction_report(tx, TESTNET)
+    assert made == [False, False]
 
 
 def standard_scripts():
