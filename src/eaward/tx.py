@@ -2,11 +2,11 @@
 
 The hex form of a transaction is the record of interest here, so parsing and
 serialization are exact inverses: every byte of a valid input is accounted
-for and reproduced. A Transaction keeps its serialization as raw; a parsed
-one keeps the very bytes it was read from, so reports, txids and anchors
-read those bytes instead of rebuilding them. Txids are computed over the
-witness-stripped serialization regardless of how the transaction arrived:
-for a legacy transaction that is raw itself.
+for and reproduced, and a record has one byte form, with a witness exactly
+when some input has one. A Transaction keeps it as raw; a parsed one keeps
+the very bytes it was read from, so reports, txids and anchors read those
+bytes instead of rebuilding them. Txids are computed over the
+witness-stripped serialization: for a legacy transaction that is raw itself.
 """
 
 from __future__ import annotations
@@ -228,18 +228,25 @@ class Script(namedtuple("Script", "raw parsed fault")):
         return tuple(op.data for op in self.ops() if op.is_push)
 
 
+def _script_num(data: bytes) -> int:
+    """Bitcoin Core's CScriptNum(data, false) of at most 4 bytes: little-endian,
+    with the sign in the top bit of the last byte."""
+    value = int.from_bytes(data, "little")
+    if data and data[-1] & 0x80:
+        return -(value ^ 0x80 << 8 * (len(data) - 1))
+    return value
+
+
 def script_to_asm(script: Script) -> str:
-    """Space-separated console rendering: pushes as hex, small ints as
-    decimal, everything else as OP_* names. A script that stops parsing
-    renders the ops before the fault and then "[error]", as Bitcoin Core's
-    ScriptToAsmStr does: an output script or coinbase scriptSig may be any
-    bytes."""
+    """Space-separated console rendering as Bitcoin Core's ScriptToAsmStr
+    gives it: pushes of up to 4 bytes as the decimal number they encode,
+    longer pushes as hex, small ints as decimal, everything else as OP_*
+    names. A script that stops parsing renders the ops before the fault and
+    then "[error]": an output script or coinbase scriptSig may be any bytes."""
     tokens = []
     for op in script.parsed:
-        if op.opcode == OP_0:
-            tokens.append("0")
-        elif op.is_push:
-            tokens.append(op.data.hex())
+        if op.is_push:
+            tokens.append(str(_script_num(op.data)) if len(op.data) <= 4 else op.data.hex())
         elif op.opcode == OP_1NEGATE:
             tokens.append("-1")
         elif OP_1 <= op.opcode <= OP_16:
@@ -397,29 +404,27 @@ def _serialize(version: int, inputs: tuple[TxInput, ...], outputs: tuple[TxOutpu
     return bytes(out)
 
 
-class Transaction(namedtuple("Transaction", "version inputs outputs locktime segwit raw")):
-    """raw is the serialization, with the witness when segwit is set. It
-    follows from the other fields and is made again from them whatever is
-    passed for it; parse_transaction keeps the bytes it read instead, which
-    are the same bytes because parsing is the exact inverse of serializing."""
+class Transaction(namedtuple("Transaction", "version inputs outputs locktime raw")):
+    """raw is the serialization, with the witness exactly when some input
+    has one (Bitcoin Core's HasWitness). It follows from the other fields and
+    is made again from them whatever is passed for it; parse_transaction keeps
+    the bytes it read instead, the same bytes, as it inverts serializing."""
 
     __slots__ = ()
 
     def __new__(cls, version: int, inputs: tuple[TxInput, ...], outputs: tuple[TxOutput, ...],
-                locktime: int = 0, segwit: bool = False, raw=None):
+                locktime: int = 0, raw=None):
         if not inputs or not outputs:
             raise TxError("transaction needs at least one input and one output")
-        raw = _serialize(version, inputs, outputs, locktime, segwit)
-        return super().__new__(cls, version, inputs, outputs, locktime, segwit, raw)
+        raw = _serialize(version, inputs, outputs, locktime,
+                         any(txin.witness for txin in inputs))
+        return super().__new__(cls, version, inputs, outputs, locktime, raw)
 
-    def serialize(self, include_witness: bool | None = None) -> bytes:
-        if include_witness is None or include_witness == self.segwit:
-            return self.raw
-        return _serialize(self.version, self.inputs, self.outputs, self.locktime,
-                          include_witness)
+    def serialize(self) -> bytes:
+        return self.raw
 
     def to_hex(self) -> str:
-        return self.serialize().hex()
+        return self.raw.hex()
 
 
 def parse_transaction(hex_text: str) -> Transaction:
@@ -429,12 +434,11 @@ def parse_transaction(hex_text: str) -> Transaction:
     version = struct.unpack("<i", reader.read(4))[0]
 
     n_inputs = reader.read_compact_size()
-    segwit = False
-    if n_inputs == 0:
+    flagged = n_inputs == 0
+    if flagged:
         # Marker byte: a legacy transaction cannot have zero inputs.
         if reader.read(1) != b"\x01":
             raise TxError("zero-input transaction with unknown flag byte")
-        segwit = True
         n_inputs = reader.read_compact_size()
 
     inputs = []
@@ -453,12 +457,14 @@ def parse_transaction(hex_text: str) -> Transaction:
         script_len = reader.read_compact_size()
         outputs.append(TxOutput(value, Script(reader.read(script_len))))
 
-    if segwit:
+    if flagged:
         for i in range(n_inputs):
             n_items = reader.read_compact_size()
             items = tuple(reader.read(reader.read_compact_size()) for _ in range(n_items))
             inputs[i] = TxInput(inputs[i].prev_txid, inputs[i].prev_vout,
                                 inputs[i].script_sig, inputs[i].sequence, items)
+        if not any(txin.witness for txin in inputs):  # a second form of one record
+            raise TxError("superfluous witness record")
 
     locktime = struct.unpack("<I", reader.read(4))[0]
     if not reader.exhausted:
@@ -467,12 +473,12 @@ def parse_transaction(hex_text: str) -> Transaction:
         raise TxError("transaction needs at least one input and one output")
     # Every byte was read back as it serializes, so raw is the record's
     # serialization and need not be made again.
-    return tuple.__new__(Transaction, (version, tuple(inputs), tuple(outputs), locktime,
-                                       segwit, raw))
+    return tuple.__new__(Transaction, (version, tuple(inputs), tuple(outputs), locktime, raw))
 
 
 def compute_txid(tx: Transaction) -> Txid:
-    return Txid(hash256(tx.serialize(include_witness=False)))
+    witnessed = any(txin.witness for txin in tx.inputs)
+    return Txid(hash256(_serialize(*tx[:4], False) if witnessed else tx.raw))
 
 
 def extract_op_return(tx: Transaction) -> list[bytes]:
@@ -492,7 +498,7 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
     doc = {
         "txid": compute_txid(tx).hex(),
         "version": tx.version,
-        "size": len(tx.serialize()),
+        "size": len(tx.raw),
         "locktime": tx.locktime,
         "vin": [],
         "vout": [],

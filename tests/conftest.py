@@ -78,6 +78,15 @@ DEMO_TXID = "98cef737a188c6a2f6645b2af052ca38d4b40b42f4032454826e7a98a5c5806e"
 
 REAL_TX_FIXTURE = CHAIN_DIR / f"{REAL_TXID}.hex"
 
+# The demo transaction's second byte form, which Bitcoin Core refuses as a
+# "Superfluous witness record" (BIP 144): its bytes with the marker and flag
+# after the version and an empty witness for its one input before the
+# locktime. 401 bytes that hash, stripped, to DEMO_TXID.
+_DEMO_RAW = bytes.fromhex((CHAIN_DIR / f"{DEMO_TXID}.hex").read_text())
+assert _DEMO_RAW[4] == 1  # one input
+SUPERFLUOUS_DEMO_HEX = (_DEMO_RAW[:4] + b"\x00\x01" + _DEMO_RAW[4:-4] + b"\x00"
+                        + _DEMO_RAW[-4:]).hex()
+
 # Explorer status answers for DEMO_TXID with each field the live path reads
 # broken: (status document, or None for unparseable bytes; tip height body).
 _CONFIRMED_DOC = {"confirmed": True, "block_height": 1_500_000, "block_time": 1553788013}

@@ -377,9 +377,7 @@ def test_criterion_6_transaction_roundtrip_suite():
             TxOutput(rng.randrange(21_000_000 * 10**8),
                      Script(push_data(rng.randbytes(rng.randint(0, 60)))))
             for _ in range(rng.randint(1, 3)))
-        segwit = any(txin.witness for txin in inputs)
-        tx = Transaction(rng.randrange(1, 3), inputs, outputs,
-                         rng.randrange(2**32), segwit)
+        tx = Transaction(rng.randrange(1, 3), inputs, outputs, rng.randrange(2**32))
         assert parse_transaction(tx.to_hex()) == tx
     _report(6, "transaction serialization: 100 round-trips incl. witness "
                "serializations")

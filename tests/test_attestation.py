@@ -56,7 +56,7 @@ def _with_payload(tx: Transaction, payload: bytes) -> Transaction:
     """The demo transaction with its metadata payload replaced."""
     outputs = (TxOutput(tx.outputs[0].value, build_nulldata_script(payload)),
                *tx.outputs[1:])
-    return Transaction(tx.version, tx.inputs, outputs, tx.locktime, tx.segwit)
+    return Transaction(tx.version, tx.inputs, outputs, tx.locktime)
 
 
 def _agreement_with(agreement, **overrides) -> ArbitrationAgreement:

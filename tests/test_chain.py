@@ -27,6 +27,7 @@ from conftest import (
     DEMO_TXID,
     MALFORMED_LIVE_STATUS,
     REAL_TXID,
+    SUPERFLUOUS_DEMO_HEX,
     live_status_responses,
 )
 
@@ -71,6 +72,16 @@ def test_fixture_non_utf8_hex_is_txid_mismatch(tmp_path):
     (tmp_path / f"{DEMO_TXID}.hex").write_bytes(b"\xff\xfe0200\x80")
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
     with pytest.raises(TxidMismatch):
+        get_transaction(source, _demo_txid())
+
+
+def test_fixture_superfluous_witness_record_is_txid_mismatch(tmp_path):
+    # The demo's bytes with an empty witness hash, stripped, to its txid; a
+    # source serving that second form is refused like any unparseable one.
+    (tmp_path / f"{DEMO_TXID}.hex").write_text(SUPERFLUOUS_DEMO_HEX + "\n")
+    source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
+    with pytest.raises(TxidMismatch,
+                       match="^source returned unparseable bytes: superfluous witness record$"):
         get_transaction(source, _demo_txid())
 
 
@@ -295,6 +306,7 @@ def test_live_malformed_status_is_typed(doc, tip):
     with pytest.raises(MalformedStatus) as caught:
         get_tx_status(source, _demo_txid())
     assert "Error(" not in str(caught.value)
+    assert "http://x" in str(caught.value)  # the source that answered
 
 
 def test_live_status_unconfirmed():

@@ -43,6 +43,7 @@ from conftest import (
     PK3_HEX,
     REDEEM_HEX,
     SIGNATURE_B64,
+    SUPERFLUOUS_DEMO_HEX,
     live_status_responses,
     rebuild,
 )
@@ -173,6 +174,21 @@ def test_tx_decode_by_txid_from_fixture(capsys):
                        "tx", "decode", DEMO_TXID)
     assert code == 0
     assert json.loads(out)["txid"] == DEMO_TXID
+
+
+def test_superfluous_witness_record_exit_2(capsys, tmp_path):
+    # The demo's second byte form is refused given as hex, served by a
+    # source, and offered for broadcast, which then writes no fixture.
+    _, err = _data_error(capsys, "tx", "decode", SUPERFLUOUS_DEMO_HEX)
+    assert err == "error: superfluous witness record\n"
+    (tmp_path / f"{DEMO_TXID}.hex").write_text(SUPERFLUOUS_DEMO_HEX + "\n")
+    _, err = _data_error(capsys, "--fixture-root", str(tmp_path), "tx", "decode", DEMO_TXID)
+    assert err == "error: source returned unparseable bytes: superfluous witness record\n"
+    root = tmp_path / "broadcast"
+    _, err = _data_error(capsys, "--fixture-root", str(root), "tx", "broadcast",
+                         SUPERFLUOUS_DEMO_HEX)
+    assert err == "error: unparseable transaction: superfluous witness record\n"
+    assert not root.exists()
 
 
 def test_tx_decode_bad_hex_exit_2(capsys):
@@ -998,6 +1014,7 @@ _FETCHING = (("tx", "decode", DEMO_TXID), _certify())
 @settings(max_examples=150, deadline=None)
 @given(served=_MUTATED_HEX)
 @example(served=_DEMO_HEX)
+@example(served=SUPERFLUOUS_DEMO_HEX.encode())
 @example(served=_DEMO_HEX.strip() + b"00")
 @example(served=_DEMO_HEX[:-3])
 @example(served=b"")

@@ -42,6 +42,7 @@ from conftest import (
     PK2_HEX,
     PK3_HEX,
     REDEEM_HEX,
+    SUPERFLUOUS_DEMO_HEX,
     rebuild,
     refcrypto,
 )
@@ -85,22 +86,17 @@ def tx_outputs():
 
 
 def transactions():
-    def assemble(version, inputs, outputs, locktime, force_segwit):
-        segwit = force_segwit or any(i.witness for i in inputs)
-        if not segwit:
-            inputs = tuple(
-                TxInput(i.prev_txid, i.prev_vout, i.script_sig, i.sequence, ())
-                for i in inputs)
-        return Transaction(version, tuple(inputs), tuple(outputs), locktime, segwit)
-
     return st.builds(
-        assemble,
+        Transaction,
         version=st.integers(min_value=-2**31, max_value=2**31 - 1),
-        inputs=st.lists(tx_inputs(), min_size=1, max_size=3),
-        outputs=st.lists(tx_outputs(), min_size=1, max_size=3),
+        inputs=st.lists(tx_inputs(), min_size=1, max_size=3).map(tuple),
+        outputs=st.lists(tx_outputs(), min_size=1, max_size=3).map(tuple),
         locktime=st.integers(min_value=0, max_value=2**32 - 1),
-        force_segwit=st.booleans(),
     )
+
+
+def _has_witness(tx: Transaction) -> bool:
+    return any(txin.witness for txin in tx.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +126,51 @@ def test_serialize_parse_roundtrip(tx):
 
 @settings(max_examples=60, deadline=None)
 @given(transactions())
-def test_parse_serialize_identity_on_hex(tx):
-    hex_text = tx.serialize().hex()
-    assert parse_transaction(hex_text).to_hex() == hex_text
-
-
-@settings(max_examples=60, deadline=None)
-@given(transactions())
 def test_parsed_record_keeps_the_bytes_read(tx):
     # The record parse_transaction builds from the bytes it read equals the
     # one the class builds, serializing, from the same fields.
     hex_text = tx.serialize().hex()
     parsed = parse_transaction(hex_text)
     assert parsed.raw == bytes.fromhex(hex_text)
+    assert parsed.to_hex() == hex_text
     assert rebuild(parsed) == parsed
 
 
-@settings(max_examples=60, deadline=None)
-@given(transactions().filter(lambda tx: not tx.segwit))
-def test_legacy_txid_matches_independent_implementation(tx):
-    raw = refcrypto.serialize_tx(
+def _stripped(tx: Transaction) -> bytes:
+    """The witness-stripped serialization, from the independent implementation."""
+    return refcrypto.serialize_tx(
         tx.version,
         [(i.prev_txid.hash, i.prev_vout, i.script_sig.raw, i.sequence) for i in tx.inputs],
         [(o.value, o.script_pubkey.raw) for o in tx.outputs],
         tx.locktime)
+
+
+@settings(max_examples=80, deadline=None)
+@given(transactions())
+def test_one_byte_form_carries_exactly_the_reported_witnesses(tx):
+    # The marker, flag and witness are serialized exactly when some input has
+    # a witness (Bitcoin Core's HasWitness), and what the report lists is
+    # what the bytes carry.
+    assert _has_witness(tx) == (tx.raw[4] == 0)
+    vin = transaction_report(tx, TESTNET)["vin"]
+    reported = [[bytes.fromhex(item) for item in entry.get("txinwitness", [])]
+                for entry in vin]
+    assert all(("txinwitness" in entry) == bool(items) for entry, items in zip(vin, reported))
+    stripped = _stripped(tx)
+    if _has_witness(tx):
+        carried = b"".join(
+            write_compact_size(len(items))
+            + b"".join(write_compact_size(len(item)) + item for item in items)
+            for items in reported)
+        assert tx.raw == stripped[:4] + b"\x00\x01" + stripped[4:-4] + carried + stripped[-4:]
+    else:
+        assert tx.raw == stripped and not any(reported)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transactions().filter(lambda tx: not _has_witness(tx)))
+def test_legacy_txid_matches_independent_implementation(tx):
+    raw = _stripped(tx)
     assert compute_txid(parse_transaction(raw.hex())).hex() == refcrypto.txid_hex(raw)
 
 
@@ -222,10 +239,28 @@ def test_segwit_witness_excluded_from_txid():
     legacy = Transaction(2, (base,), (out,))
     with_witness = Transaction(
         2, (TxInput(base.prev_txid, 0, Script(b""), 0xFFFFFFFF, (b"\x01\x02", b"")),),
-        (out,), segwit=True)
+        (out,))
     assert compute_txid(legacy) == compute_txid(with_witness)
     assert with_witness.serialize() != legacy.serialize()
     assert parse_transaction(with_witness.serialize().hex()) == with_witness
+
+
+def test_superfluous_witness_record_refused(demo_tx_hex):
+    # Bitcoin Core's UnserializeTransaction refuses a witness flag that no
+    # input's witness uses: the demo would otherwise have a second, 401-byte
+    # form with the same txid.
+    assert len(SUPERFLUOUS_DEMO_HEX) // 2 == len(demo_tx_hex) // 2 + 3
+    with pytest.raises(TxError, match="^superfluous witness record$"):
+        parse_transaction(SUPERFLUOUS_DEMO_HEX)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transactions().filter(lambda tx: not _has_witness(tx)))
+def test_any_witness_flag_without_a_witness_item_is_refused(tx):
+    legacy = tx.raw
+    flagged = legacy[:4] + b"\x00\x01" + legacy[4:-4] + b"\x00" * len(tx.inputs) + legacy[-4:]
+    with pytest.raises(TxError, match="superfluous witness record"):
+        parse_transaction(flagged.hex())
 
 
 def test_txid_changes_on_any_single_digit_edit_spot_check(demo_tx_hex):
@@ -395,12 +430,14 @@ def test_asm_of_op_return_output(demo_tx):
 
 
 def test_asm_one_byte_push_disambiguation():
-    # "07" (leading zero) is a push; bare "7" is the small-int opcode.
-    assert script_to_asm(Script(push_data(b"\x07"))) == "07"
-    assert script_to_asm(Script(b"\x57")) == "7"
-    # The documented ambiguity: one-byte pushes 0x10..0x16 render like opcodes.
-    assert script_to_asm(Script(push_data(b"\x10"))) == "10"
-    assert script_to_asm(Script(bytes([0x5A]))) == "10"
+    # Bitcoin Core's ScriptToAsmStr prints a push of at most 4 bytes as the
+    # number CScriptNum(bytes, false) reads: little-endian, the sign in the
+    # top bit of the last byte, minimal encoding not required. So a push
+    # renders as the opcode that pushes the same number does; a longer push
+    # renders as hex.
+    expected = {"0114": "20", "0181": "-1", "0180": "0", "04ffffffff": "-2147483647",
+                "4c0105": "5", "0107": "7", "57": "7", "0500000000ff": "00000000ff"}
+    assert {raw: script_to_asm(Script.from_hex(raw)) for raw in expected} == expected
 
 
 @pytest.mark.parametrize("opcode, name", [
@@ -421,7 +458,7 @@ _OPCODE_TOKENS = {"OP_DUP": 0x76, "OP_HASH160": 0xA9, "OP_CHECKMULTISIG": 0xAE,
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(
-    st.one_of(st.binary(min_size=2, max_size=80), st.sampled_from(list(_OPCODE_TOKENS))),
+    st.one_of(st.binary(min_size=5, max_size=80), st.sampled_from(list(_OPCODE_TOKENS))),
     min_size=0, max_size=8,
 ))
 def test_asm_lossless_for_multibyte_pushes(parts):
@@ -563,8 +600,7 @@ def test_read_path_serializes_nothing(demo_tx_hex, fixture_source, golden_agreem
 
 def test_segwit_txid_serializes_the_stripped_form_once(monkeypatch):
     witnessed = TxInput(Txid(b"\x11" * 32), 0, Script(b""), 0xFFFFFFFF, (b"\x01\x02",))
-    hex_text = Transaction(2, (witnessed,), (TxOutput(5000, Script(b"\x6a\x01\x41")),),
-                           segwit=True).to_hex()
+    hex_text = Transaction(2, (witnessed,), (TxOutput(5000, Script(b"\x6a\x01\x41")),)).to_hex()
     made = _count_serializations(monkeypatch)
     tx = parse_transaction(hex_text)
     assert (tx.serialize(), made) == (bytes.fromhex(hex_text), [])
