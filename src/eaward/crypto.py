@@ -133,7 +133,7 @@ class Address(namedtuple("Address", "version payload text")):
     def from_parts(cls, version: int, payload: bytes) -> "Address":
         if len(payload) != 20:
             raise CryptoError("address payload must be 20 bytes")
-        return cls(version, payload, base58check_encode(version, payload))
+        return tuple.__new__(cls, (version, payload, base58check_encode(version, payload)))
 
     @classmethod
     def from_text(cls, text: str) -> "Address":
@@ -379,12 +379,13 @@ def _jacobi(a: int) -> int:
     n = _P
     t = 1
     while a:
-        zeros = (a & -a).bit_length() - 1
-        a >>= zeros
-        # (2 | n) = -1 for n = 3, 5 mod 8; reciprocity flips the sign when
-        # a = n = 3 mod 4.
-        if zeros & 1 and (n & 7) in (3, 5):
-            t = -t
+        if not a & 1:
+            zeros = (a & -a).bit_length() - 1
+            a >>= zeros
+            # (2 | n) = -1 for n = 3, 5 mod 8.
+            if zeros & 1 and (n & 7) in (3, 5):
+                t = -t
+        # Reciprocity flips the sign when a = n = 3 mod 4.
         if a & n & 2:
             t = -t
         a, n = n % a, a
@@ -428,7 +429,7 @@ class PublicKey(namedtuple("PublicKey", "data")):
             raise CryptoError(f"not a curve point: {_OFF_FIELD}")
         if _jacobi(x * x * x + 7) < 0:
             raise CryptoError(f"not a curve point: {_OFF_CURVE}")
-        return super().__new__(cls, data)
+        return tuple.__new__(cls, (data,))
 
     @classmethod
     def from_point(cls, point: tuple[int, int]) -> "PublicKey":

@@ -27,13 +27,21 @@ _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
 def parse_hex(text: str) -> bytes:
     """The bytes of hex text. Whitespace may surround the digits but not
-    separate them."""
+    separate them.
+
+    bytes.fromhex skips ASCII whitespace between digit pairs, so what it
+    decodes is kept only when it holds a byte for every two characters; any
+    other text is refused, and only then does the regex name the fault."""
     text = text.strip()
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        data = b""
+    if 2 * len(data) == len(text):
+        return data
     if not _HEX_RE.fullmatch(text):
         raise MalformedHex("non-hex characters in input")
-    if len(text) % 2:
-        raise MalformedHex("odd-length hex input")
-    return bytes.fromhex(text)
+    raise MalformedHex("odd-length hex input")
 
 
 def _unique_keys(pairs: list) -> dict:

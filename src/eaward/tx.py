@@ -7,13 +7,18 @@ when some input has one. A Transaction keeps it as raw; a parsed one keeps
 the very bytes it was read from, so reports, txids and anchors read those
 bytes instead of rebuilding them. Txids are computed over the
 witness-stripped serialization: for a legacy transaction that is raw itself.
+
+Reading is one pass on offsets into the bytes: each field's bounds are
+checked before struct unpacks or slices it, and the records are built with
+tuple.__new__ once their checks have run. A script's ops that push nothing,
+and OP_0's empty push, are shared records from a table built at import, and
+asm takes the token of each such opcode from another.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from io import BytesIO
 
 from .crypto import Address, Network, hash160, hash256, write_compact_size
 from .errors import EawardError, parse_hex
@@ -37,36 +42,25 @@ OP_HASH160 = 0xA9
 OP_CHECKSIG = 0xAC
 OP_CHECKMULTISIG = 0xAE
 
-_OPCODE_NAMES = {
-    0x50: "OP_RESERVED", 0x61: "OP_NOP", 0x62: "OP_VER", 0x63: "OP_IF",
-    0x64: "OP_NOTIF", 0x65: "OP_VERIF", 0x66: "OP_VERNOTIF", 0x67: "OP_ELSE",
-    0x68: "OP_ENDIF", 0x69: "OP_VERIFY", 0x6A: "OP_RETURN",
-    0x6B: "OP_TOALTSTACK", 0x6C: "OP_FROMALTSTACK", 0x6D: "OP_2DROP",
-    0x6E: "OP_2DUP", 0x6F: "OP_3DUP", 0x70: "OP_2OVER", 0x71: "OP_2ROT",
-    0x72: "OP_2SWAP", 0x73: "OP_IFDUP", 0x74: "OP_DEPTH", 0x75: "OP_DROP",
-    0x76: "OP_DUP", 0x77: "OP_NIP", 0x78: "OP_OVER", 0x79: "OP_PICK",
-    0x7A: "OP_ROLL", 0x7B: "OP_ROT", 0x7C: "OP_SWAP", 0x7D: "OP_TUCK",
-    0x7E: "OP_CAT", 0x7F: "OP_SUBSTR", 0x80: "OP_LEFT", 0x81: "OP_RIGHT",
-    0x82: "OP_SIZE", 0x83: "OP_INVERT", 0x84: "OP_AND", 0x85: "OP_OR",
-    0x86: "OP_XOR", 0x87: "OP_EQUAL", 0x88: "OP_EQUALVERIFY",
-    0x89: "OP_RESERVED1", 0x8A: "OP_RESERVED2", 0x8B: "OP_1ADD",
-    0x8C: "OP_1SUB", 0x8D: "OP_2MUL", 0x8E: "OP_2DIV",
-    0x8F: "OP_NEGATE", 0x90: "OP_ABS", 0x91: "OP_NOT", 0x92: "OP_0NOTEQUAL",
-    0x93: "OP_ADD", 0x94: "OP_SUB", 0x95: "OP_MUL", 0x96: "OP_DIV",
-    0x97: "OP_MOD", 0x98: "OP_LSHIFT", 0x99: "OP_RSHIFT",
-    0x9A: "OP_BOOLAND", 0x9B: "OP_BOOLOR", 0x9C: "OP_NUMEQUAL",
-    0x9D: "OP_NUMEQUALVERIFY", 0x9E: "OP_NUMNOTEQUAL", 0x9F: "OP_LESSTHAN",
-    0xA0: "OP_GREATERTHAN", 0xA1: "OP_LESSTHANOREQUAL",
-    0xA2: "OP_GREATERTHANOREQUAL", 0xA3: "OP_MIN", 0xA4: "OP_MAX",
-    0xA5: "OP_WITHIN", 0xA6: "OP_RIPEMD160", 0xA7: "OP_SHA1",
-    0xA8: "OP_SHA256", 0xA9: "OP_HASH160", 0xAA: "OP_HASH256",
-    0xAB: "OP_CODESEPARATOR", 0xAC: "OP_CHECKSIG", 0xAD: "OP_CHECKSIGVERIFY",
-    0xAE: "OP_CHECKMULTISIG", 0xAF: "OP_CHECKMULTISIGVERIFY",
-    0xB0: "OP_NOP1", 0xB1: "OP_CHECKLOCKTIMEVERIFY",
-    0xB2: "OP_CHECKSEQUENCEVERIFY", 0xB3: "OP_NOP4", 0xB4: "OP_NOP5",
-    0xB5: "OP_NOP6", 0xB6: "OP_NOP7", 0xB7: "OP_NOP8", 0xB8: "OP_NOP9",
-    0xB9: "OP_NOP10", 0xBA: "OP_CHECKSIGADD", 0xFF: "OP_INVALIDOPCODE",
-}
+# The asm token of each opcode that pushes nothing, by opcode, as Bitcoin
+# Core's GetOpName gives it: 0x4f..0xba in order, then the undefined bytes
+# 0xbb..0xfe and 0xff. Push opcodes render their data and have no token.
+_ASM_TOKENS = (None,) * OP_1NEGATE + tuple("""
+    -1 OP_RESERVED 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+    OP_NOP OP_VER OP_IF OP_NOTIF OP_VERIF OP_VERNOTIF OP_ELSE OP_ENDIF OP_VERIFY OP_RETURN
+    OP_TOALTSTACK OP_FROMALTSTACK OP_2DROP OP_2DUP OP_3DUP OP_2OVER OP_2ROT OP_2SWAP OP_IFDUP
+    OP_DEPTH OP_DROP OP_DUP OP_NIP OP_OVER OP_PICK OP_ROLL OP_ROT OP_SWAP OP_TUCK
+    OP_CAT OP_SUBSTR OP_LEFT OP_RIGHT OP_SIZE OP_INVERT OP_AND OP_OR OP_XOR
+    OP_EQUAL OP_EQUALVERIFY OP_RESERVED1 OP_RESERVED2
+    OP_1ADD OP_1SUB OP_2MUL OP_2DIV OP_NEGATE OP_ABS OP_NOT OP_0NOTEQUAL
+    OP_ADD OP_SUB OP_MUL OP_DIV OP_MOD OP_LSHIFT OP_RSHIFT OP_BOOLAND OP_BOOLOR
+    OP_NUMEQUAL OP_NUMEQUALVERIFY OP_NUMNOTEQUAL OP_LESSTHAN OP_GREATERTHAN
+    OP_LESSTHANOREQUAL OP_GREATERTHANOREQUAL OP_MIN OP_MAX OP_WITHIN
+    OP_RIPEMD160 OP_SHA1 OP_SHA256 OP_HASH160 OP_HASH256 OP_CODESEPARATOR
+    OP_CHECKSIG OP_CHECKSIGVERIFY OP_CHECKMULTISIG OP_CHECKMULTISIGVERIFY
+    OP_NOP1 OP_CHECKLOCKTIMEVERIFY OP_CHECKSEQUENCEVERIFY
+    OP_NOP4 OP_NOP5 OP_NOP6 OP_NOP7 OP_NOP8 OP_NOP9 OP_NOP10 OP_CHECKSIGADD
+""".split()) + ("OP_UNKNOWN",) * (0xFF - 0xBB) + ("OP_INVALIDOPCODE",)
 
 
 class TxError(EawardError):
@@ -77,39 +71,41 @@ class TxError(EawardError):
 # Wire plumbing
 # ---------------------------------------------------------------------------
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self._io = BytesIO(data)
-        self._len = len(data)
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+_I32 = struct.Struct("<i").unpack_from
+_U64 = struct.Struct("<Q").unpack_from
+# first byte of a wide compact size -> (reader, width, smallest value it may carry)
+_WIDE_SIZES = {0xFD: (_U16, 2, 0xFD), 0xFE: (_U32, 4, 0x10000), 0xFF: (_U64, 8, 0x100000000)}
 
-    def read(self, n: int) -> bytes:
-        out = self._io.read(n)
-        if len(out) != n:
-            raise TxError(f"needed {n} bytes, got {len(out)}")
-        return out
 
-    def read_compact_size(self) -> int:
-        # Canonical minimal encodings only, so parse is an exact inverse of
-        # serialize and txids are well-defined over parsed values.
-        first = self.read(1)[0]
-        if first < 0xFD:
-            return first
-        if first == 0xFD:
-            value = struct.unpack("<H", self.read(2))[0]
-            floor = 0xFD
-        elif first == 0xFE:
-            value = struct.unpack("<I", self.read(4))[0]
-            floor = 0x10000
-        else:
-            value = struct.unpack("<Q", self.read(8))[0]
-            floor = 0x100000000
-        if value < floor:
-            raise TxError(f"non-canonical compact size encoding of {value}")
-        return value
+def _overrun(raw: bytes, at: int, *widths: int) -> TxError:
+    """The error of reading fields of these widths in turn from offset at,
+    when together they run past the end: the first that does not fit."""
+    for n in widths:
+        if at + n > len(raw):
+            break
+        at += n
+    return TxError(f"needed {n} bytes, got {len(raw) - at}")
 
-    @property
-    def exhausted(self) -> bool:
-        return self._io.tell() == self._len
+
+def _compact_size(raw: bytes, at: int) -> tuple[int, int]:
+    """The compact size at offset at and the offset after it. Canonical
+    minimal encodings only, so parse is an exact inverse of serialize and
+    txids are well-defined over parsed values."""
+    if at >= len(raw):
+        raise _overrun(raw, at, 1)
+    first = raw[at]
+    if first < 0xFD:
+        return first, at + 1
+    unpack, width, floor = _WIDE_SIZES[first]
+    at += 1
+    if at + width > len(raw):
+        raise _overrun(raw, at, width)
+    value = unpack(raw, at)[0]
+    if value < floor:
+        raise TxError(f"non-canonical compact size encoding of {value}")
+    return value, at + width
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +164,13 @@ class ScriptOp(namedtuple("ScriptOp", "opcode data", defaults=(None,))):
         return self.data is not None
 
 
+# The one op of each opcode that pushes nothing, and of OP_0's empty push,
+# which every script shares; None for the opcodes that push bytes.
+_SHARED_OPS = tuple(
+    ScriptOp(op, b"") if op == OP_0 else None if op <= OP_PUSHDATA4 else ScriptOp(op)
+    for op in range(256))
+
+
 class Script(namedtuple("Script", "raw parsed fault")):
     """The bytes raw, and what _parse makes of them when the script is made:
     parsed and fault follow from raw, so equal raw means equal scripts.
@@ -177,7 +180,7 @@ class Script(namedtuple("Script", "raw parsed fault")):
 
     def __new__(cls, raw: bytes, parsed=None, fault=None):
         parsed, fault = cls._parse(raw)
-        return super().__new__(cls, raw, tuple(parsed), fault)
+        return tuple.__new__(cls, (raw, tuple(parsed), fault))
 
     @classmethod
     def from_hex(cls, text: str) -> "Script":
@@ -198,34 +201,32 @@ class Script(namedtuple("Script", "raw parsed fault")):
         None when the whole script parses."""
         out = []
         i = 0
-        while i < len(raw):
+        end = len(raw)
+        while i < end:
             op = raw[i]
             i += 1
-            if op == OP_0:
-                out.append(ScriptOp(op, b""))
-            elif op <= 75:
-                data = raw[i:i + op]
-                if len(data) != op:
+            shared = _SHARED_OPS[op]
+            if shared is not None:
+                out.append(shared)
+                continue
+            if op <= 75:
+                n = op
+                if i + n > end:
                     return out, "push runs past end of script"
-                out.append(ScriptOp(op, data))
-                i += op
-            elif op in (OP_PUSHDATA1, OP_PUSHDATA2, OP_PUSHDATA4):
-                width = {OP_PUSHDATA1: 1, OP_PUSHDATA2: 2, OP_PUSHDATA4: 4}[op]
-                if i + width > len(raw):
+            else:
+                width = 1 << (op - OP_PUSHDATA1)  # 1, 2 or 4
+                if i + width > end:
                     return out, "pushdata length field truncated"
                 n = int.from_bytes(raw[i:i + width], "little")
                 i += width
-                data = raw[i:i + n]
-                if len(data) != n:
+                if i + n > end:
                     return out, "pushdata runs past end of script"
-                out.append(ScriptOp(op, data))
-                i += n
-            else:
-                out.append(ScriptOp(op))
+            out.append(tuple.__new__(ScriptOp, (op, raw[i:i + n])))
+            i += n
         return out, None
 
     def pushes(self) -> tuple[bytes, ...]:
-        return tuple(op.data for op in self.ops() if op.is_push)
+        return tuple(op.data for op in self.ops() if op.data is not None)
 
 
 def _script_num(data: bytes) -> int:
@@ -243,16 +244,9 @@ def script_to_asm(script: Script) -> str:
     longer pushes as hex, small ints as decimal, everything else as OP_*
     names. A script that stops parsing renders the ops before the fault and
     then "[error]": an output script or coinbase scriptSig may be any bytes."""
-    tokens = []
-    for op in script.parsed:
-        if op.is_push:
-            tokens.append(str(_script_num(op.data)) if len(op.data) <= 4 else op.data.hex())
-        elif op.opcode == OP_1NEGATE:
-            tokens.append("-1")
-        elif OP_1 <= op.opcode <= OP_16:
-            tokens.append(str(op.opcode - 0x50))
-        else:
-            tokens.append(_OPCODE_NAMES.get(op.opcode, f"OP_UNKNOWN_0x{op.opcode:02x}"))
+    tokens = [_ASM_TOKENS[opcode] if data is None
+              else data.hex() if len(data) > 4 else str(_script_num(data))
+              for opcode, data in script.parsed]
     if script.fault:
         tokens.append("[error]")
     return " ".join(tokens)
@@ -269,7 +263,7 @@ class DecodedScript(namedtuple("DecodedScript", "kind script req_sigs addresses 
     __slots__ = ()
 
     def to_report(self) -> dict:
-        doc = {"asm": script_to_asm(self.script), "hex": self.script.hex(),
+        doc = {"asm": script_to_asm(self.script), "hex": self.script.raw.hex(),
                "type": self.kind}
         if self.req_sigs is not None:
             doc["reqSigs"] = self.req_sigs
@@ -319,17 +313,15 @@ def decode_script(script: Script | str, network: Network) -> DecodedScript:
     # Only the exact templates, whose hash is pushed by the direct 20-byte
     # push 0x14, as in Bitcoin Core's Solver: BIP 16 evaluates no other form
     # of P2SH, so naming the escrow's address for one would be evidence the
-    # bytes do not support.
-    if (len(ops) == 5 and ops[0].opcode == OP_DUP and ops[1].opcode == OP_HASH160
-            and ops[2].opcode == 0x14
-            and ops[3].opcode == OP_EQUALVERIFY and ops[4].opcode == OP_CHECKSIG):
-        addr = Address.from_parts(network.p2pkh_version, ops[2].data)
-        return DecodedScript("p2pkh", script, req_sigs=1, addresses=(addr,))
+    # bytes do not support. An op is (opcode, data).
+    if (len(ops) == 5 and ops[0][0] == OP_DUP and ops[1][0] == OP_HASH160
+            and ops[2][0] == 0x14 and ops[3][0] == OP_EQUALVERIFY and ops[4][0] == OP_CHECKSIG):
+        addr = Address.from_parts(network.p2pkh_version, ops[2][1])
+        return tuple.__new__(DecodedScript, ("p2pkh", script, 1, (addr,), None))
 
-    if (len(ops) == 3 and ops[0].opcode == OP_HASH160 and ops[1].opcode == 0x14
-            and ops[2].opcode == OP_EQUAL):
-        addr = Address.from_parts(network.p2sh_version, ops[1].data)
-        return DecodedScript("p2sh", script, req_sigs=1, addresses=(addr,))
+    if len(ops) == 3 and ops[0][0] == OP_HASH160 and ops[1][0] == 0x14 and ops[2][0] == OP_EQUAL:
+        addr = Address.from_parts(network.p2sh_version, ops[1][1])
+        return tuple.__new__(DecodedScript, ("p2sh", script, 1, (addr,), None))
 
     # Bitcoin Core's MatchMultisig: m <key>... n OP_CHECKMULTISIG, with
     # 1 <= m <= n <= 20 and n keys.
@@ -342,13 +334,13 @@ def decode_script(script: Script | str, network: Network) -> DecodedScript:
             addresses = tuple(
                 Address.from_parts(network.p2pkh_version, hash160(k.data)) for k in keys
             )
-            return DecodedScript("multisig", script, req_sigs=m, addresses=addresses)
+            return tuple.__new__(DecodedScript, ("multisig", script, m, addresses, None))
 
     payload = nulldata_payload(script)
     if payload is not None:
-        return DecodedScript("nulldata", script, payload=payload)
+        return tuple.__new__(DecodedScript, ("nulldata", script, None, None, payload))
 
-    return DecodedScript("nonstandard", script)
+    return tuple.__new__(DecodedScript, ("nonstandard", script, None, None, None))
 
 
 def build_nulldata_script(payload: bytes) -> Script:
@@ -430,44 +422,72 @@ class Transaction(namedtuple("Transaction", "version inputs outputs locktime raw
 def parse_transaction(hex_text: str) -> Transaction:
     """Parse a raw transaction from hex, witness-flagged or legacy."""
     raw = parse_hex(hex_text)
-    reader = _Reader(raw)
-    version = struct.unpack("<i", reader.read(4))[0]
+    end = len(raw)
+    if end < 4:
+        raise _overrun(raw, 0, 4)
+    version = _I32(raw, 0)[0]
 
-    n_inputs = reader.read_compact_size()
+    n_inputs, at = _compact_size(raw, 4)
     flagged = n_inputs == 0
     if flagged:
         # Marker byte: a legacy transaction cannot have zero inputs.
-        if reader.read(1) != b"\x01":
+        if at >= end:
+            raise _overrun(raw, at, 1)
+        if raw[at] != 1:
             raise TxError("zero-input transaction with unknown flag byte")
-        n_inputs = reader.read_compact_size()
+        n_inputs, at = _compact_size(raw, at + 1)
 
+    # Each field is bounds-checked before it is read, and the one check the
+    # records' classes make that reading does not, TxOutput's value bound,
+    # is made inline, so the records are built without their classes.
     inputs = []
     for _ in range(n_inputs):
-        prev_hash = reader.read(32)
-        prev_vout = struct.unpack("<I", reader.read(4))[0]
-        script_len = reader.read_compact_size()
-        script_sig = Script(reader.read(script_len))
-        sequence = struct.unpack("<I", reader.read(4))[0]
-        inputs.append(TxInput(Txid(prev_hash), prev_vout, script_sig, sequence))
+        if at + 36 > end:
+            raise _overrun(raw, at, 32, 4)
+        prev_txid = tuple.__new__(Txid, (raw[at:at + 32],))
+        prev_vout = _U32(raw, at + 32)[0]
+        script_len, at = _compact_size(raw, at + 36)
+        if at + script_len + 4 > end:
+            raise _overrun(raw, at, script_len, 4)
+        script_sig = Script(raw[at:at + script_len])
+        at += script_len
+        inputs.append(tuple.__new__(
+            TxInput, (prev_txid, prev_vout, script_sig, _U32(raw, at)[0], ())))
+        at += 4
 
-    n_outputs = reader.read_compact_size()
+    n_outputs, at = _compact_size(raw, at)
     outputs = []
     for _ in range(n_outputs):
-        value = struct.unpack("<Q", reader.read(8))[0]
-        script_len = reader.read_compact_size()
-        outputs.append(TxOutput(value, Script(reader.read(script_len))))
+        if at + 8 > end:
+            raise _overrun(raw, at, 8)
+        value = _U64(raw, at)[0]
+        script_len, at = _compact_size(raw, at + 8)
+        if at + script_len > end:
+            raise _overrun(raw, at, script_len)
+        script_pubkey = Script(raw[at:at + script_len])
+        at += script_len
+        if value > MAX_MONEY:  # TxOutput's bound
+            raise TxError(f"output value {value} outside 0..{MAX_MONEY}")
+        outputs.append(tuple.__new__(TxOutput, (value, script_pubkey)))
 
     if flagged:
         for i in range(n_inputs):
-            n_items = reader.read_compact_size()
-            items = tuple(reader.read(reader.read_compact_size()) for _ in range(n_items))
-            inputs[i] = TxInput(inputs[i].prev_txid, inputs[i].prev_vout,
-                                inputs[i].script_sig, inputs[i].sequence, items)
+            n_items, at = _compact_size(raw, at)
+            items = []
+            for _ in range(n_items):
+                item_len, at = _compact_size(raw, at)
+                if at + item_len > end:
+                    raise _overrun(raw, at, item_len)
+                items.append(raw[at:at + item_len])
+                at += item_len
+            inputs[i] = tuple.__new__(TxInput, (*inputs[i][:4], tuple(items)))
         if not any(txin.witness for txin in inputs):  # a second form of one record
             raise TxError("superfluous witness record")
 
-    locktime = struct.unpack("<I", reader.read(4))[0]
-    if not reader.exhausted:
+    if at + 4 > end:
+        raise _overrun(raw, at, 4)
+    locktime = _U32(raw, at)[0]
+    if at + 4 != end:
         raise TxError("extra bytes after transaction")
     if not inputs or not outputs:
         raise TxError("transaction needs at least one input and one output")
@@ -509,7 +529,7 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
             "vout": txin.prev_vout,
             "scriptSig": {
                 "asm": script_to_asm(txin.script_sig),
-                "hex": txin.script_sig.hex(),
+                "hex": txin.script_sig.raw.hex(),
             },
             "sequence": txin.sequence,
         }
@@ -518,8 +538,8 @@ def transaction_report(tx: Transaction, network: Network) -> dict:
         doc["vin"].append(entry)
     for n, txout in enumerate(tx.outputs):
         script = txout.script_pubkey
-        decoded = (DecodedScript("nonstandard", script) if script.fault
-                   else decode_script(script, network))
+        decoded = (tuple.__new__(DecodedScript, ("nonstandard", script, None, None, None))
+                   if script.fault else decode_script(script, network))
         doc["vout"].append({
             "value": format_btc(txout.value),
             "n": n,

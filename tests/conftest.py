@@ -181,16 +181,17 @@ requires_real_transaction = pytest.mark.skipif(
 )
 
 
-def _load_refcrypto():
-    """perfbench's independent implementation from the public specifications."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "refcrypto.py"
-    spec = importlib.util.spec_from_file_location("refcrypto", path)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-refcrypto = _load_refcrypto()
+# perfbench's independent implementation from the public specifications.
+refcrypto = _load(Path(__file__).resolve().parents[1] / "perfbench" / "refcrypto.py")
+# The slow path of the record reader, the reference for its faster form.
+reftx = _load(Path(__file__).resolve().parent / "reftx.py")
 
 
 def rebuild(record, **changes):

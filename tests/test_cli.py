@@ -1018,6 +1018,7 @@ _FETCHING = (("tx", "decode", DEMO_TXID), _certify())
 @example(served=_DEMO_HEX.strip() + b"00")
 @example(served=_DEMO_HEX[:-3])
 @example(served=b"")
+@example(served=(_DEMO_RAW[:41] + b"\xff" + (2**63).to_bytes(8, "little")).hex().encode())
 def test_any_hex_fixture_keeps_exit_contract(served):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

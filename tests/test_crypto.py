@@ -30,6 +30,7 @@ from conftest import (
     SIGNATURE_B64,
     ZERO_PAYLOAD_ADDR,
     refcrypto,
+    reftx,
 )
 
 # Officially published RIPEMD-160 vectors.
@@ -315,6 +316,33 @@ def test_parse_hex_refuses_inner_whitespace_and_non_hex(data, at, char):
     at = 1 + at % (len(text) - 1)  # strictly between two digits
     with pytest.raises(MalformedHex):
         parse_hex(text[:at] + char + text[at:])
+
+
+# Hex digits weighted two to one against ASCII whitespace, the separators
+# str.strip takes as whitespace, non-ASCII spaces, non-hex ASCII and
+# non-ASCII digits.
+_HEX_TEXT = st.text(st.one_of(
+    st.sampled_from(string.hexdigits), st.sampled_from(string.hexdigits),
+    st.sampled_from(string.whitespace + "\x1c\x1f\x85\u00a0\u2003" + "gxzG-+.:,"
+                    + "\u0661\u0966\uff11\uff41")), max_size=12)
+
+
+def _bytes_or_message(read, text):
+    try:
+        return read(text)
+    except MalformedHex as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(_HEX_TEXT)
+@example(" ab cd ")
+@example("ab\u00a0cd")
+@example("\u2003abc\u00a0")
+def test_parse_hex_answers_as_the_regex_reader(text):
+    # fromhex decodes first and skips ASCII whitespace between digit pairs;
+    # the answer, bytes or message, is still the regex reader's.
+    assert _bytes_or_message(parse_hex, text) == _bytes_or_message(reftx.parse_hex, text)
 
 
 def _read_or_error(read, text):

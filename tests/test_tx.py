@@ -15,12 +15,12 @@ from eaward.crypto import MAINNET, TESTNET, Address, hash160, write_compact_size
 from eaward.errors import MalformedHex
 from eaward.tx import (
     Script,
+    ScriptOp,
     Transaction,
     TxError,
     TxInput,
     TxOutput,
     Txid,
-    _Reader,
     _serialize,
     build_nulldata_script,
     compute_txid,
@@ -45,6 +45,7 @@ from conftest import (
     SUPERFLUOUS_DEMO_HEX,
     rebuild,
     refcrypto,
+    reftx,
 )
 
 
@@ -57,10 +58,13 @@ def txids():
 
 
 def scripts():
-    # Realistic scripts: opcode/push mixes as produced by this artifact.
+    # Realistic scripts: opcode/push mixes as produced by this artifact. A
+    # push of 253 bytes or more makes a script whose length is a compact
+    # size of the fd form.
     elements = st.one_of(
         st.binary(min_size=0, max_size=80).map(push_data),
         st.sampled_from([b"\x76", b"\xa9", b"\x87", b"\x88", b"\xac", b"\xae", b"\x51", b"\x60"]),
+        st.binary(min_size=253, max_size=300).map(push_data),
     )
     return st.lists(elements, min_size=0, max_size=6).map(
         lambda parts: Script(b"".join(parts)))
@@ -203,11 +207,16 @@ def test_parse_rejects_non_canonical_compact_size(demo_tx_hex):
 
 @pytest.mark.parametrize("n,size", [
     (0xFC, 1), (0xFD, 3), (0xFFFF, 3), (0x10000, 5), (0xFFFFFFFF, 5), (0x100000000, 9),
+    (2**64 - 1, 9),
 ])
 def test_compact_size_roundtrip_at_each_width(n, size):
     encoded = write_compact_size(n)
-    reader = _Reader(encoded)
+    reader = reftx._Reader(encoded)
     assert (len(encoded), reader.read_compact_size(), reader.exhausted) == (size, n, True)
+    # Read by parse_transaction as a scriptSig length with no script after it.
+    head = bytes(4) + b"\x01" + bytes(36)
+    with pytest.raises(TxError, match=f"^needed {n} bytes, got 0$"):
+        parse_transaction((head + encoded).hex())
 
 
 def test_transaction_needs_inputs_and_outputs():
@@ -223,6 +232,11 @@ def test_transaction_needs_inputs_and_outputs():
 def test_output_value_bounds():
     with pytest.raises(TxError):
         TxOutput(21_000_000 * 10**8 + 1, Script(b""))
+    # The parser checks the bound as it reads, with the class's message.
+    over = tuple.__new__(TxOutput, (21_000_000 * 10**8 + 1, Script(b"")))
+    hex_text = _serialize(2, (TxInput(Txid(bytes(32)), 0, Script(b"")),), (over,), 0, False).hex()
+    with pytest.raises(TxError, match="^output value 2100000000000001 outside 0..2100000000000000$"):
+        parse_transaction(hex_text)
     assert format_btc(123456789) == "1.23456789"
     assert format_btc(500_000) == "0.00500000"
 
@@ -261,6 +275,30 @@ def test_any_witness_flag_without_a_witness_item_is_refused(tx):
     flagged = legacy[:4] + b"\x00\x01" + legacy[4:-4] + b"\x00" * len(tx.inputs) + legacy[-4:]
     with pytest.raises(TxError, match="superfluous witness record"):
         parse_transaction(flagged.hex())
+
+
+def _record_or_message(parse, text):
+    try:
+        return parse(text)
+    except (TxError, MalformedHex) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(tx=transactions(),
+       replacement=st.one_of(st.sampled_from([0x00, 0x01, 0xFC, 0xFD, 0xFE, 0xFF]),
+                             st.integers(0, 255)))
+def test_offset_reader_answers_as_the_reference(tx, replacement):
+    # The whole hex, every prefix of it and every one-byte replacement give
+    # the BytesIO reader's answer: an equal record, raw included, or the same
+    # error and message.
+    hex_text = tx.raw.hex()
+    texts = [hex_text[:n] for n in range(len(hex_text) + 1)]
+    texts += [(tx.raw[:i] + bytes([replacement]) + tx.raw[i + 1:]).hex()
+              for i in range(len(tx.raw))]
+    for text in texts:
+        assert (_record_or_message(parse_transaction, text)
+                == _record_or_message(reftx.parse_transaction, text))
 
 
 def test_txid_changes_on_any_single_digit_edit_spot_check(demo_tx_hex):
@@ -400,6 +438,27 @@ def test_malformed_script_ops():
         decode_script(Script(b"\x51\x4c"), TESTNET)
 
 
+# Bytes weighted to the pushdata opcodes and to short lengths.
+_SCRIPT_BYTES = st.lists(st.one_of(st.sampled_from([0x4C, 0x4D, 0x4E]), st.integers(0, 6),
+                                   st.integers(0, 255)), max_size=14).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCRIPT_BYTES)
+def test_script_reader_answers_as_the_reference(raw):
+    script = Script(raw)
+    ops, fault = reftx.parse_script(raw)
+    assert (script.parsed, script.fault) == (tuple(ops), fault)
+    assert all(type(op) is ScriptOp for op in script.parsed)
+    assert script_to_asm(script) == reftx.script_to_asm(raw)
+
+
+def test_asm_of_each_one_byte_script_as_the_reference():
+    # The token table against the reference's opcode names, for every byte.
+    assert ([script_to_asm(Script(bytes([op]))) for op in range(256)]
+            == [reftx.script_to_asm(bytes([op])) for op in range(256)])
+
+
 @pytest.mark.parametrize("raw, asm", [
     (b"\x4c", "[error]"),
     (b"\x51\x4c", "1 [error]"),
@@ -443,7 +502,7 @@ def test_asm_one_byte_push_disambiguation():
 @pytest.mark.parametrize("opcode, name", [
     (0x50, "OP_RESERVED"), (0x62, "OP_VER"), (0x65, "OP_VERIF"), (0x66, "OP_VERNOTIF"),
     (0x89, "OP_RESERVED1"), (0x8A, "OP_RESERVED2"), (0xBA, "OP_CHECKSIGADD"),
-    (0xFF, "OP_INVALIDOPCODE"), (0xBB, "OP_UNKNOWN_0xbb"), (0xFE, "OP_UNKNOWN_0xfe"),
+    (0xFF, "OP_INVALIDOPCODE"), (0xBB, "OP_UNKNOWN"), (0xFE, "OP_UNKNOWN"),
 ])
 def test_asm_names_defined_opcodes(opcode, name):
     # Bitcoin Core's GetOpName names every defined opcode; only undefined
