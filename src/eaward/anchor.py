@@ -122,10 +122,10 @@ class ObjectStore:
         return content_id
 
     def fetch(self, content_id: bytes) -> bytes:
-        path = self._path(content_id)
-        if not path.exists():
-            raise NotFound(f"no object {content_id.hex()}")
-        data = path.read_bytes()
+        try:
+            data = self._path(content_id).read_bytes()
+        except FileNotFoundError:
+            raise NotFound(f"no object {content_id.hex()}") from None
         if sha256(data) != content_id:
             raise AnchorError(f"stored bytes for {content_id.hex()} no longer hash to it")
         return data

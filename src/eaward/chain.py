@@ -157,20 +157,19 @@ def format_time(when: datetime) -> str:
 def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
     """The transaction txid, verified client-side to hash back to txid."""
     if src.mode == "fixture":
-        path = src.fixture_root / f"{txid.hex()}.hex"
-        if not path.exists():
-            raise NotFound(f"no fixture for {txid.hex()}")
-        hex_text = path.read_bytes().decode("ascii", errors="replace")
+        try:
+            body = (src.fixture_root / f"{txid.hex()}.hex").read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            raise NotFound(f"no fixture for {txid.hex()}") from None
     else:
         status, body = src.http(f"{src.endpoint}/tx/{txid.hex()}/hex", src.timeout)
         if status == 404:
             raise NotFound(f"source has no transaction {txid.hex()}")
         if status != 200:
             raise ChainError(f"source returned HTTP {status}")
-        hex_text = body.decode("ascii", errors="replace")
 
     try:
-        parsed = parse_transaction(hex_text)
+        parsed = parse_transaction(body.decode("ascii", errors="replace"))
     except (MalformedHex, TxError) as exc:
         raise TxidMismatch(f"source returned unparseable bytes: {exc}") from exc
     actual = compute_txid(parsed)
@@ -183,20 +182,22 @@ def get_transaction(src: ChainSource, txid: Txid) -> Transaction:
 def get_tx_status(src: ChainSource, txid: Txid) -> TxStatus:
     if src.mode == "fixture":
         status_path = src.fixture_root / f"{txid.hex()}.status"
-        if status_path.exists():
-            doc = json_document(status_path.read_bytes(), str(status_path), MalformedStatus)
-            try:
-                block_time = json_field(doc, "", "blockTime", str, None)
-                return TxStatus(
-                    None if block_time is None else _parse_time(block_time),
-                    json_field(doc, "", "confirmations", int, 0),
-                    json_field(doc, "", "blockHash", str, None),
-                )
-            except (TypeError, ValueError, MalformedStatus) as exc:
-                raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
-        if (src.fixture_root / f"{txid.hex()}.hex").exists():
-            return TxStatus(None, 0)  # known but unconfirmed
-        raise NotFound(f"no status fixture for {txid.hex()}")
+        try:
+            body = status_path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            if (src.fixture_root / f"{txid.hex()}.hex").exists():
+                return TxStatus(None, 0)  # known but unconfirmed
+            raise NotFound(f"no status fixture for {txid.hex()}") from None
+        doc = json_document(body, str(status_path), MalformedStatus)
+        try:
+            block_time = json_field(doc, "", "blockTime", str, None)
+            return TxStatus(
+                None if block_time is None else _parse_time(block_time),
+                json_field(doc, "", "confirmations", int, 0),
+                json_field(doc, "", "blockHash", str, None),
+            )
+        except (TypeError, ValueError, MalformedStatus) as exc:
+            raise MalformedStatus(f"bad field in {status_path}: {exc}") from exc
 
     status, body = src.http(f"{src.endpoint}/tx/{txid.hex()}/status", src.timeout)
     if status == 404:

@@ -33,10 +33,6 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
-class UsageError(Exception):
-    """Configuration problems surfaced as exit code 2."""
-
-
 def _emit(args, doc: dict, human_lines: list[str]):
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -61,17 +57,17 @@ def _source(args) -> ChainSource:
     fixture_root = args.fixture_root or os.environ.get("EAWARD_FIXTURE_ROOT")
     if mode == "live":
         if not endpoint:
-            raise UsageError("live source needs --endpoint or EAWARD_ENDPOINT")
+            raise EawardError("live source needs --endpoint or EAWARD_ENDPOINT")
         return ChainSource("live", endpoint=endpoint, timeout=args.timeout)
     if not fixture_root:
-        raise UsageError("fixture source needs --fixture-root or EAWARD_FIXTURE_ROOT")
+        raise EawardError("fixture source needs --fixture-root or EAWARD_FIXTURE_ROOT")
     return ChainSource("fixture", fixture_root=Path(fixture_root))
 
 
 def _store_root(args) -> Path:
     root = args.store_root or os.environ.get("EAWARD_STORE_ROOT")
     if not root:
-        raise UsageError("object store needs --store-root or EAWARD_STORE_ROOT")
+        raise EawardError("object store needs --store-root or EAWARD_STORE_ROOT")
     return Path(root)
 
 
@@ -82,15 +78,14 @@ def _read_private_key(ref: str) -> PrivateKey:
         name = ref[4:]
         text = os.environ.get(name)
         if text is None:
-            raise UsageError(f"environment variable {name} is not set")
+            raise EawardError(f"environment variable {name} is not set")
         return PrivateKey.from_bytes(parse_hex(text))
-    path = Path(ref)
-    if not path.exists():
-        raise UsageError(f"key file {ref} does not exist")
     try:
-        return PrivateKey.from_bytes(parse_hex(path.read_text()))
+        return PrivateKey.from_bytes(parse_hex(Path(ref).read_text()))
+    except (FileNotFoundError, NotADirectoryError):
+        raise EawardError(f"key file {ref} does not exist") from None
     except (OSError, UnicodeError, EawardError) as exc:
-        raise UsageError(f"key file {ref}: {exc}") from exc
+        raise EawardError(f"key file {ref}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         print("false")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except (UsageError, EawardError, OSError, UnicodeError) as exc:
+    except (EawardError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

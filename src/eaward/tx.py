@@ -10,9 +10,10 @@ witness-stripped serialization: for a legacy transaction that is raw itself.
 
 Reading is one pass on offsets into the bytes: each field's bounds are
 checked before struct unpacks or slices it, and the records are built with
-tuple.__new__ once their checks have run. A script's ops that push nothing,
-and OP_0's empty push, are shared records from a table built at import, and
-asm takes the token of each such opcode from another.
+tuple.__new__ once their checks have run. A script op is the pair (opcode,
+data), data None when the opcode pushes nothing; the pair of each opcode
+that pushes nothing, and OP_0's empty push, are shared from a table built at
+import, and asm takes the token of each such opcode from another.
 """
 
 from __future__ import annotations
@@ -154,20 +155,10 @@ def push_data(data: bytes) -> bytes:
     return bytes([OP_PUSHDATA4]) + struct.pack("<I", n) + data
 
 
-class ScriptOp(namedtuple("ScriptOp", "opcode data", defaults=(None,))):
-    """One parsed script element: opcode plus pushed data when it is a push."""
-
-    __slots__ = ()
-
-    @property
-    def is_push(self) -> bool:
-        return self.data is not None
-
-
 # The one op of each opcode that pushes nothing, and of OP_0's empty push,
 # which every script shares; None for the opcodes that push bytes.
 _SHARED_OPS = tuple(
-    ScriptOp(op, b"") if op == OP_0 else None if op <= OP_PUSHDATA4 else ScriptOp(op)
+    (op, b"") if op == OP_0 else None if op <= OP_PUSHDATA4 else (op, None)
     for op in range(256))
 
 
@@ -189,14 +180,14 @@ class Script(namedtuple("Script", "raw parsed fault")):
     def hex(self) -> str:
         return self.raw.hex()
 
-    def ops(self) -> tuple[ScriptOp, ...]:
-        """Parsed opcode/push sequence; raises TxError on overruns."""
+    def ops(self) -> tuple[tuple[int, bytes | None], ...]:
+        """The (opcode, data) pairs; raises TxError on overruns."""
         if self.fault:
             raise TxError(self.fault)
         return self.parsed
 
     @staticmethod
-    def _parse(raw: bytes) -> tuple[list[ScriptOp], str | None]:
+    def _parse(raw: bytes) -> tuple[list[tuple[int, bytes | None]], str | None]:
         """The ops before the first overrun, and the overrun's message or
         None when the whole script parses."""
         out = []
@@ -221,12 +212,12 @@ class Script(namedtuple("Script", "raw parsed fault")):
                 i += width
                 if i + n > end:
                     return out, "pushdata runs past end of script"
-            out.append(tuple.__new__(ScriptOp, (op, raw[i:i + n])))
+            out.append((op, raw[i:i + n]))
             i += n
         return out, None
 
     def pushes(self) -> tuple[bytes, ...]:
-        return tuple(op.data for op in self.ops() if op.data is not None)
+        return tuple(data for _, data in self.ops() if data is not None)
 
 
 def _script_num(data: bytes) -> int:
@@ -282,24 +273,24 @@ def _looks_like_pubkey(data: bytes) -> bool:
     return False
 
 
-def _multisig_count(op: ScriptOp) -> int | None:
-    """The count 1..MAX_PUBKEYS_PER_MULTISIG that op encodes as Bitcoin
+def _multisig_count(opcode: int, data: bytes | None) -> int | None:
+    """The count 1..MAX_PUBKEYS_PER_MULTISIG that the op encodes as Bitcoin
     Core's GetScriptNumber reads it, or None. Core takes OP_1..OP_16 or a
     minimal push of a minimal number; in this range the only such pushes
     are 17..20, each pushed as one byte by opcode 0x01."""
-    if OP_1 <= op.opcode <= OP_16:
-        return op.opcode - 0x50
-    if op.opcode == 1 and 17 <= op.data[0] <= MAX_PUBKEYS_PER_MULTISIG:
-        return op.data[0]
+    if OP_1 <= opcode <= OP_16:
+        return opcode - 0x50
+    if opcode == 1 and 17 <= data[0] <= MAX_PUBKEYS_PER_MULTISIG:
+        return data[0]
     return None
 
 
 def nulldata_payload(script: Script) -> bytes | None:
     """Concatenated push payload when the script is an OP_RETURN carrier."""
     ops = script.parsed
-    if (script.fault is None and ops and ops[0].opcode == OP_RETURN
-            and all(o.opcode <= OP_16 for o in ops[1:])):
-        return b"".join(o.data for o in ops[1:] if o.data is not None)
+    if (script.fault is None and ops and ops[0][0] == OP_RETURN
+            and all(opcode <= OP_16 for opcode, _ in ops[1:])):
+        return b"".join(data for _, data in ops[1:] if data is not None)
     return None
 
 
@@ -325,14 +316,14 @@ def decode_script(script: Script | str, network: Network) -> DecodedScript:
 
     # Bitcoin Core's MatchMultisig: m <key>... n OP_CHECKMULTISIG, with
     # 1 <= m <= n <= 20 and n keys.
-    if len(ops) >= 4 and ops[-1].opcode == OP_CHECKMULTISIG:
-        m = _multisig_count(ops[0])
-        n = _multisig_count(ops[-2])
-        keys = ops[1:-2]
+    if len(ops) >= 4 and ops[-1][0] == OP_CHECKMULTISIG:
+        m = _multisig_count(*ops[0])
+        n = _multisig_count(*ops[-2])
+        keys = [data for _, data in ops[1:-2]]
         if (m and n and m <= n == len(keys)
-                and all(k.is_push and _looks_like_pubkey(k.data) for k in keys)):
+                and all(k is not None and _looks_like_pubkey(k) for k in keys)):
             addresses = tuple(
-                Address.from_parts(network.p2pkh_version, hash160(k.data)) for k in keys
+                Address.from_parts(network.p2pkh_version, hash160(k)) for k in keys
             )
             return tuple.__new__(DecodedScript, ("multisig", script, m, addresses, None))
 
@@ -355,17 +346,27 @@ def build_nulldata_script(payload: bytes) -> Script:
 # Transactions
 # ---------------------------------------------------------------------------
 
-class TxInput(namedtuple("TxInput", "prev_txid prev_vout script_sig sequence witness",
-                         defaults=(0xFFFFFFFF, ()))):
+def _check_range(name: str, value: int, low: int, high: int):
+    """TxError naming the field unless low <= value <= high."""
+    if not low <= value <= high:
+        raise TxError(f"{name} {value} outside {low}..{high}")
+
+
+class TxInput(namedtuple("TxInput", "prev_txid prev_vout script_sig sequence witness")):
     __slots__ = ()
+
+    def __new__(cls, prev_txid: Txid, prev_vout: int, script_sig: Script,
+                sequence: int = 0xFFFFFFFF, witness: tuple[bytes, ...] = ()):
+        _check_range("prev_vout", prev_vout, 0, 0xFFFFFFFF)
+        _check_range("sequence", sequence, 0, 0xFFFFFFFF)
+        return super().__new__(cls, prev_txid, prev_vout, script_sig, sequence, witness)
 
 
 class TxOutput(namedtuple("TxOutput", "value script_pubkey")):
     __slots__ = ()
 
     def __new__(cls, value: int, script_pubkey: Script):  # value in satoshi
-        if not 0 <= value <= MAX_MONEY:
-            raise TxError(f"output value {value} outside 0..{MAX_MONEY}")
+        _check_range("output value", value, 0, MAX_MONEY)
         return super().__new__(cls, value, script_pubkey)
 
 
@@ -408,6 +409,8 @@ class Transaction(namedtuple("Transaction", "version inputs outputs locktime raw
                 locktime: int = 0, raw=None):
         if not inputs or not outputs:
             raise TxError("transaction needs at least one input and one output")
+        _check_range("version", version, -0x80000000, 0x7FFFFFFF)
+        _check_range("locktime", locktime, 0, 0xFFFFFFFF)
         raw = _serialize(version, inputs, outputs, locktime,
                          any(txin.witness for txin in inputs))
         return super().__new__(cls, version, inputs, outputs, locktime, raw)
@@ -437,9 +440,10 @@ def parse_transaction(hex_text: str) -> Transaction:
             raise TxError("zero-input transaction with unknown flag byte")
         n_inputs, at = _compact_size(raw, at + 1)
 
-    # Each field is bounds-checked before it is read, and the one check the
-    # records' classes make that reading does not, TxOutput's value bound,
-    # is made inline, so the records are built without their classes.
+    # Each field is bounds-checked before it is read, and every integer read
+    # fits its field's range, so the one check the records' classes make that
+    # reading does not, TxOutput's value bound, is made inline, and the
+    # records are built without their classes.
     inputs = []
     for _ in range(n_inputs):
         if at + 36 > end:

@@ -1,8 +1,8 @@
 """The slow path of the record reader, kept as the reference its faster form
 is checked against: hex through the regex before bytes.fromhex, a
-transaction read through a BytesIO reader, a script parsed into a fresh op
-per element, and asm chosen by branching on each op over a dict of opcode
-names.
+transaction read through a BytesIO reader, a script parsed into a fresh
+(opcode, data) pair per element, and asm chosen by branching on each op
+over a dict of opcode names.
 
 Each function answers as eaward's own does, with the same records and the
 same messages; tests compare the two on generated and damaged inputs.
@@ -24,7 +24,6 @@ from eaward.tx import (
     OP_PUSHDATA2,
     OP_PUSHDATA4,
     Script,
-    ScriptOp,
     Transaction,
     TxError,
     TxInput,
@@ -156,7 +155,7 @@ def parse_transaction(hex_text: str) -> Transaction:
     return tuple.__new__(Transaction, (version, tuple(inputs), tuple(outputs), locktime, raw))
 
 
-def parse_script(raw: bytes) -> tuple[list[ScriptOp], str | None]:
+def parse_script(raw: bytes) -> tuple[list[tuple[int, bytes | None]], str | None]:
     """What Script._parse gives: the ops before the first overrun, and the
     overrun's message or None."""
     out = []
@@ -165,12 +164,12 @@ def parse_script(raw: bytes) -> tuple[list[ScriptOp], str | None]:
         op = raw[i]
         i += 1
         if op == OP_0:
-            out.append(ScriptOp(op, b""))
+            out.append((op, b""))
         elif op <= 75:
             data = raw[i:i + op]
             if len(data) != op:
                 return out, "push runs past end of script"
-            out.append(ScriptOp(op, data))
+            out.append((op, data))
             i += op
         elif op in (OP_PUSHDATA1, OP_PUSHDATA2, OP_PUSHDATA4):
             width = {OP_PUSHDATA1: 1, OP_PUSHDATA2: 2, OP_PUSHDATA4: 4}[op]
@@ -181,10 +180,10 @@ def parse_script(raw: bytes) -> tuple[list[ScriptOp], str | None]:
             data = raw[i:i + n]
             if len(data) != n:
                 return out, "pushdata runs past end of script"
-            out.append(ScriptOp(op, data))
+            out.append((op, data))
             i += n
         else:
-            out.append(ScriptOp(op))
+            out.append((op, None))
     return out, None
 
 
@@ -192,15 +191,15 @@ def script_to_asm(raw: bytes) -> str:
     """What script_to_asm gives for Script(raw)."""
     ops, fault = parse_script(raw)
     tokens = []
-    for op in ops:
-        if op.data is not None:
-            tokens.append(str(_script_num(op.data)) if len(op.data) <= 4 else op.data.hex())
-        elif op.opcode == OP_1NEGATE:
+    for opcode, data in ops:
+        if data is not None:
+            tokens.append(str(_script_num(data)) if len(data) <= 4 else data.hex())
+        elif opcode == OP_1NEGATE:
             tokens.append("-1")
-        elif OP_1 <= op.opcode <= OP_16:
-            tokens.append(str(op.opcode - 0x50))
+        elif OP_1 <= opcode <= OP_16:
+            tokens.append(str(opcode - 0x50))
         else:
-            tokens.append(_OPCODE_NAMES.get(op.opcode, "OP_UNKNOWN"))
+            tokens.append(_OPCODE_NAMES.get(opcode, "OP_UNKNOWN"))
     if fault:
         tokens.append("[error]")
     return " ".join(tokens)

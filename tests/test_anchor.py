@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaward import anchor
 from eaward.anchor import (
     AnchorError,
     AwardDocument,
@@ -158,6 +161,27 @@ def test_fetch_detects_corruption(tmp_path):
 def test_store_rejects_empty(tmp_path):
     with pytest.raises(AnchorError, match="refusing to store an empty object"):
         ObjectStore(tmp_path).store(b"")
+
+
+def test_store_removes_its_staging_file_when_the_write_fails(tmp_path, monkeypatch):
+    store = ObjectStore(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(anchor.os, "replace", refuse)
+    with pytest.raises(OSError, match="^disk full$"):
+        store.store(b"award")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_of_an_object_removed_after_a_probe_is_not_found(tmp_path, monkeypatch):
+    # An existence check answers for a moment already past: the read decides.
+    store = ObjectStore(tmp_path)
+    monkeypatch.setattr(Path, "exists", lambda self, *args, **kwargs: True)
+    missing = sha256(b"never stored")
+    with pytest.raises(NotFound, match=f"^no object {missing.hex()}$"):
+        store.fetch(missing)
 
 
 def test_store_leaves_no_staging_files(tmp_path):

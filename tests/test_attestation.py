@@ -93,6 +93,16 @@ def test_shared_address_is_violation(golden_agreement):
     assert any("share" in v for v in review.violations)
 
 
+def test_unusable_display_name_is_violation(golden_agreement):
+    parties = tuple(Party(p.role, p.legal_name, "John Smith", p.address)
+                    if p.role is Role.ARBITRATOR else p for p in golden_agreement.parties)
+    review = validate_agreement(_agreement_with(golden_agreement, parties=parties))
+    assert not review.ok
+    assert review.violations == (
+        "ARBITRATOR display name unusable in metadata: "
+        "display name 'John Smith' must be ASCII alphanumerics",)
+
+
 def test_missing_role_is_violation(golden_agreement):
     parties = golden_agreement.parties[:2]
     review = validate_agreement(_agreement_with(golden_agreement, parties=parties))

@@ -96,6 +96,17 @@ def test_fixture_corruption_detected(tmp_path):
         get_transaction(source, _demo_txid())
 
 
+def test_fixture_removed_after_a_probe_is_not_found(tmp_path, monkeypatch, demo_tx_hex):
+    # An existence check answers for a moment already past: the read decides.
+    # A status sidecar removed so is the unconfirmed status of a known hex.
+    source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
+    monkeypatch.setattr(Path, "exists", lambda self, *args, **kwargs: True)
+    with pytest.raises(NotFound, match=f"^no fixture for {DEMO_TXID}$"):
+        get_transaction(source, _demo_txid())
+    (tmp_path / f"{DEMO_TXID}.hex").write_text(demo_tx_hex)
+    assert get_tx_status(source, _demo_txid()) == TxStatus(None, 0)
+
+
 def test_fixture_status_golden(fixture_source):
     status = get_tx_status(fixture_source, _demo_txid())
     assert status.block_time == BLOCK_TIME

@@ -272,6 +272,16 @@ def test_msg_sign_missing_key_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith(f"error: key file {tmp_path}: ")
 
 
+def test_msg_sign_key_file_removed_after_a_probe_exit_2(capsys, tmp_path, monkeypatch):
+    # The read decides that a key file is missing, also under a path whose
+    # parent is a file, and after an existence check that answered True.
+    (tmp_path / "plain").write_text("")
+    monkeypatch.setattr(Path, "exists", lambda self, *args, **kwargs: True)
+    for ref in (tmp_path / "absent", tmp_path / "plain" / "key"):
+        code, _, err = run(capsys, "msg", "sign", str(ref), "m")
+        assert (code, err) == (2, f"error: key file {ref} does not exist\n")
+
+
 def test_anchor_create_and_verify_through_broadcast(capsys, tmp_path):
     store_root = tmp_path / "store"
     code, out, _ = run(capsys, "--json", "--store-root", str(store_root),

@@ -230,6 +230,14 @@ def test_sign_recover_roundtrip_property(scalar, payload, compressed):
     assert sig.compressed == compressed
 
 
+@pytest.mark.parametrize("size", [0, 31, 33])
+def test_sign_and_recover_take_a_32_byte_digest(size):
+    with pytest.raises(CryptoError, match="^digest must be 32 bytes$"):
+        ecdsa_sign_recoverable(PrivateKey(1), bytes(size))
+    with pytest.raises(CryptoError, match="^digest must be 32 bytes$"):
+        ecdsa_recover(RecoverableSig(31, 1, 1), bytes(size))
+
+
 def test_private_key_range_checks():
     with pytest.raises(CryptoError, match="private key scalar out of range"):
         PrivateKey(0)
@@ -581,6 +589,13 @@ def test_recover_with_zero_digest_matches_reference():
     for digest in (bytes(32), _N.to_bytes(32, "big")):
         sig = ecdsa_sign_recoverable(key, digest)
         assert ecdsa_recover(sig, digest) == key.public_key() == reference_recover(sig, digest)
+
+
+def test_network_by_name():
+    assert crypto.network_by_name("mainnet") is crypto.MAINNET
+    assert crypto.network_by_name("testnet") is crypto.TESTNET
+    with pytest.raises(ValueError, match="^unknown network 'regtest'$"):
+        crypto.network_by_name("regtest")
 
 
 def test_p2pkh_network_reads_the_version_byte():

@@ -117,7 +117,7 @@ def test_equal_fields_make_equal_immutable_records(seed, demo_tx_hex):
         "Address", "AgreementReview", "AnchorProof", "ArbitrationAgreement",
         "AwardMetadata", "DecodedScript", "EscrowPolicy", "LinkageReport", "Network",
         "ParticipantTag", "Party", "PartyLinkage", "PublicKey", "RecoverableSig", "Script",
-        "ScriptOp", "SignedMessage", "Transaction", "TxInput", "TxOutput", "TxStatus", "Txid"}
+        "SignedMessage", "Transaction", "TxInput", "TxOutput", "TxStatus", "Txid"}
 
 
 def test_keys_from_a_point_equal_keys_from_bytes():
@@ -130,7 +130,8 @@ def test_keys_from_a_point_equal_keys_from_bytes():
 _ACR = tuple(ParticipantTag(role, "Name", "11111") for role in Role)
 _FRAGMENT = "A" * 28
 _SCRIPT = Script(b"")
-_INPUT = TxInput(Txid(bytes(32)), 0, _SCRIPT)
+_TXID = Txid(bytes(32))
+_INPUT = TxInput(_TXID, 0, _SCRIPT)
 _OUTPUT = TxOutput(0, _SCRIPT)
 _WHEN = datetime(2020, 1, 1, tzinfo=timezone.utc)
 _P = 2**256 - 2**32 - 977
@@ -177,6 +178,22 @@ CHECKS = {
     "txid_length": (lambda: Txid(bytes(31)), TxError, "txid must wrap 32 bytes"),
     "output_value": (lambda: TxOutput(-1, _SCRIPT), TxError,
                      "output value -1 outside 0..2100000000000000"),
+    "input_vout": (lambda: TxInput(_TXID, 2**32, _SCRIPT), TxError,
+                   "prev_vout 4294967296 outside 0..4294967295"),
+    "input_vout_negative": (lambda: TxInput(_TXID, -1, _SCRIPT), TxError,
+                            "prev_vout -1 outside 0..4294967295"),
+    "input_sequence": (lambda: TxInput(_TXID, 0, _SCRIPT, 2**32), TxError,
+                       "sequence 4294967296 outside 0..4294967295"),
+    "input_sequence_negative": (lambda: TxInput(_TXID, 0, _SCRIPT, -1), TxError,
+                                "sequence -1 outside 0..4294967295"),
+    "tx_version": (lambda: Transaction(2**31, (_INPUT,), (_OUTPUT,)), TxError,
+                   "version 2147483648 outside -2147483648..2147483647"),
+    "tx_version_negative": (lambda: Transaction(-2**31 - 1, (_INPUT,), (_OUTPUT,)), TxError,
+                            "version -2147483649 outside -2147483648..2147483647"),
+    "tx_locktime": (lambda: Transaction(1, (_INPUT,), (_OUTPUT,), 2**32), TxError,
+                    "locktime 4294967296 outside 0..4294967295"),
+    "tx_locktime_negative": (lambda: Transaction(1, (_INPUT,), (_OUTPUT,), -1), TxError,
+                             "locktime -1 outside 0..4294967295"),
     "tx_no_inputs": (lambda: Transaction(1, (), (_OUTPUT,)), TxError,
                      "transaction needs at least one input and one output"),
     "tx_no_outputs": (lambda: Transaction(1, (_INPUT,), ()), TxError,
@@ -203,6 +220,14 @@ def test_every_check_runs_in_the_constructor(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_integer_fields_take_the_whole_range_of_their_width():
+    for version, vout, sequence, locktime in ((-2**31, 0xFFFFFFFF, 0, 0xFFFFFFFF),
+                                              (2**31 - 1, 0, 0xFFFFFFFF, 0)):
+        tx = Transaction(version, (TxInput(_TXID, vout, _SCRIPT, sequence),), (_OUTPUT,),
+                         locktime)
+        assert parse_transaction(tx.to_hex()) == tx
 
 
 def test_rebuilding_a_record_runs_its_checks():

@@ -15,7 +15,6 @@ from eaward.crypto import MAINNET, TESTNET, Address, hash160, write_compact_size
 from eaward.errors import MalformedHex
 from eaward.tx import (
     Script,
-    ScriptOp,
     Transaction,
     TxError,
     TxInput,
@@ -247,6 +246,12 @@ def test_txid_display_is_byte_reversed():
     assert txid.hash == bytes.fromhex(DEMO_TXID)[::-1]
 
 
+@pytest.mark.parametrize("text", ["", "ab" * 31, "ab" * 33])
+def test_txid_hex_must_be_64_characters(text):
+    with pytest.raises(TxError, match="^txid hex must be 64 characters$"):
+        Txid.from_hex(text)
+
+
 def test_segwit_witness_excluded_from_txid():
     base = TxInput(Txid(b"\x11" * 32), 0, Script(b""), 0xFFFFFFFF)
     out = TxOutput(5000, Script(b"\x6a\x01\x41"))
@@ -377,6 +382,16 @@ def test_decode_multisig_rejects_bad_key_shapes():
     assert decode_script(script, TESTNET).kind == "nonstandard"
 
 
+@pytest.mark.parametrize("op", [
+    push_data(b"\x05" + bytes(64)),  # 65 bytes without prefix 4, 6 or 7
+    push_data(b""),                  # OP_0's empty push
+    bytes([0x76]),                   # OP_DUP pushes nothing
+], ids=["65_bytes_prefix_5", "empty_push", "no_push"])
+def test_decode_multisig_rejects_other_ops_as_keys(op):
+    script = Script(bytes([0x51]) + op + bytes([0x51, 0xAE]))
+    assert decode_script(script, TESTNET).kind == "nonstandard"
+
+
 def _multisig(m: bytes, keys: list[bytes], n: bytes) -> Script:
     return Script(m + b"".join(push_data(k) for k in keys) + n + bytes([0xAE]))
 
@@ -429,6 +444,24 @@ def test_decode_multisig_key_prefix_and_size(key, kind):
         assert decoded.addresses == (Address.from_parts(TESTNET.p2pkh_version, hash160(key)),)
 
 
+@pytest.mark.parametrize("n, prefix", [
+    (0, "00"), (75, "4b"), (76, "4c4c"), (0xFF, "4cff"), (0x100, "4d0001"),
+    (0xFFFF, "4dffff"), (0x10000, "4e00000100"),
+])
+def test_push_data_takes_the_shortest_form(n, prefix):
+    data = bytes(n)
+    raw = push_data(data)
+    assert raw == bytes.fromhex(prefix) + data
+    assert Script(raw).pushes() == (data,)
+
+
+def test_the_empty_push_is_a_push():
+    # OP_0 pushes the empty string; opcodes that push nothing have no data.
+    script = Script(b"\x00\x76\x00\x01\x07")
+    assert script.parsed == ((0, b""), (0x76, None), (0, b""), (1, b"\x07"))
+    assert script.pushes() == (b"", b"", b"\x07")
+
+
 def test_malformed_script_ops():
     with pytest.raises(TxError, match="pushdata length field truncated"):
         Script(b"\x4c").ops()  # PUSHDATA1 missing length
@@ -449,7 +482,7 @@ def test_script_reader_answers_as_the_reference(raw):
     script = Script(raw)
     ops, fault = reftx.parse_script(raw)
     assert (script.parsed, script.fault) == (tuple(ops), fault)
-    assert all(type(op) is ScriptOp for op in script.parsed)
+    assert all(type(op) is tuple and len(op) == 2 for op in script.parsed)
     assert script_to_asm(script) == reftx.script_to_asm(raw)
 
 
