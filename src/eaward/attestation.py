@@ -293,7 +293,10 @@ def issue_certificate(
     Origin: the verified arbitrator signature plus the full linkage report.
     Time: block timestamp and confirmation count from the chain source.
     Intent: the agreement reference, its opt-out flag, and the signed line.
+    issued_at, if given, must be an aware datetime; it defaults to now.
     """
+    if issued_at is not None and issued_at.utcoffset() is None:
+        raise AttestationError(f"issued_at has no time zone: {issued_at}")
     _refuse_invalid(agreement)
     report = match_transaction(agreement, tx)
     for att in attestations:
@@ -323,7 +326,7 @@ def issue_certificate(
             "arbitrator attestation signs a different line than the metadata")
 
     txid = report.txid
-    when = status.block_time
+    when = status.block_time  # UTC, as TxStatus keeps it
     amount = format_btc(sum(out.value for out in tx.outputs)).rstrip("0").rstrip(".")
     findings = [
         f"Transaction id {txid.hex()} was completed on "

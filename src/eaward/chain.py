@@ -135,6 +135,9 @@ class ChainSource:
 
 
 class TxStatus(namedtuple("TxStatus", "block_time confirmations block_hash")):
+    """block_time is an aware datetime, kept as its UTC instant, so every
+    rendering of it names the same time."""
+
     __slots__ = ()
 
     def __new__(cls, block_time: datetime | None, confirmations: int,
@@ -143,15 +146,33 @@ class TxStatus(namedtuple("TxStatus", "block_time confirmations block_hash")):
             raise MalformedStatus(f"confirmations is negative: {confirmations}")
         if (confirmations > 0) != (block_time is not None):
             raise MalformedStatus("block_time present iff confirmations > 0")
+        if block_time is not None:
+            if block_time.utcoffset() is None:
+                raise MalformedStatus(f"block_time has no time zone: {block_time}")
+            block_time = block_time.astimezone(timezone.utc)
         return super().__new__(cls, block_time, confirmations, block_hash)
 
 
+_TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+
 def _parse_time(text: str) -> datetime:
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    """The UTC instant of a YYYY-MM-DDTHH:MM:SSZ timestamp, answering as
+    strptime does. The canonical ASCII form is read by datetime itself;
+    other text, or fields datetime refuses, go to strptime, which names the
+    fault (its first call imports _strptime and builds its regex)."""
+    if len(text) == 20 and text.isascii() and text[4::3] == "--T::Z":
+        fields = text[:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19]
+        if "".join(fields).isdigit():
+            try:
+                return datetime(*map(int, fields), tzinfo=timezone.utc)
+            except ValueError:
+                pass
+    return datetime.strptime(text, _TIME_FORMAT).replace(tzinfo=timezone.utc)
 
 
 def format_time(when: datetime) -> str:
-    return when.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return when.astimezone(timezone.utc).strftime(_TIME_FORMAT)
 
 
 def get_transaction(src: ChainSource, txid: Txid) -> Transaction:

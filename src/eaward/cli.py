@@ -9,13 +9,15 @@ from a file path or an env:NAME reference.
 
 Each command is a process of its own, so start-up is most of its time: the
 handlers import the modules they run in their own bodies, and a process
-loads only what its command needs.
+loads only what its command needs. The parser is built per command too:
+every group's parser is made, but only the group the command line names
+gets its subcommands and arguments. json is imported only by the output
+paths that write it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,9 +35,15 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
+def _json_text(doc: dict) -> str:
+    import json  # here, so that commands that write no JSON never load it
+
+    return json.dumps(doc, indent=2)
+
+
 def _emit(args, doc: dict, human_lines: list[str]):
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         for line in human_lines:
             print(line)
@@ -163,7 +171,7 @@ def cmd_script_decode(args) -> int:
     doc["p2sh"] = p2sh_address(decoded.script, net).text
     if decoded.payload is not None:
         doc["payloadHex"] = decoded.payload.hex()
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     return EXIT_OK
 
 
@@ -177,7 +185,7 @@ def cmd_tx_decode(args) -> int:
         tx = get_transaction(_source(args), Txid.from_hex(text))
     else:
         tx = parse_transaction(text)
-    print(json.dumps(transaction_report(tx, net), indent=2))
+    print(_json_text(transaction_report(tx, net)))
     return EXIT_OK
 
 
@@ -272,7 +280,7 @@ def cmd_certify(args) -> int:
         agreement, tx, status, [attestation], args.certifier)
     report = certificate.to_report()
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.out).write_text(_json_text(report) + "\n")
     _emit(args, report, [certificate.statement])
     return EXIT_OK
 
@@ -281,7 +289,106 @@ def cmd_certify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _agreement_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    v = psub.add_parser("validate", help="check an agreement file")
+    v.add_argument("file")
+    v.set_defaults(func=cmd_agreement_validate)
+
+
+def _escrow_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    a = psub.add_parser("address", help="P2SH deposit address for a policy file")
+    a.add_argument("policy_file")
+    a.set_defaults(func=cmd_escrow_address)
+
+
+def _meta_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    e = psub.add_parser("encode", help="build the metadata payload for an agreement")
+    e.add_argument("agreement")
+    e.add_argument("--sig", required=True,
+                   help="full 88-character base64 attestation signature")
+    e.set_defaults(func=cmd_meta_encode)
+    d = psub.add_parser("decode", help="decode a metadata payload from hex")
+    d.add_argument("hex")
+    d.set_defaults(func=cmd_meta_decode)
+
+
+def _script_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    d = psub.add_parser("decode", help="classify script hex")
+    d.add_argument("hex")
+    d.set_defaults(func=cmd_script_decode)
+
+
+def _tx_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    d = psub.add_parser("decode", help="decode raw hex or fetch+decode a txid")
+    d.add_argument("tx", metavar="hex|txid")
+    d.set_defaults(func=cmd_tx_decode)
+    b = psub.add_parser("broadcast", help="submit raw transaction hex")
+    b.add_argument("hex")
+    b.set_defaults(func=cmd_tx_broadcast)
+
+
+def _msg_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    s = psub.add_parser("sign", help="sign a message with a wallet key")
+    s.add_argument("key_ref", metavar="key-file|env:NAME")
+    s.add_argument("message")
+    s.add_argument("--uncompressed", action="store_true",
+                   help="derive the legacy uncompressed-key address")
+    s.set_defaults(func=cmd_msg_sign)
+    v = psub.add_parser("verify", help="verify an address/signature/message triple")
+    v.add_argument("address")
+    v.add_argument("signature")
+    v.add_argument("message")
+    v.set_defaults(func=cmd_msg_verify)
+
+
+def _anchor_commands(p):
+    psub = p.add_subparsers(dest="subcommand", required=True)
+    c = psub.add_parser("create", help="digest a document and build its carrier script")
+    c.add_argument("file")
+    c.add_argument("--store", action="store_true",
+                   help="also store the document in the object store")
+    c.set_defaults(func=cmd_anchor_create)
+    v = psub.add_parser("verify", help="check a transaction anchors a document")
+    v.add_argument("file")
+    v.add_argument("txid")
+    v.set_defaults(func=cmd_anchor_verify)
+
+
+def _certify_arguments(p):
+    p.add_argument("agreement")
+    p.add_argument("txid")
+    p.add_argument("--attestation", required=True,
+                   help="arbitrator's full base64 message signature")
+    p.add_argument("--certifier", required=True)
+    p.add_argument("--out", help="also write the certificate JSON to a file")
+    p.set_defaults(func=cmd_certify)
+
+
+# Each group: its help line, and what fills its parser in.
+_GROUPS = {
+    "agreement": ("arbitration agreement operations", _agreement_commands),
+    "escrow": ("escrow script and address derivation", _escrow_commands),
+    "meta": ("award metadata codec", _meta_commands),
+    "script": ("script classification", _script_commands),
+    "tx": ("transaction operations", _tx_commands),
+    "msg": ("wallet message attestation", _msg_commands),
+    "anchor": ("award document hash anchoring", _anchor_commands),
+    "certify": ("issue an authentication certificate", _certify_arguments),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv. The top level and every group's parser are
+    built, but a group's subcommands and arguments only when its name is an
+    element of argv. argparse enters a group only by its exact name, and
+    only the group's own help and errors show what fills it, so the parser
+    answers argv as the full tree does."""
     parser = argparse.ArgumentParser(
         prog="eaward",
         description="Multisig escrow e-award toolkit",
@@ -299,86 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("agreement", help="arbitration agreement operations")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    v = psub.add_parser("validate", help="check an agreement file")
-    v.add_argument("file")
-    v.set_defaults(func=cmd_agreement_validate)
-
-    p = sub.add_parser("escrow", help="escrow script and address derivation")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    a = psub.add_parser("address", help="P2SH deposit address for a policy file")
-    a.add_argument("policy_file")
-    a.set_defaults(func=cmd_escrow_address)
-
-    p = sub.add_parser("meta", help="award metadata codec")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    e = psub.add_parser("encode", help="build the metadata payload for an agreement")
-    e.add_argument("agreement")
-    e.add_argument("--sig", required=True,
-                   help="full 88-character base64 attestation signature")
-    e.set_defaults(func=cmd_meta_encode)
-    d = psub.add_parser("decode", help="decode a metadata payload from hex")
-    d.add_argument("hex")
-    d.set_defaults(func=cmd_meta_decode)
-
-    p = sub.add_parser("script", help="script classification")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    d = psub.add_parser("decode", help="classify script hex")
-    d.add_argument("hex")
-    d.set_defaults(func=cmd_script_decode)
-
-    p = sub.add_parser("tx", help="transaction operations")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    d = psub.add_parser("decode", help="decode raw hex or fetch+decode a txid")
-    d.add_argument("tx", metavar="hex|txid")
-    d.set_defaults(func=cmd_tx_decode)
-    b = psub.add_parser("broadcast", help="submit raw transaction hex")
-    b.add_argument("hex")
-    b.set_defaults(func=cmd_tx_broadcast)
-
-    p = sub.add_parser("msg", help="wallet message attestation")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    s = psub.add_parser("sign", help="sign a message with a wallet key")
-    s.add_argument("key_ref", metavar="key-file|env:NAME")
-    s.add_argument("message")
-    s.add_argument("--uncompressed", action="store_true",
-                   help="derive the legacy uncompressed-key address")
-    s.set_defaults(func=cmd_msg_sign)
-    v = psub.add_parser("verify", help="verify an address/signature/message triple")
-    v.add_argument("address")
-    v.add_argument("signature")
-    v.add_argument("message")
-    v.set_defaults(func=cmd_msg_verify)
-
-    p = sub.add_parser("anchor", help="award document hash anchoring")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    c = psub.add_parser("create", help="digest a document and build its carrier script")
-    c.add_argument("file")
-    c.add_argument("--store", action="store_true",
-                   help="also store the document in the object store")
-    c.set_defaults(func=cmd_anchor_create)
-    v = psub.add_parser("verify", help="check a transaction anchors a document")
-    v.add_argument("file")
-    v.add_argument("txid")
-    v.set_defaults(func=cmd_anchor_verify)
-
-    p = sub.add_parser("certify", help="issue an authentication certificate")
-    p.add_argument("agreement")
-    p.add_argument("txid")
-    p.add_argument("--attestation", required=True,
-                   help="arbitrator's full base64 message signature")
-    p.add_argument("--certifier", required=True)
-    p.add_argument("--out", help="also write the certificate JSON to a file")
-    p.set_defaults(func=cmd_certify)
-
+    for name, (help_text, fill) in _GROUPS.items():
+        group = sub.add_parser(name, help=help_text)
+        if name in argv:
+            fill(group)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except Refusal as exc:

@@ -332,21 +332,42 @@ _WINDOW_ROWS = 52
 @functools.cache
 def _window_table():
     """_WINDOW_ROWS rows of j*32**i*G, 1 <= j <= 16, as affine points,
-    built on the first call with two batch inversions."""
+    built on the first call. Column j comes from column j-1 by an affine
+    addition of the row's base (a doubling for j = 2), and all rows share
+    one field inversion per column (Montgomery's trick). No addition has
+    equal x coordinates: (j-1)*B = +-B only for j-1 = +-1 mod N, and the
+    j = 2 column doubles."""
     bases = [(_GX, _GY, 1)]
     for _ in range(_WINDOW_ROWS - 1):
         pt = bases[-1]
         for _ in range(5):
             pt = _double(pt)
         bases.append(pt)
-    jac = []
-    for base in _batch_to_affine(bases):
-        acc = None
-        for _ in range(16):
-            acc = _add_affine(acc, base)
-            jac.append(acc)
-    flat = _batch_to_affine(jac)
-    return [flat[i:i + 16] for i in range(0, len(flat), 16)]
+    rows = [[base] for base in _batch_to_affine(bases)]
+    for j in range(2, 17):
+        # Slope numerators and denominators, and prefix products of the latter.
+        nums, dens, prefix = [], [], []
+        acc = 1
+        for row in rows:
+            x1, y1 = row[-1]
+            if j == 2:
+                num, den = 3 * x1 * x1, 2 * y1
+            else:
+                x2, y2 = row[0]
+                num, den = y2 - y1, x2 - x1
+            nums.append(num)
+            dens.append(den)
+            prefix.append(acc)
+            acc = acc * den % _P
+        inv = pow(acc, -1, _P)
+        for i in range(len(rows) - 1, -1, -1):
+            row = rows[i]
+            slope = nums[i] * inv * prefix[i] % _P
+            inv = inv * dens[i] % _P
+            x1, y1 = row[-1]
+            x3 = (slope * slope - x1 - row[0][0]) % _P
+            row.append((x3, (slope * (x1 - x3) - y1) % _P))
+    return rows
 
 
 def _mul_g(k: int) -> tuple[int, int] | None:

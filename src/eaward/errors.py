@@ -1,7 +1,6 @@
 """Shared exception roots, and the one reader of each outside format: hex
 text, JSON documents and the typed fields inside them."""
 
-import json
 import re
 
 
@@ -56,6 +55,8 @@ def json_document(data: bytes, origin: str, error: type[EawardError]) -> dict:
     """The JSON object in the UTF-8 bytes data, read from origin (a path or
     URL). Anything else, or an object that repeats a key, raises error,
     naming origin."""
+    import json  # here, so that commands that read no JSON never load it
+
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:

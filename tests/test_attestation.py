@@ -1,7 +1,8 @@
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaward.attestation import (
     ArbitrationAgreement,
@@ -384,6 +385,32 @@ def test_certificate_reports_time_and_linkage(golden_agreement, demo_tx,
     assert report["originEvidence"]["linkage"]["overall"] is True
     assert report["intentEvidence"]["reasonedAwardOptOut"] is True
     assert report["intentEvidence"]["attestedMessage"] == ATTEST_MESSAGE
+
+
+@settings(max_examples=30, deadline=None)
+@given(instant=st.datetimes(min_value=datetime(2009, 1, 3), max_value=datetime(2100, 1, 1)),
+       offset=st.integers(min_value=-12 * 60, max_value=14 * 60))
+def test_certificate_states_one_time_for_the_block(golden_agreement, demo_tx,
+                                                   golden_attestation, instant, offset):
+    # The same instant in any zone from UTC-12 to UTC+14: the finding's date
+    # and time are the UTC ones that blockTime states.
+    when = instant.replace(microsecond=0, tzinfo=timezone.utc)
+    status = TxStatus(when.astimezone(timezone(timedelta(minutes=offset))), 1000)
+    cert = issue_certificate(golden_agreement, demo_tx, status,
+                             [golden_attestation], "W", ISSUED_AT)
+    stated = cert.findings[0].split(" was completed on ")[1]
+    assert stated == f"{when:%d %B %Y} at {when:%H:%M:%S} UTC"
+    stated_at = datetime.strptime(stated, "%d %B %Y at %H:%M:%S UTC")
+    assert f"{stated_at:%Y-%m-%dT%H:%M:%S}Z" == cert.to_report()["timeEvidence"]["blockTime"]
+
+
+def test_certificate_refuses_a_naive_issue_time(golden_agreement, demo_tx,
+                                                golden_attestation, golden_status):
+    # A time with no zone would be read as the machine's local time.
+    with pytest.raises(AttestationError, match="issued_at has no time zone") as caught:
+        issue_certificate(golden_agreement, demo_tx, golden_status,
+                          [golden_attestation], "W", datetime(2026, 8, 9, 12, 0, 0))
+    assert not isinstance(caught.value, Refusal)
 
 
 def test_certificate_requires_linkage(golden_agreement, demo_tx,

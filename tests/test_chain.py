@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eaward import __version__, chain
 from eaward.chain import (
@@ -236,6 +237,72 @@ def test_status_invariant():
         TxStatus(BLOCK_TIME, 0)
     with pytest.raises(ChainError):
         TxStatus(None, 3)
+
+
+def test_status_keeps_the_utc_instant():
+    noon_at_utc_plus_2 = datetime(2020, 1, 1, 12, 0, 0,
+                                  tzinfo=timezone(timedelta(hours=2)))
+    status = TxStatus(noon_at_utc_plus_2, 3)
+    assert status.block_time == noon_at_utc_plus_2
+    assert status.block_time.tzinfo is timezone.utc and status.block_time.hour == 10
+    with pytest.raises(MalformedStatus, match="no time zone"):
+        TxStatus(datetime(2020, 1, 1, 12, 0, 0), 3)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _strptime(text):
+    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+
+
+# Canonical timestamps, and field by field: 1-digit fields, out-of-range
+# values, ASCII and non-ASCII digits (Arabic-Indic, fullwidth, which
+# strptime's \d accepts), characters int() reads but strptime refuses
+# (sign, space, underscore), either case of the separators, whitespace around.
+_canonical_times = st.datetimes(min_value=datetime(1, 1, 1)).map(
+    lambda t: f"{t.year:04d}-{t.month:02d}-{t.day:02d}T{t.hour:02d}:{t.minute:02d}:"
+              f"{t.second:02d}Z")
+_digits = st.text(alphabet="0123456789\u0660\u0663\u0669\uff10\uff11\uff19+ _",
+                  min_size=0, max_size=5)
+
+
+@st.composite
+def _near_times(draw):
+    fields = [draw(st.one_of(st.integers(0, 99).map(str), st.sampled_from(
+        ["00", "02", "13", "29", "30", "31", "59", "60", "61", "2019", "0000"]), _digits))
+        for _ in range(6)]
+    separators = draw(st.sampled_from(["--T::Z", "--T::z", "--t::Z", "-/T::Z", "--T: Z"]))
+    text = "".join(f + sep for f, sep in zip(fields, separators))
+    return draw(st.sampled_from(["", " ", "\t", "\n"])) + text + draw(
+        st.sampled_from(["", " ", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_canonical_times, _near_times()))
+@example(text="2019-03-28T15:46:53Z")
+@example(text="2019-3-8T5:6:7Z")
+@example(text="2019-13-01T00:00:00Z")
+@example(text="2019-02-30T00:00:00Z")
+@example(text="2020-02-29T23:59:60Z")
+@example(text="2020-02-29T23:59:61Z")
+@example(text="2019-03-28T24:00:00Z")
+@example(text="0000-01-01T00:00:00Z")
+@example(text="\u0662\u0660\u0661\u0669-03-28T15:46:53Z")
+@example(text="2019-03-28T15:46:5\uff13Z")
+@example(text=" 2019-03-28T15:46:53Z")
+@example(text="2019-03-28T15:46:53Z\n")
+@example(text="2019-03-28T15:46:53z")
+@example(text="2019-03-28T15:46:+5Z")
+@example(text="2_19-03-28T15:46:53Z")
+@example(text="2019-03-28T15:46:53")
+@example(text="")
+def test_parse_time_answers_as_strptime(text):
+    assert _outcome(chain._parse_time, text) == _outcome(_strptime, text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import dis
@@ -311,19 +312,27 @@ def test_anchor_create_and_verify_through_broadcast(capsys, tmp_path):
     assert proof["vout"] == 0
 
 
-def test_anchor_verify_confirmed_golden(capsys, tmp_path):
-    digest = hashlib.sha256(Path(AWARD).read_bytes()).hexdigest()
+def _confirmed_anchor(fixture_root: Path) -> str:
+    """Writes to fixture_root a transaction that anchors AWARD in its
+    second output, confirmed 6 times; returns its txid."""
+    digest = hashlib.sha256(Path(AWARD).read_bytes()).digest()
     anchor_tx = Transaction(
         2,
         (TxInput(Txid(bytes(32)), 0, Script(b"")),),
-        (TxOutput(1000, Script(b"\x51")),
-         TxOutput(0, build_nulldata_script(bytes.fromhex(digest)))),
+        (TxOutput(1000, Script(b"\x51")), TxOutput(0, build_nulldata_script(digest))),
     )
-    fixture_root = tmp_path / "chain"
-    run(capsys, "--fixture-root", str(fixture_root), "tx", "broadcast", anchor_tx.to_hex())
     txid = compute_txid(anchor_tx).hex()
+    fixture_root.mkdir(parents=True, exist_ok=True)
+    (fixture_root / f"{txid}.hex").write_text(anchor_tx.to_hex() + "\n")
     (fixture_root / f"{txid}.status").write_text(json.dumps(
         {"blockTime": "2019-03-28T15:46:53Z", "confirmations": 6, "blockHash": "bb" * 32}))
+    return txid
+
+
+def test_anchor_verify_confirmed_golden(capsys, tmp_path):
+    digest = hashlib.sha256(Path(AWARD).read_bytes()).hexdigest()
+    fixture_root = tmp_path / "chain"
+    txid = _confirmed_anchor(fixture_root)
 
     code, out, _ = run(capsys, "--fixture-root", str(fixture_root),
                        "anchor", "verify", AWARD, txid)
@@ -573,40 +582,53 @@ def test_module_import_loads_only_its_layers(module):
     assert _run_fresh(script) == f"{sorted(loaded)}\n"
 
 
-@pytest.mark.parametrize("argv,code,modules,tables", [
+@pytest.mark.parametrize("argv,code,modules,tables,stdlib", [
     # Verifying decodes the claimed address and encodes none.
     (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"],
-     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 0}),
+     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 0}, []),
     (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"],
-     {"_window_table": 1, "_g_table": 0, "_base58_pairs": 1}),
+     {"_window_table": 1, "_g_table": 0, "_base58_pairs": 1}, []),
     # The demo transaction's one output is nulldata, which has no address.
     (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID], 0,
      ["chain", "crypto", "errors", "tx"],
-     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}),
+     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
     # The demo transaction carries the metadata line, not this document's digest.
     (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", AWARD, DEMO_TXID], 1,
      ["anchor", "chain", "crypto", "errors", "tx"],
-     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}),
+     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}, ["datetime"]),
+    # An anchor that verifies reads its status, and with it a block time.
+    (["--fixture-root", "{anchored}", "anchor", "verify", AWARD, "{anchor_txid}"], 0,
+     ["anchor", "chain", "crypto", "errors", "tx"],
+     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
     (["--fixture-root", str(CHAIN_DIR), "certify", AGREEMENT, DEMO_TXID,
       "--attestation", SIGNATURE_B64, "--certifier", "W"], 0,
      ["attestation", "chain", "crypto", "errors", "escrow", "metadata", "msgauth", "tx"],
-     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 1}),
-], ids=["msg_verify", "msg_sign", "tx_decode", "anchor_verify", "certify"])
-def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables):
+     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 1}, ["datetime", "json"]),
+], ids=["msg_verify", "msg_sign", "tx_decode", "anchor_verify", "anchor_verify_confirmed",
+        "certify"])
+def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, stdlib,
+                                                   tmp_path):
     # A fresh process imports the modules its command runs and builds a
     # fixed-base table only for the multiplication it does, and the base58
     # pair table only when it encodes an address. Its records are
     # tuples, so neither dataclasses nor the inspect module it imports loads,
     # and in fixture mode no HTTP, TLS or `requests` module loads either.
+    # json loads only where JSON is read or written, and a canonical block
+    # time is read without strptime's _strptime module.
+    anchored = tmp_path / "chain"
+    placeholders = {"anchored": str(anchored), "anchor_txid": _confirmed_anchor(anchored)}
+    argv = [arg.format(**placeholders) for arg in argv]
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import eaward.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert eaward.cli.main({argv!r}) == {code}\n"
         "unwanted = sorted({'dataclasses', 'inspect', 'requests', 'urllib.request',\n"
         "                   'http.client', 'ssl'} & set(sys.modules))\n"
+        "stdlib = sorted({'json', 'datetime', '_strptime'} & set(sys.modules))\n"
+        "import json\n"
         "from eaward import crypto\n"
         "print(json.dumps([\n"
         "    sorted(m for m in sys.modules\n"
@@ -614,13 +636,14 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables):
         "    {t.__name__: t.cache_info().currsize for t in (crypto._window_table,\n"
         "                                                   crypto._g_table,\n"
         "                                                   crypto._base58_pairs)},\n"
-        "    unwanted]))\n"
+        "    unwanted, stdlib]))\n"
     )
     with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
-        loaded, built, unwanted = json.loads(_run_fresh(script))
+        loaded, built, unwanted, loaded_stdlib = json.loads(_run_fresh(script))
     assert loaded == sorted(["eaward", "eaward.cli", *(f"eaward.{m}" for m in modules)])
     assert built == tables
     assert unwanted == []
+    assert loaded_stdlib == stdlib
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["msg"]],
@@ -662,6 +685,65 @@ def test_every_global_a_cli_function_reads_exists():
     missing = {(f.__name__, name) for f in functions for name in _global_loads(f.__code__)
                if name not in vars(cli) and not hasattr(builtins, name)}
     assert not missing
+
+
+def _command_paths(parser, path=()):
+    """Every command path of parser's tree: the top level, each group and
+    each leaf."""
+    yield list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _command_paths(child, (*path, name))
+
+
+# A valid command line for every leaf, and one that names other groups
+# among its arguments.
+_VALID_COMMANDS = [
+    ["agreement", "validate", "f"],
+    ["escrow", "address", "p"],
+    ["meta", "encode", "a", "--sig", "s"],
+    ["meta", "decode", "00"],
+    ["script", "decode", "00"],
+    ["tx", "decode", "00"],
+    ["tx", "broadcast", "00"],
+    ["msg", "sign", "env:K", "m", "--uncompressed"],
+    ["msg", "verify", "a", "s", "m"],
+    ["anchor", "create", "f", "--store"],
+    ["anchor", "verify", "f", "t"],
+    ["--json", "--network", "mainnet", "certify", "a", "t", "--attestation", "s",
+     "--certifier", "c", "--out", "o"],
+    ["msg", "verify", "tx", "certify", "anchor"],
+]
+
+
+def _parse(parser, argv):
+    """(stdout, stderr, exit code, parsed namespace) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, namespace
+
+
+def test_the_per_command_parser_answers_as_the_full_tree():
+    # build_parser fills in only the groups argv names; every help text,
+    # usage error and parse is the one the whole tree gives.
+    full = cli.build_parser(list(cli._GROUPS))
+    paths = list(_command_paths(full))
+    assert len(paths) == 1 + len(cli._GROUPS) + 11
+    cases = list(_VALID_COMMANDS)
+    for path in paths:
+        cases += [path, [*path, "--help"], [*path, "--no-such-option"],
+                  ["--network", "moon", *path], [*path, "no-such-command"]]
+    cases += [["--version"], ["--json", "--help"], ["--timeout", "soon", "msg"]]
+    for argv in cases:
+        answer = _parse(cli.build_parser(argv), argv)
+        assert answer == _parse(full, argv), argv
+        assert answer[2] in (None, 0, 2), argv
 
 
 def test_usage_error_exit_code():

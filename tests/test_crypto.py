@@ -515,10 +515,14 @@ def test_mul_g_matches_reference(k):
 
 
 def test_window_table_rows_are_multiples_of_g():
+    # Every entry: row i starts at 32**i*G, and entry j is entry j-1 plus
+    # the row's base, so table[i][j-1] == j*32**i*G for all 832 entries.
     table = crypto._window_table()
     assert len(table) == 52 and all(len(row) == 16 for row in table)
-    for i, j in ((0, 1), (0, 16), (1, 1), (25, 7), (51, 1), (51, 16)):
-        assert table[i][j - 1] == reference_mul(j * 32**i, _G)
+    for i, row in enumerate(table):
+        assert row[0] == reference_mul(32**i, _G)
+        for j in range(1, 16):
+            assert row[j] == _ref_to_affine(_ref_add((*row[j - 1], 1), (*row[0], 1)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -204,6 +204,8 @@ CHECKS = {
                                           "block_time present iff confirmations > 0"),
     "status_confirmations_without_time": (lambda: TxStatus(None, 3, "aa"), MalformedStatus,
                                           "block_time present iff confirmations > 0"),
+    "status_naive_time": (lambda: TxStatus(datetime(2020, 1, 1), 3), MalformedStatus,
+                          "block_time has no time zone: 2020-01-01 00:00:00"),
     "source_timeout": (lambda: ChainSource("live", TESTNET, "http://x", None, math.nan),
                        ChainError, "timeout must be a positive number of seconds, got nan"),
     "source_endpoint": (lambda: ChainSource("live"), ChainError,
