@@ -157,18 +157,14 @@ _TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 
 def _parse_time(text: str) -> datetime:
-    """The UTC instant of a YYYY-MM-DDTHH:MM:SSZ timestamp, answering as
-    strptime does. The canonical ASCII form is read by datetime itself;
-    other text, or fields datetime refuses, go to strptime, which names the
-    fault (its first call imports _strptime and builds its regex)."""
+    """The UTC instant of a YYYY-MM-DDTHH:MM:SSZ timestamp (ASCII digits,
+    every field full width). datetime's ValueError names a field out of
+    range."""
     if len(text) == 20 and text.isascii() and text[4::3] == "--T::Z":
         fields = text[:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19]
         if "".join(fields).isdigit():
-            try:
-                return datetime(*map(int, fields), tzinfo=timezone.utc)
-            except ValueError:
-                pass
-    return datetime.strptime(text, _TIME_FORMAT).replace(tzinfo=timezone.utc)
+            return datetime(*map(int, fields), tzinfo=timezone.utc)
+    raise ValueError(f"blockTime {text!r} is not YYYY-MM-DDTHH:MM:SSZ")
 
 
 def format_time(when: datetime) -> str:
