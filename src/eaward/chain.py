@@ -50,16 +50,60 @@ MAX_BODY = 2 * 4_000_000 + 1
 # offline commands never need it.
 def _http(url: str, timeout: float, body: bytes | None = None) -> tuple[int, bytes]:
     """(HTTP status, body) of a POST of body to url, or of a GET when body is
-    None. timeout bounds connecting and each read, and is a deadline for the
-    whole request checked between reads of the body; an answer over MAX_BODY
-    bytes is refused. Only http and https are fetched, redirects included;
-    proxies come from the environment."""
-    from http.client import HTTPException, IncompleteRead
+    None. timeout is a deadline for the whole request, redirects included:
+    connecting, a TLS handshake and each read wait only for the time left
+    (a name lookup is not bounded). An answer over MAX_BODY bytes is refused.
+    Only http and https are fetched; proxies come from the environment."""
+    import socket
+    import ssl
+    from http.client import HTTPConnection, HTTPException, HTTPSConnection, IncompleteRead
     from urllib.request import (HTTPDefaultErrorHandler, HTTPError, HTTPErrorProcessor,
                                 HTTPHandler, HTTPRedirectHandler, HTTPSHandler,
                                 OpenerDirector, ProxyHandler, Request, UnknownHandler,
                                 getproxies)
     from urllib.parse import urlsplit
+
+    def left() -> float:
+        seconds = deadline - time.monotonic()
+        if seconds <= 0:
+            raise TimeoutError("timed out")
+        return seconds
+
+    class Held:
+        """A socket that gives each read only the time left."""
+
+        def recv_into(self, *args):
+            self.settimeout(left())
+            return super().recv_into(*args)
+
+    class HeldSocket(Held, socket.socket):
+        pass
+
+    class HeldTLSSocket(Held, ssl.SSLSocket):
+        pass
+
+    def connect(address, _timeout, source_address):
+        plain = socket.create_connection(address, left(), source_address)
+        sock = HeldSocket(plain.family, plain.type, plain.proto, plain.detach())
+        sock.settimeout(left())  # for a TLS handshake and sending the request
+        return sock
+
+    def held(http_class):
+        def connection(host, **kwargs):
+            conn = http_class(host, **kwargs)
+            conn._create_connection = connect
+            return conn
+        return connection
+
+    class Http(HTTPHandler):
+        def http_open(self, req):
+            return self.do_open(held(HTTPConnection), req)
+
+    class Https(HTTPSHandler):
+        def https_open(self, req):
+            context = ssl._create_default_https_context()  # the one urllib would use
+            context.sslsocket_class = HeldTLSSocket
+            return self.do_open(held(HTTPSConnection), req, context=context)
 
     class Redirects(HTTPRedirectHandler):
         # urllib refuses a redirect to file:// but follows one to ftp://;
@@ -75,7 +119,7 @@ def _http(url: str, timeout: float, body: bytes | None = None) -> tuple[int, byt
     opener = OpenerDirector()
     for handler in (ProxyHandler({k: v for k, v in getproxies().items()
                                   if k in ("http", "https")}),
-                    UnknownHandler(), HTTPHandler(), HTTPSHandler(), HTTPDefaultErrorHandler(),
+                    UnknownHandler(), Http(), Https(), HTTPDefaultErrorHandler(),
                     Redirects(), HTTPErrorProcessor()):
         opener.add_handler(handler)
     deadline = time.monotonic() + timeout
@@ -95,14 +139,15 @@ def _http(url: str, timeout: float, body: bytes | None = None) -> tuple[int, byt
                 size += len(chunk)
                 if size > MAX_BODY:
                     raise ChainError(f"{where}: answer exceeds {MAX_BODY} bytes")
-                if time.monotonic() > deadline:
-                    raise ChainError(f"{where}: no complete answer within {timeout:g} s")
                 chunks.append(chunk)
             if answer.length:  # closed before Content-Length bytes came
                 raise IncompleteRead(b"".join(chunks), answer.length)
         return answer.status, b"".join(chunks)
     except (OSError, ValueError, HTTPException) as exc:
-        raise ChainError(f"{where}: {getattr(exc, 'reason', exc)}") from exc
+        reason = getattr(exc, "reason", exc)
+        if isinstance(reason, TimeoutError):
+            reason = f"no complete answer within {timeout:g} s"
+        raise ChainError(f"{where}: {reason}") from exc
 
 
 class ChainSource:

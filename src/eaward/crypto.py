@@ -175,15 +175,16 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
 # ---------------------------------------------------------------------------
 # secp256k1 point arithmetic (a = 0)
 #
-# Affine points are (x, y); Jacobian points are (X, Y, Z) for
-# (X/Z^2, Y/Z^3); None is the point at infinity in either form. A multiple
-# of G alone (a signing nonce, a public key) comes from _mul_g, a signed
-# fixed window over a fixed table. Recovery, whose second term has a
-# variable base, runs through _multiply, a Straus-Shamir ladder over w-NAF
-# digits as in libsecp256k1: each scalar is split by the GLV endomorphism
-# into two halves of at most 129 bits, all halves share one chain of
-# doublings, and at each nonzero digit one mixed Jacobian+affine addition of
-# a precomputed odd multiple follows. The arithmetic is variable-time.
+# Affine points are (x, y), None being infinity; Jacobian points are
+# (X, Y, Z) for (X/Z^2, Y/Z^3). Every multiple sums in one loop, _sum, with
+# the Jacobian doubling and mixed addition inline. A multiple of G alone (a
+# signing nonce, a public key) is _mul_g: a signed fixed window whose points
+# _sum adds with no doubling. Recovery's second term has a variable base, so
+# it runs through _multiply, a Straus-Shamir ladder over w-NAF digits as in
+# libsecp256k1: the GLV endomorphism splits each scalar into two halves of at
+# most 129 bits, all halves share one chain of doublings, and each nonzero
+# digit adds a precomputed odd multiple. R's lift also yields 1/y, so R's
+# table needs no inversion for 2R. The arithmetic is variable-time.
 # ---------------------------------------------------------------------------
 
 # The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
@@ -205,10 +206,8 @@ def _split(k: int) -> tuple[int, int]:
 
 
 def _double(pt):
-    """2*pt for a Jacobian point. No curve point has y = 0 (the group
-    order is odd), so a finite point never doubles to infinity."""
-    if pt is None:
-        return None
+    """2*pt for a finite Jacobian point. No curve point has y = 0 (the
+    group order is odd), so it never doubles to infinity."""
     x, y, z = pt
     yy = y * y % _P
     s = (x * yy << 2) % _P
@@ -218,27 +217,16 @@ def _double(pt):
 
 
 def _add_affine(pt, q):
-    """pt + q for a Jacobian pt and an affine q."""
-    qx, qy = q
-    if pt is None:
-        return qx, qy, 1
-    x, y, z = pt
+    """pt + q for a finite Jacobian pt and an affine q of another x."""
+    (x, y, z), (qx, qy) = pt, q
     zz = z * z % _P
     h = (qx * zz - x) % _P
     r = (qy * zz * z - y) % _P
-    if not h:
-        return None if r else _double(pt)
     hh = h * h % _P
     hhh = h * hh % _P
     v = x * hh % _P
     nx = (r * r - hhh - 2 * v) % _P
     return nx, (r * (v - nx) - y * hhh) % _P, z * h % _P
-
-
-def _to_affine(pt):
-    if pt is None:
-        return None
-    return _batch_to_affine([pt])[0]
 
 
 def _batch_to_affine(points):
@@ -260,11 +248,10 @@ def _batch_to_affine(points):
     return out
 
 
-def _odd_multiples(pt, w: int):
+def _odd_multiples(pt, twice, w: int):
     """[1*pt, 3*pt, ..., (2**(w-1) - 1)*pt] as (x, y, BETA*x) triples: the
     table for width-w NAF digits of an affine pt, whose (BETA*x, y) are the
-    same odd multiples of LAMBDA*pt."""
-    twice = _to_affine(_double((*pt, 1)))
+    same odd multiples of LAMBDA*pt. twice is 2*pt, affine."""
     jac = [(*pt, 1)]
     for _ in range((1 << (w - 2)) - 1):
         jac.append(_add_affine(jac[-1], twice))
@@ -291,22 +278,49 @@ def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
 
 
 def _multiply(terms) -> tuple[int, int] | None:
-    """Sum of k*P over terms (k, w, _odd_multiples(P, w)) with 0 <= k < N,
+    """Sum of k*P over terms (k, w, _odd_multiples(P, 2P, w)), 0 <= k < N,
     as an affine point or None for infinity. k*P is k1*P + k2*(LAMBDA*P)."""
-    adds = {}
+    slots = [[] for _ in range(130)]  # the w-NAF positions of |half| < 2**129
     for k, w, table in terms:
         for half, lam in zip(_split(k), (False, True)):
             for pos, d in _wnaf(abs(half), w):
                 x, y, beta_x = table[abs(d) >> 1]
                 if (d < 0) != (half < 0):
                     y = _P - y
-                adds.setdefault(pos, []).append((beta_x if lam else x, y))
-    acc = None
-    for i in range(max(adds, default=-1), -1, -1):
-        acc = _double(acc)
-        for q in adds.get(i, ()):
-            acc = _add_affine(acc, q)
-    return _to_affine(acc)
+                slots[pos].append((beta_x if lam else x, y))
+    return _sum(slots)
+
+
+def _sum(slots) -> tuple[int, int] | None:
+    """Sum of 2**i * q over the affine q in each slots[i], affine or None:
+    per slot, top down, a Jacobian doubling, then a mixed addition per q."""
+    p = _P
+    x = y = z = 0  # z = 0 is infinity, whose double is infinity
+    for slot in reversed(slots):
+        if z:
+            yy = y * y % p
+            s = (x * yy << 2) % p
+            m = 3 * x * x % p
+            z = (y * z << 1) % p
+            x = (m * m - (s << 1)) % p
+            y = (m * (s - x) - (yy * yy << 3)) % p
+        for qx, qy in slot:
+            if not z:
+                x, y, z = qx, qy, 1
+                continue
+            zz = z * z % p
+            h = (qx * zz - x) % p
+            r = (qy * zz * z - y) % p
+            if not h:  # q is the accumulator (double it) or its negative
+                x, y, z = _double((x, y, z)) if not r else (0, 0, 0)
+                continue
+            hh = h * h % p
+            hhh = h * hh % p
+            v = x * hh % p
+            x = (r * r - hhh - 2 * v) % p
+            y = (r * (v - x) - y * hhh) % p
+            z = z * h % p
+    return _batch_to_affine([(x, y, z)])[0] if z else None
 
 
 # Recovery's fixed base: 64 odd multiples of G and of LAMBDA*G, built on the
@@ -318,7 +332,7 @@ _R_WINDOW = 5
 
 @functools.cache
 def _g_table():
-    return _odd_multiples((_GX, _GY), _G_WINDOW)
+    return _odd_multiples((_GX, _GY), *_batch_to_affine([_double((_GX, _GY, 1))]), _G_WINDOW)
 
 
 # G alone: a signed fixed window of 5 bits, as libsecp256k1's ecmult_gen
@@ -371,8 +385,8 @@ def _window_table():
 
 
 def _mul_g(k: int) -> tuple[int, int] | None:
-    """k*G for 0 <= k < N as an affine point, or None for infinity."""
-    acc = None
+    """k*G for 0 <= k < N, affine or None for infinity: one slot of _sum."""
+    points = []
     for row in _window_table():
         d = k & 31
         k >>= 5
@@ -380,11 +394,11 @@ def _mul_g(k: int) -> tuple[int, int] | None:
             d -= 32
             k += 1
         if d > 0:
-            acc = _add_affine(acc, row[d - 1])
+            points.append(row[d - 1])
         elif d < 0:
             x, y = row[-d - 1]
-            acc = _add_affine(acc, (x, _P - y))
-    return _to_affine(acc)
+            points.append((x, _P - y))
+    return _sum([points])
 
 
 _OFF_FIELD = "x coordinate out of field range"
@@ -413,16 +427,19 @@ def _jacobi(a: int) -> int:
     return t if n == 1 else 0
 
 
-def _lift_x(x: int, odd: int) -> tuple[int, int]:
+def _lift_x(x: int, odd: int) -> tuple[int, int, int]:
+    """(x, y, 1/y) for the curve point of x whose y has parity odd: with
+    v = x**3 + 7 and t = v**((P-3)/4), y = v*t and y*t = v**((P-1)/2) = 1."""
     if x >= _P:
         raise RecoveryFailed(_OFF_FIELD)
-    y_sq = (pow(x, 3, _P) + 7) % _P
-    y = pow(y_sq, (_P + 1) // 4, _P)
-    if y * y % _P != y_sq:
+    v = (x * x * x + 7) % _P
+    t = pow(v, (_P - 3) // 4, _P)
+    y = v * t % _P
+    if y * y % _P != v:
         raise RecoveryFailed(_OFF_CURVE)
     if (y & 1) != odd:
-        y = _P - y
-    return x, y
+        y, t = _P - y, _P - t
+    return x, y, t
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +481,7 @@ class PublicKey(namedtuple("PublicKey", "data")):
         return cls(parse_hex(text))
 
     def point(self) -> tuple[int, int]:
-        return _lift_x(int.from_bytes(self.data[1:], "big"), self.data[0] & 1)
+        return _lift_x(int.from_bytes(self.data[1:], "big"), self.data[0] & 1)[:2]
 
     def serialize(self, compressed: bool = True) -> bytes:
         if compressed:
@@ -578,13 +595,16 @@ def ecdsa_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
     if not 0 < sig.r < _N or not 0 < sig.s < _N:
         raise RecoveryFailed("r/s out of range")
     recid = sig.recovery_id
-    big_r = _lift_x(sig.r + (recid >> 1) * _N, recid & 1)
+    x, y, y_inv = _lift_x(sig.r + (recid >> 1) * _N, recid & 1)
+    slope = 3 * x * x * y_inv * (_P + 1 >> 1) % _P  # 3x**2 / 2y, at R
+    x2 = (slope * slope - 2 * x) % _P
+    twice = x2, (slope * (x - x2) - y) % _P
     e = int.from_bytes(digest32, "big") % _N
     r_inv = pow(sig.r, -1, _N)
     # Q = r^-1 * (s*R - e*G) = (-e * r^-1)*G + (s * r^-1)*R
     q = _multiply([
         (-e * r_inv % _N, _G_WINDOW, _g_table()),
-        (sig.s * r_inv % _N, _R_WINDOW, _odd_multiples(big_r, _R_WINDOW)),
+        (sig.s * r_inv % _N, _R_WINDOW, _odd_multiples((x, y), twice, _R_WINDOW)),
     ])
     if q is None:
         raise RecoveryFailed("recovered point at infinity")

@@ -1,5 +1,9 @@
+import contextlib
 import json
 import shutil
+import socket
+import ssl
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -397,6 +401,47 @@ def test_default_transport_request_errors_are_transport_errors():
         chain._http("http://127.0.0.1:9/tx", 1.0, b"00")
     with pytest.raises(ChainError, match="^GET x/tx/ab/hex: unknown url type"):
         chain._http("x/tx/ab/hex", 1.0)
+
+
+def test_default_transport_holds_a_tls_handshake_to_the_deadline():
+    # A listener that never answers the client's hello; the kernel accepts
+    # the connection, so only the handshake waits.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        url = f"https://127.0.0.1:{silent.getsockname()[1]}/tx/ab/hex"
+        start = time.monotonic()
+        with pytest.raises(ChainError) as refused:
+            chain._http(url, 0.5)
+        assert time.monotonic() - start < 2
+    assert str(refused.value) == f"GET {url}: no complete answer within 0.5 s"
+
+
+# A self-signed certificate for 127.0.0.1, valid until 2126, made with
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -days 36500 -subj /CN=localhost -addext subjectAltName=IP:127.0.0.1 \
+#     -keyout localhost.key -out localhost.crt
+_TLS = Path(__file__).resolve().parent / "tls"
+
+
+def test_default_transport_holds_drip_fed_tls_headers_to_the_deadline(explorer, monkeypatch):
+    def drip(handler):
+        handler.wfile.write(b"HTTP/1.1 200 OK\r\nX-Slow: ")
+        with contextlib.suppress(OSError):  # until the client hangs up
+            for _ in range(100):
+                handler.wfile.write(b"a")
+                time.sleep(0.05)
+
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(_TLS / "localhost.crt", _TLS / "localhost.key")
+    explorer.socket = context.wrap_socket(explorer.socket, server_side=True)
+    explorer.routes["/drip"] = drip
+    monkeypatch.setenv("SSL_CERT_FILE", str(_TLS / "localhost.crt"))
+    url = f"https://127.0.0.1:{explorer.server_port}"
+    assert chain._http(f"{url}/blocks/tip/height", 2.5) == explorer.routes["/blocks/tip/height"]
+    start = time.monotonic()
+    with pytest.raises(ChainError) as refused:
+        chain._http(f"{url}/drip", 0.5)
+    assert time.monotonic() - start < 2
+    assert str(refused.value) == f"GET {url}/drip: no complete answer within 0.5 s"
 
 
 def test_default_transport_refuses_short_answer(explorer):

@@ -1259,6 +1259,21 @@ def test_live_drip_fed_answer_ends_at_the_deadline(capsys, explorer):
     assert err == f"error: GET {explorer.url}{_HEX_PATH}: no complete answer within 0.5 s\n"
 
 
+def test_live_drip_fed_headers_end_at_the_deadline(capsys, explorer):
+    def drip(handler):
+        handler.wfile.write(b"HTTP/1.1 200 OK\r\nX-Slow: ")
+        with contextlib.suppress(OSError):  # until the client hangs up
+            for _ in range(100):
+                handler.wfile.write(b"a")
+                time.sleep(0.05)
+
+    explorer.routes[_HEX_PATH] = drip
+    start = time.monotonic()
+    _, err = _data_error(capsys, "--timeout", "0.5", *_live(explorer, *_TX_DECODE))
+    assert time.monotonic() - start < 2
+    assert err == f"error: GET {explorer.url}{_HEX_PATH}: no complete answer within 0.5 s\n"
+
+
 def test_live_status_with_duplicate_key_exit_2(capsys, explorer):
     path = f"/tx/{DEMO_TXID}/status"
     status, body = explorer.routes[path]

@@ -451,10 +451,22 @@ def reference_public_key(scalar: int) -> PublicKey:
     return PublicKey.from_point(reference_mul(scalar, _G))
 
 
+def reference_lift(x: int, odd: int) -> tuple[int, int]:
+    """The curve point of x whose y has parity odd, by the square root
+    (x**3 + 7)**((P+1)/4), which exists as P = 3 mod 4."""
+    if x >= _P:
+        raise RecoveryFailed("x coordinate out of field range")
+    v = (x**3 + 7) % _P
+    y = pow(v, (_P + 1) // 4, _P)
+    if y * y % _P != v:
+        raise RecoveryFailed("x**3 + 7 is not a square")
+    return x, (y if y & 1 == odd else _P - y)
+
+
 def reference_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
     if not 0 < sig.r < _N or not 0 < sig.s < _N:
         raise RecoveryFailed("r/s out of range")
-    big_r = crypto._lift_x(sig.r + (sig.recovery_id >> 1) * _N, sig.recovery_id & 1)
+    big_r = reference_lift(sig.r + (sig.recovery_id >> 1) * _N, sig.recovery_id & 1)
     e = int.from_bytes(digest32, "big") % _N
     acc = _INFINITY
     s_r = reference_mul(sig.s, big_r)
@@ -544,6 +556,11 @@ def test_sign_matches_independent_implementation(d, digest):
                      st.sampled_from([bytes(32), _N.to_bytes(32, "big")])),
 )
 @example(r=crypto._GX, s=5, header=27, digest=(5).to_bytes(32, "big"))  # R = G, s = e: Q = 0
+@example(r=crypto._GX, s=5, header=28, digest=bytes(32))  # R = -G: the other parity of G.x
+@example(r=5, s=1, header=27, digest=bytes(32))  # 5**3 + 7 is not a square mod P
+@example(r=2, s=3, header=29, digest=(7).to_bytes(32, "big"))  # R.x = 2 + N, even y
+@example(r=2, s=3, header=30, digest=(7).to_bytes(32, "big"))  # R.x = 2 + N, odd y
+@example(r=_P - _N, s=1, header=29, digest=bytes(32))  # r + N = P: outside the field
 def test_recover_matches_reference(r, s, header, digest):
     sig = RecoverableSig(header, r, s)
     assert _outcome(ecdsa_recover, sig, digest) == _outcome(reference_recover, sig, digest)
@@ -559,9 +576,41 @@ def test_two_term_ladder_matches_reference(k1, k2):
     # mixed addition meets its doubling and cancelling cases.
     got = crypto._multiply([
         (k1, crypto._G_WINDOW, crypto._g_table()),
-        (k2, crypto._R_WINDOW, crypto._odd_multiples(_G, crypto._R_WINDOW)),
+        (k2, crypto._R_WINDOW, crypto._odd_multiples(_G, reference_mul(2, _G), crypto._R_WINDOW)),
     ])
     assert got == reference_mul((k1 + k2) % _N, _G)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k1=scalars, k2=scalars)
+@example(k1=1, k2=1)                    # second addition meets the accumulator: doubling
+@example(k1=1, k2=_N - 1)               # the sum cancels to infinity
+@example(k1=2**200 + 7, k2=_N - 2**200 - 7)
+def test_two_term_ladder_over_another_base_matches_reference(k1, k2):
+    # The same sums over B = 7*G, through tables built as recovery builds
+    # R's, so no term draws on the fixed tables of G.
+    base = reference_mul(7, _G)
+    twice = reference_mul(14, _G)
+    got = crypto._multiply([
+        (k1, crypto._G_WINDOW, crypto._odd_multiples(base, twice, crypto._G_WINDOW)),
+        (k2, crypto._R_WINDOW, crypto._odd_multiples(base, twice, crypto._R_WINDOW)),
+    ])
+    assert got == reference_mul((k1 + k2) % _N, base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(st.sampled_from(_EDGE_X + [2 + _N, _P - _N]), st.integers(0, 2**256 - 1)),
+       odd=st.integers(0, 1))
+def test_lift_x_gives_the_point_and_the_inverse_of_y(x, odd):
+    try:
+        expected = reference_lift(x, odd)
+    except RecoveryFailed:
+        with pytest.raises(RecoveryFailed):
+            crypto._lift_x(x, odd)
+        return
+    lx, ly, y_inv = crypto._lift_x(x, odd)
+    assert (lx, ly) == expected
+    assert ly * y_inv % _P == 1
 
 
 def test_endomorphism_constants():
