@@ -12,7 +12,7 @@ handlers import the modules they run in their own bodies, and a process
 loads only what its command needs. The parser is built per command too:
 every group's parser is made, but only the group the command line names
 gets its subcommands and arguments. json is imported only by the output
-paths that write it.
+paths that write it, and pathlib only where a path is built.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import EawardError, NotFound, Refusal, parse_hex
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .chain import ChainSource
     from .crypto import Network, PrivateKey
 
@@ -58,6 +59,8 @@ def _network(args, fallback: Network | None = None) -> Network:
 
 
 def _source(args) -> ChainSource:
+    from pathlib import Path
+
     from .chain import ChainSource
 
     mode = args.source
@@ -73,6 +76,8 @@ def _source(args) -> ChainSource:
 
 
 def _store_root(args) -> Path:
+    from pathlib import Path
+
     root = args.store_root or os.environ.get("EAWARD_STORE_ROOT")
     if not root:
         raise EawardError("object store needs --store-root or EAWARD_STORE_ROOT")
@@ -88,6 +93,8 @@ def _read_private_key(ref: str) -> PrivateKey:
         if text is None:
             raise EawardError(f"environment variable {name} is not set")
         return PrivateKey.from_bytes(parse_hex(text))
+    from pathlib import Path
+
     try:
         return PrivateKey.from_bytes(parse_hex(Path(ref).read_text()))
     except (FileNotFoundError, NotADirectoryError):
@@ -223,15 +230,17 @@ def cmd_anchor_create(args) -> int:
     from .anchor import AwardDocument, ObjectStore, build_anchor_script, checksum_award
 
     doc_file = AwardDocument.from_file(args.file)
-    digest = checksum_award(doc_file)
+    # A stored document's content id is its sha256, the digest anchored.
+    if args.store:
+        digest = ObjectStore(_store_root(args)).store(doc_file.data)
+    else:
+        digest = checksum_award(doc_file)
     script = build_anchor_script(digest)
     doc = {"docHash": digest.hex(), "opReturnScript": script.hex()}
     lines = [f"docHash: {digest.hex()}", f"opReturnScript: {script.hex()}"]
     if args.store:
-        store = ObjectStore(_store_root(args))
-        content_id = store.store(doc_file.data)
-        doc["contentId"] = content_id.hex()
-        lines.append(f"contentId: {content_id.hex()}")
+        doc["contentId"] = digest.hex()
+        lines.append(f"contentId: {digest.hex()}")
     _emit(args, doc, lines)
     return EXIT_OK
 
@@ -258,6 +267,8 @@ def cmd_anchor_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from pathlib import Path
+
     from .attestation import extract_metadata, issue_certificate, load_agreement
     from .chain import get_transaction, get_tx_status
     from .metadata import Role, attest_message

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import hmac
 import struct
 from collections import namedtuple
 
@@ -176,15 +175,16 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
 # secp256k1 point arithmetic (a = 0)
 #
 # Affine points are (x, y), None being infinity; Jacobian points are
-# (X, Y, Z) for (X/Z^2, Y/Z^3). Every multiple sums in one loop, _sum, with
-# the Jacobian doubling and mixed addition inline. A multiple of G alone (a
-# signing nonce, a public key) is _mul_g: a signed fixed window whose points
-# _sum adds with no doubling. Recovery's second term has a variable base, so
-# it runs through _multiply, a Straus-Shamir ladder over w-NAF digits as in
-# libsecp256k1: the GLV endomorphism splits each scalar into two halves of at
-# most 129 bits, all halves share one chain of doublings, and each nonzero
-# digit adds a precomputed odd multiple. R's lift also yields 1/y, so R's
-# table needs no inversion for 2R. The arithmetic is variable-time.
+# (X, Y, Z) for (X/Z^2, Y/Z^3). Every multiple is _multiply, a Straus-Shamir
+# sum over w-NAF digits as in libsecp256k1: the GLV endomorphism splits each
+# scalar into two halves of at most 129 bits, all halves share one chain of
+# doublings in _sum (the Jacobian doubling and mixed addition inline), and
+# each nonzero digit adds a precomputed odd multiple. A multiple of G alone
+# (a signing nonce, a public key) reads its digits from five tables of odd
+# multiples of G, each base 2**26 times the last, so its chain is 25
+# doublings long. Recovery's second term has a variable base R, whose lift
+# also yields 1/y, so R's table needs no inversion for 2R. The arithmetic is
+# variable-time.
 # ---------------------------------------------------------------------------
 
 # The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
@@ -277,17 +277,21 @@ def _wnaf(k: int, w: int) -> list[tuple[int, int]]:
     return digits
 
 
-def _multiply(terms) -> tuple[int, int] | None:
-    """Sum of k*P over terms (k, w, _odd_multiples(P, 2P, w)), 0 <= k < N,
-    as an affine point or None for infinity. k*P is k1*P + k2*(LAMBDA*P)."""
-    slots = [[] for _ in range(130)]  # the w-NAF positions of |half| < 2**129
-    for k, w, table in terms:
+def _multiply(terms, span: int = 130) -> tuple[int, int] | None:
+    """Sum of k*P over terms (k, w, tables), 0 <= k < N, as an affine point
+    or None for infinity. k*P is k1*P + k2*(LAMBDA*P), and tables[j] is
+    _odd_multiples of 2**(span*j)*P for width w: the digit at position pos
+    adds its point from tables[pos // span] in slot pos % span of _sum. The
+    default span takes every w-NAF position of |half| < 2**129 from one table."""
+    slots = [[] for _ in range(span)]
+    at = slots * (130 // span)  # at[pos] is slots[pos % span]
+    for k, w, tables in terms:
         for half, lam in zip(_split(k), (False, True)):
             for pos, d in _wnaf(abs(half), w):
-                x, y, beta_x = table[abs(d) >> 1]
+                x, y, beta_x = tables[pos // span][abs(d) >> 1]
                 if (d < 0) != (half < 0):
                     y = _P - y
-                slots[pos].append((beta_x if lam else x, y))
+                at[pos].append((beta_x if lam else x, y))
     return _sum(slots)
 
 
@@ -323,82 +327,30 @@ def _sum(slots) -> tuple[int, int] | None:
     return _batch_to_affine([(x, y, z)])[0] if z else None
 
 
-# Recovery's fixed base: 64 odd multiples of G and of LAMBDA*G, built on the
-# first recovery. A variable base (the R of a recovery) gets a width-5 table
-# of 8 points per call.
+# G's tables: table j holds the 64 odd multiples of 2**(26*j)*G and of
+# LAMBDA times them, built on first use. Recovery's G term reads table 0
+# alone; five tables cover the 130 digit positions of a GLV half, so a k*G
+# sums in 26 slots. A variable base (the R of a recovery) gets a width-5
+# table of 8 points per call.
 _G_WINDOW = 8
+_G_SPAN = 26
 _R_WINDOW = 5
 
 
 @functools.cache
-def _g_table():
-    return _odd_multiples((_GX, _GY), *_batch_to_affine([_double((_GX, _GY, 1))]), _G_WINDOW)
-
-
-# G alone: a signed fixed window of 5 bits, as libsecp256k1's ecmult_gen
-# did before its comb. k < N is read as 52 signed base-32 digits in -15..16
-# (a digit above 16 becomes d - 32 and carries one; 260 bits absorb the top
-# carry), and row i of the table holds j*32**i*G for j = 1..16, so k*G is one
-# mixed addition per nonzero digit and no doublings.
-_WINDOW_ROWS = 52
-
-
-@functools.cache
-def _window_table():
-    """_WINDOW_ROWS rows of j*32**i*G, 1 <= j <= 16, as affine points,
-    built on the first call. Column j comes from column j-1 by an affine
-    addition of the row's base (a doubling for j = 2), and all rows share
-    one field inversion per column (Montgomery's trick). No addition has
-    equal x coordinates: (j-1)*B = +-B only for j-1 = +-1 mod N, and the
-    j = 2 column doubles."""
-    bases = [(_GX, _GY, 1)]
-    for _ in range(_WINDOW_ROWS - 1):
-        pt = bases[-1]
-        for _ in range(5):
+def _g_table(j: int = 0):
+    if j:
+        pt = (*_g_table(j - 1)[0][:2], 1)
+        for _ in range(_G_SPAN):
             pt = _double(pt)
-        bases.append(pt)
-    rows = [[base] for base in _batch_to_affine(bases)]
-    for j in range(2, 17):
-        # Slope numerators and denominators, and prefix products of the latter.
-        nums, dens, prefix = [], [], []
-        acc = 1
-        for row in rows:
-            x1, y1 = row[-1]
-            if j == 2:
-                num, den = 3 * x1 * x1, 2 * y1
-            else:
-                x2, y2 = row[0]
-                num, den = y2 - y1, x2 - x1
-            nums.append(num)
-            dens.append(den)
-            prefix.append(acc)
-            acc = acc * den % _P
-        inv = pow(acc, -1, _P)
-        for i in range(len(rows) - 1, -1, -1):
-            row = rows[i]
-            slope = nums[i] * inv * prefix[i] % _P
-            inv = inv * dens[i] % _P
-            x1, y1 = row[-1]
-            x3 = (slope * slope - x1 - row[0][0]) % _P
-            row.append((x3, (slope * (x1 - x3) - y1) % _P))
-    return rows
+    else:
+        pt = (_GX, _GY, 1)
+    return _odd_multiples(*_batch_to_affine([pt, _double(pt)]), _G_WINDOW)
 
 
 def _mul_g(k: int) -> tuple[int, int] | None:
-    """k*G for 0 <= k < N, affine or None for infinity: one slot of _sum."""
-    points = []
-    for row in _window_table():
-        d = k & 31
-        k >>= 5
-        if d > 16:
-            d -= 32
-            k += 1
-        if d > 0:
-            points.append(row[d - 1])
-        elif d < 0:
-            x, y = row[-d - 1]
-            points.append((x, _P - y))
-    return _sum([points])
+    """k*G for 0 <= k < N, affine or None for infinity."""
+    return _multiply([(k, _G_WINDOW, [_g_table(j) for j in range(5)])], _G_SPAN)
 
 
 _OFF_FIELD = "x coordinate out of field range"
@@ -542,6 +494,8 @@ class RecoverableSig(namedtuple("RecoverableSig", "header r s")):
 
 def _rfc6979_nonces(scalar: int, digest32: bytes):
     """Deterministic k candidates per RFC 6979 with HMAC-SHA256 (qlen = hlen = 256)."""
+    import hmac
+
     h1 = (int.from_bytes(digest32, "big") % _N).to_bytes(32, "big")
     x = scalar.to_bytes(32, "big")
     v = b"\x01" * 32
@@ -603,8 +557,8 @@ def ecdsa_recover(sig: RecoverableSig, digest32: bytes) -> PublicKey:
     r_inv = pow(sig.r, -1, _N)
     # Q = r^-1 * (s*R - e*G) = (-e * r^-1)*G + (s * r^-1)*R
     q = _multiply([
-        (-e * r_inv % _N, _G_WINDOW, _g_table()),
-        (sig.s * r_inv % _N, _R_WINDOW, _odd_multiples((x, y), twice, _R_WINDOW)),
+        (-e * r_inv % _N, _G_WINDOW, [_g_table()]),
+        (sig.s * r_inv % _N, _R_WINDOW, [_odd_multiples((x, y), twice, _R_WINDOW)]),
     ])
     if q is None:
         raise RecoveryFailed("recovered point at infinity")

@@ -283,6 +283,23 @@ def test_msg_sign_key_file_removed_after_a_probe_exit_2(capsys, tmp_path, monkey
         assert (code, err) == (2, f"error: key file {ref} does not exist\n")
 
 
+def test_anchor_create_store_hashes_the_document_once(capsys, tmp_path):
+    # The content id the store returns is the anchored digest.
+    with mock.patch("eaward.anchor.sha256", wraps=sha256) as digest:
+        code, out, _ = run(capsys, "--store-root", str(tmp_path), "anchor", "create", AWARD,
+                           "--store")
+    assert code == 0
+    assert digest.call_count == 1
+    doc_hash = sha256(Path(AWARD).read_bytes()).hex()
+    assert out.splitlines()[::2] == [f"docHash: {doc_hash}", f"contentId: {doc_hash}"]
+
+
+def test_anchor_create_store_without_root_exit_2(capsys, monkeypatch):
+    monkeypatch.delenv("EAWARD_STORE_ROOT", raising=False)
+    out, err = _data_error(capsys, "anchor", "create", AWARD, "--store")
+    assert (out, err) == ("", "error: object store needs --store-root or EAWARD_STORE_ROOT\n")
+
+
 def test_anchor_create_and_verify_through_broadcast(capsys, tmp_path):
     store_root = tmp_path / "store"
     code, out, _ = run(capsys, "--json", "--store-root", str(store_root),
@@ -553,12 +570,13 @@ def test_live_bad_timeout_exit_2(capsys, timeout):
     assert "timeout" in err
 
 
-def _run_fresh(script: str) -> str:
-    """stdout of `script` run in a new interpreter on this checkout's package."""
+def _run_fresh(script: str, *flags: str) -> str:
+    """stdout of `script` run in a new interpreter, with these interpreter
+    flags, on this checkout's package."""
     src = str(Path(eaward.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -586,26 +604,26 @@ def test_module_import_loads_only_its_layers(module):
     # Verifying decodes the claimed address and encodes none.
     (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"],
-     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 0}, []),
+     {"_g_table": 1, "_base58_pairs": 0}, []),
     (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"],
-     {"_window_table": 1, "_g_table": 0, "_base58_pairs": 1}, []),
+     {"_g_table": 5, "_base58_pairs": 1}, []),
     # The demo transaction's one output is nulldata, which has no address.
     (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID], 0,
      ["chain", "crypto", "errors", "tx"],
-     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
+     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
     # The demo transaction carries the metadata line, not this document's digest.
     (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", AWARD, DEMO_TXID], 1,
      ["anchor", "chain", "crypto", "errors", "tx"],
-     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}, ["datetime"]),
+     {"_g_table": 0, "_base58_pairs": 0}, ["datetime"]),
     # An anchor that verifies reads its status, and with it a block time.
     (["--fixture-root", "{anchored}", "anchor", "verify", AWARD, "{anchor_txid}"], 0,
      ["anchor", "chain", "crypto", "errors", "tx"],
-     {"_window_table": 0, "_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
+     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
     (["--fixture-root", str(CHAIN_DIR), "certify", AGREEMENT, DEMO_TXID,
       "--attestation", SIGNATURE_B64, "--certifier", "W"], 0,
      ["attestation", "chain", "crypto", "errors", "escrow", "metadata", "msgauth", "tx"],
-     {"_window_table": 0, "_g_table": 1, "_base58_pairs": 1}, ["datetime", "json"]),
+     {"_g_table": 1, "_base58_pairs": 1}, ["datetime", "json"]),
 ], ids=["msg_verify", "msg_sign", "tx_decode", "anchor_verify", "anchor_verify_confirmed",
         "certify"])
 def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, stdlib,
@@ -633,8 +651,7 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
         "print(json.dumps([\n"
         "    sorted(m for m in sys.modules\n"
         "           if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'),\n"
-        "    {t.__name__: t.cache_info().currsize for t in (crypto._window_table,\n"
-        "                                                   crypto._g_table,\n"
+        "    {t.__name__: t.cache_info().currsize for t in (crypto._g_table,\n"
         "                                                   crypto._base58_pairs)},\n"
         "    unwanted, stdlib]))\n"
     )
@@ -644,6 +661,24 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
     assert built == tables
     assert unwanted == []
     assert loaded_stdlib == stdlib
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], ["hmac", "pathlib", "typing"]),
+    (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], ["pathlib", "typing"]),
+], ids=["msg_verify", "msg_sign"])
+def test_msg_commands_load_no_typing_or_pathlib(argv, absent):
+    # Only signing runs HMAC, and neither command reads a path. -S keeps
+    # site out of the child, as a site hook may import typing or pathlib.
+    script = (
+        "import contextlib, io, sys\n"
+        "import eaward.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert eaward.cli.main({argv!r}) == 0\n"
+        f"print(sorted(set({absent!r}) & set(sys.modules)))\n"
+    )
+    with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
+        assert _run_fresh(script, "-S") == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["msg"]],

@@ -384,12 +384,11 @@ def test_public_key_uncompressed_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# The fixed window and the Straus-Shamir w-NAF ladder against the reference
+# The Straus-Shamir w-NAF ladder and G's tables against the reference
 # double-and-add
 # ---------------------------------------------------------------------------
 # A plain Jacobian double-and-add and a recovery by three separate
-# multiplications: the slow reference the window and the ladder must agree
-# with.
+# multiplications: the slow reference the ladder must agree with.
 
 _N = crypto.CURVE_ORDER
 _G = (crypto._GX, crypto._GY)
@@ -501,40 +500,58 @@ def test_public_key_matches_reference(k):
     assert PrivateKey(k).public_key() == reference_public_key(k)
 
 
-# Scalars at the window's edges: the largest positive digit (16), the first
-# carry (17), a digit of -1 (31), and every digit 16 or every raw digit 17
-# (so each window carries into the next).
-_ALL_DIGITS_16 = sum(16 * 32**i for i in range(51))
-_ALL_RAW_DIGITS_17 = sum(17 * 32**i for i in range(51))
+# A k*G reads digit position p from table p // 26 in slot p % 26. Each seam
+# scalar puts a digit on both sides of a seam between tables, one in each
+# GLV half (k1, k2 = crypto._split(k)), with the halves' signs as noted. No
+# half reaches 2**128 (|k1| < 0.64 * 2**128), so 128 is the top position a
+# digit takes and position 129 never occurs.
+_SEAM_SCALARS = [
+    # k1 > 0 at 26, k2 > 0 at 25
+    0x79DB99085778735F0BA9B90137F8DCA8CA4304094C17A22151473A64EB74BF09,
+    # k1 > 0 at 51, k2 < 0 at 52
+    0xD4831C5BAAFC62DE15261CD4749BA78DEF885FBC39D4C6E61174F5F5299EE004,
+    # k1 < 0 at 77, k2 > 0 at 78
+    0x262F41DAA583B2DAA7C28ADAD2D05EE5F6CF4434A66883F68D1C3C89B712DFB8,
+    # k1 < 0 at 103, k2 < 0 at 104
+    0x697997C0E4FB1C423C1F06B7C87DE59CF06D21BB3B7CEC6A6C26727B6413CB9E,
+    # k1 > 0 at 128, k2 < 0
+    0xD03E86E5420134F79E618F36BDB79E573AE17B8854B1E39D93317ED19A006F58,
+    # k1 < 0, k2 < 0 at 128
+    0x076EC8481B4D294B826DCFA8C26E527084B76CBD282222102535EA0C1F1AB659,
+]
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(min_value=1, max_value=_N - 1))
 @example(k=1)
 @example(k=2)
-@example(k=16)
-@example(k=17)
-@example(k=31)
-@example(k=32)
+@example(k=2**26)
 @example(k=2**255)
 @example(k=_N - 1)
 @example(k=_N - 2)
 @example(k=(_N + 1) // 2)
-@example(k=_ALL_DIGITS_16)
-@example(k=_ALL_RAW_DIGITS_17)
+@example(k=_SEAM_SCALARS[0])
+@example(k=_SEAM_SCALARS[1])
+@example(k=_SEAM_SCALARS[2])
+@example(k=_SEAM_SCALARS[3])
+@example(k=_SEAM_SCALARS[4])
+@example(k=_SEAM_SCALARS[5])
 def test_mul_g_matches_reference(k):
     assert crypto._mul_g(k) == reference_mul(k, _G)
 
 
-def test_window_table_rows_are_multiples_of_g():
-    # Every entry: row i starts at 32**i*G, and entry j is entry j-1 plus
-    # the row's base, so table[i][j-1] == j*32**i*G for all 832 entries.
-    table = crypto._window_table()
-    assert len(table) == 52 and all(len(row) == 16 for row in table)
-    for i, row in enumerate(table):
-        assert row[0] == reference_mul(32**i, _G)
-        for j in range(1, 16):
-            assert row[j] == _ref_to_affine(_ref_add((*row[j - 1], 1), (*row[0], 1)))
+def test_g_tables_hold_odd_multiples_of_their_bases():
+    # Entry i of table j is (2i+1) * 2**(26j) * G with BETA times its x:
+    # each row starts at the reference base and adds 2 * base per entry.
+    for j in range(5):
+        expected = (*reference_mul(2 ** (26 * j), _G), 1)
+        step = (*reference_mul(2 ** (26 * j + 1), _G), 1)
+        table = crypto._g_table(j)
+        assert len(table) == 64
+        for x, y, beta_x in table:
+            ex, ey = _ref_to_affine(expected)
+            assert (x, y, beta_x) == (ex, ey, crypto._BETA * ex % _P)
+            expected = _ref_add(expected, step)
 
 
 @settings(max_examples=25, deadline=None)
@@ -575,8 +592,8 @@ def test_two_term_ladder_matches_reference(k1, k2):
     # Both terms over G with the two table widths the recovery uses, so the
     # mixed addition meets its doubling and cancelling cases.
     got = crypto._multiply([
-        (k1, crypto._G_WINDOW, crypto._g_table()),
-        (k2, crypto._R_WINDOW, crypto._odd_multiples(_G, reference_mul(2, _G), crypto._R_WINDOW)),
+        (k1, crypto._G_WINDOW, [crypto._g_table()]),
+        (k2, crypto._R_WINDOW, [crypto._odd_multiples(_G, reference_mul(2, _G), crypto._R_WINDOW)]),
     ])
     assert got == reference_mul((k1 + k2) % _N, _G)
 
@@ -592,8 +609,8 @@ def test_two_term_ladder_over_another_base_matches_reference(k1, k2):
     base = reference_mul(7, _G)
     twice = reference_mul(14, _G)
     got = crypto._multiply([
-        (k1, crypto._G_WINDOW, crypto._odd_multiples(base, twice, crypto._G_WINDOW)),
-        (k2, crypto._R_WINDOW, crypto._odd_multiples(base, twice, crypto._R_WINDOW)),
+        (k1, crypto._G_WINDOW, [crypto._odd_multiples(base, twice, crypto._G_WINDOW)]),
+        (k2, crypto._R_WINDOW, [crypto._odd_multiples(base, twice, crypto._R_WINDOW)]),
     ])
     assert got == reference_mul((k1 + k2) % _N, base)
 
