@@ -17,6 +17,8 @@ from .errors import EawardError, parse_hex
 
 # --- secp256k1 domain parameters ---
 _P = 2**256 - 2**32 - 977
+_M = 2**256 - 1  # the low 256 bits of a product
+_C = 2**32 + 977  # 2**256 mod P: what the bits above them are worth
 _N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
@@ -185,6 +187,14 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
 # doublings long. Recovery's second term has a variable base R, whose lift
 # also yields 1/y, so R's table needs no inversion for 2R. The arithmetic is
 # variable-time.
+#
+# No hot formula divides by P: as 2**256 = C (mod P), the fold
+# t = (t & M) + (t >> 256) * C keeps t mod P for any int t, negative too
+# (>> floors, & reads two's complement). Two folds bring a product near
+# 2**256 and one is left on a value that only feeds a product, so _sum,
+# _add_affine and _inverse_sqrt hold unreduced values until _batch_to_affine
+# or a zero test reduces them (z is 0 only at infinity: a finite z is a
+# product of nonzero residues).
 # ---------------------------------------------------------------------------
 
 # The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
@@ -217,16 +227,21 @@ def _double(pt):
 
 
 def _add_affine(pt, q):
-    """pt + q for a finite Jacobian pt and an affine q of another x."""
+    """pt + q for a finite Jacobian pt and an affine q of another x, folded."""
     (x, y, z), (qx, qy) = pt, q
-    zz = z * z % _P
-    h = (qx * zz - x) % _P
-    r = (qy * zz * z - y) % _P
-    hh = h * h % _P
-    hhh = h * hh % _P
-    v = x * hh % _P
-    nx = (r * r - hhh - 2 * v) % _P
-    return nx, (r * (v - nx) - y * hhh) % _P, z * h % _P
+    zz = ((t := z * z) & _M) + (t >> 256) * _C
+    h = ((t := qx * zz - x) & _M) + (t >> 256) * _C
+    h = (h & _M) + (h >> 256) * _C
+    r = ((t := qy * zz * z - y) & _M) + (t >> 256) * _C
+    r = (r & _M) + (r >> 256) * _C
+    hh = ((t := h * h) & _M) + (t >> 256) * _C
+    hhh = ((t := h * hh) & _M) + (t >> 256) * _C
+    v = ((t := x * hh) & _M) + (t >> 256) * _C
+    nx = ((t := r * r - hhh - 2 * v) & _M) + (t >> 256) * _C
+    nx = (nx & _M) + (nx >> 256) * _C
+    ny = ((t := r * (v - nx) - y * hhh) & _M) + (t >> 256) * _C
+    nz = ((t := z * h) & _M) + (t >> 256) * _C
+    return nx, (ny & _M) + (ny >> 256) * _C, (nz & _M) + (nz >> 256) * _C
 
 
 def _batch_to_affine(points):
@@ -298,32 +313,40 @@ def _multiply(terms, span: int = 130) -> tuple[int, int] | None:
 def _sum(slots) -> tuple[int, int] | None:
     """Sum of 2**i * q over the affine q in each slots[i], affine or None:
     per slot, top down, a Jacobian doubling, then a mixed addition per q."""
-    p = _P
+    p, mask, c = _P, _M, _C
     x = y = z = 0  # z = 0 is infinity, whose double is infinity
     for slot in reversed(slots):
         if z:
-            yy = y * y % p
-            s = (x * yy << 2) % p
-            m = 3 * x * x % p
-            z = (y * z << 1) % p
-            x = (m * m - (s << 1)) % p
-            y = (m * (s - x) - (yy * yy << 3)) % p
+            yy = ((t := y * y) & mask) + (t >> 256) * c
+            s = ((t := x * yy << 2) & mask) + (t >> 256) * c
+            m = ((t := 3 * x * x) & mask) + (t >> 256) * c
+            z = ((t := y * z << 1) & mask) + (t >> 256) * c
+            z = (z & mask) + (z >> 256) * c
+            x = ((t := m * m - (s << 1)) & mask) + (t >> 256) * c
+            x = (x & mask) + (x >> 256) * c
+            y = ((t := m * (s - x) - (yy * yy << 3)) & mask) + (t >> 256) * c
+            y = (y & mask) + (y >> 256) * c
         for qx, qy in slot:
             if not z:
                 x, y, z = qx, qy, 1
                 continue
-            zz = z * z % p
-            h = (qx * zz - x) % p
-            r = (qy * zz * z - y) % p
-            if not h:  # q is the accumulator (double it) or its negative
-                x, y, z = _double((x, y, z)) if not r else (0, 0, 0)
+            zz = ((t := z * z) & mask) + (t >> 256) * c
+            h = ((t := qx * zz - x) & mask) + (t >> 256) * c
+            h = (h & mask) + (h >> 256) * c
+            r = ((t := qy * zz * z - y) & mask) + (t >> 256) * c
+            r = (r & mask) + (r >> 256) * c
+            if not h % p:  # q is the accumulator (double it) or its negative
+                x, y, z = _double((x, y, z)) if not r % p else (0, 0, 0)
                 continue
-            hh = h * h % p
-            hhh = h * hh % p
-            v = x * hh % p
-            x = (r * r - hhh - 2 * v) % p
-            y = (r * (v - x) - y * hhh) % p
-            z = z * h % p
+            hh = ((t := h * h) & mask) + (t >> 256) * c
+            hhh = ((t := h * hh) & mask) + (t >> 256) * c
+            v = ((t := x * hh) & mask) + (t >> 256) * c
+            x = ((t := r * r - hhh - 2 * v) & mask) + (t >> 256) * c
+            x = (x & mask) + (x >> 256) * c
+            y = ((t := r * (v - x) - y * hhh) & mask) + (t >> 256) * c
+            y = (y & mask) + (y >> 256) * c
+            z = ((t := z * h) & mask) + (t >> 256) * c
+            z = (z & mask) + (z >> 256) * c
     return _batch_to_affine([(x, y, z)])[0] if z else None
 
 
@@ -379,13 +402,36 @@ def _jacobi(a: int) -> int:
     return t if n == 1 else 0
 
 
+def _squares_times(a: int, n: int, b: int) -> int:
+    """a**(2**n) * b mod P, unreduced: n folded squarings and a product."""
+    for _ in range(n):
+        a = ((t := a * a) & _M) + (t >> 256) * _C
+        a = (a & _M) + (a >> 256) * _C
+    a = ((t := a * b) & _M) + (t >> 256) * _C
+    return (a & _M) + (a >> 256) * _C
+
+
+def _inverse_sqrt(v: int) -> int:
+    """v**((P-3)/4) mod P, 1/sqrt(v) for a nonzero square v, by
+    libsecp256k1's addition chain; vK is v**(2**K - 1)."""
+    v2 = _squares_times(v, 1, v)
+    v3 = _squares_times(v2, 1, v)
+    v6 = _squares_times(v3, 3, v3)
+    v11 = _squares_times(_squares_times(v6, 3, v3), 2, v2)
+    v22 = _squares_times(v11, 11, v11)
+    v44 = _squares_times(v22, 22, v22)
+    v88 = _squares_times(v44, 44, v44)
+    v223 = _squares_times(_squares_times(_squares_times(v88, 88, v88), 44, v44), 3, v3)
+    return _squares_times(_squares_times(_squares_times(v223, 23, v22), 5, v), 3, v2) % _P
+
+
 def _lift_x(x: int, odd: int) -> tuple[int, int, int]:
     """(x, y, 1/y) for the curve point of x whose y has parity odd: with
     v = x**3 + 7 and t = v**((P-3)/4), y = v*t and y*t = v**((P-1)/2) = 1."""
     if x >= _P:
         raise RecoveryFailed(_OFF_FIELD)
     v = (x * x * x + 7) % _P
-    t = pow(v, (_P - 3) // 4, _P)
+    t = _inverse_sqrt(v)
     y = v * t % _P
     if y * y % _P != v:
         raise RecoveryFailed(_OFF_CURVE)

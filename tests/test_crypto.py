@@ -2,7 +2,7 @@ import base64
 import string
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eaward import crypto
@@ -613,6 +613,92 @@ def test_two_term_ladder_over_another_base_matches_reference(k1, k2):
         (k2, crypto._R_WINDOW, [crypto._odd_multiples(base, twice, crypto._R_WINDOW)]),
     ])
     assert got == reference_mul((k1 + k2) % _N, base)
+
+
+def _small_points():
+    """The points k*G and LAMBDA*k*G for 0 < |k| <= 8, by their scalars mod N."""
+    points = {}
+    for k in range(1, 9):
+        x, y = reference_mul(k, _G)
+        for m, px in ((k, x), (k * crypto._LAMBDA, crypto._BETA * x % _P)):
+            points[m % _N] = px, y
+            points[-m % _N] = px, _P - y
+    return points
+
+
+_SMALL = _small_points()
+_LAMBDA_2 = 2 * crypto._LAMBDA % _N
+
+
+def _hold(m):
+    """Slots that add m*G at 129 and -m*G at 128 down to 31: the accumulator
+    doubles to 2m*G and adds back down to m*G in each of those 98 slots."""
+    return {129: [m], **{i: [-m % _N] for i in range(31, 129)}}
+
+
+# Sparse slots of small points: sums no w-NAF recoding builds, with repeated
+# and opposite points in one slot. The _hold examples meet the accumulator
+# at 2*G (or 2*LAMBDA*G) in slot 30, after 98 doublings and additions.
+@settings(max_examples=60, deadline=None)
+@given(points=st.dictionaries(st.integers(0, 129),
+                              st.lists(st.sampled_from(sorted(_SMALL)), min_size=1, max_size=4),
+                              max_size=8))
+@example(points={})                                   # every slot empty: infinity
+@example(points={**_hold(1), 30: [2], 0: [3]})        # q is the accumulator: doubling
+@example(points={**_hold(1), 30: [_N - 2], 0: [3]})   # q is its negative: infinity, then 3*G
+@example(points={**_hold(1), 30: [_N - 2]})           # the sum ends at infinity
+@example(points={**_hold(1), 30: [_N - 1, 1, 5]})     # 2G - G, then G again: doubling
+@example(points={**_hold(1), 30: [_N - 1, _N - 1]})   # 2G - G - G: infinity
+@example(points={**_hold(crypto._LAMBDA), 30: [_LAMBDA_2]})           # doubling, of LAMBDA-images
+@example(points={**_hold(crypto._LAMBDA), 30: [_N - _LAMBDA_2, 7]})  # infinity, then 7*G
+def test_sum_matches_reference(points):
+    slots = [[_SMALL[m] for m in points.get(i, [])] for i in range(130)]
+    total = sum(m << i for i, ms in points.items() for m in ms)
+    assert crypto._sum(slots) == reference_mul(total % _N, _G)
+
+
+# Representatives of field elements as the folds leave them: negative, above
+# P, up to 2**360, and v - P, v + P, v + 3*P of a residue v.
+_UNREDUCED = st.one_of(
+    st.integers(-(2**140), -1),
+    st.integers(_P, 2**360),
+    st.builds(lambda v, j: v + j * _P, st.integers(0, _P - 1), st.sampled_from([-1, 1, 3])),
+)
+_MULTIPLE_OF_P = st.one_of(st.sampled_from([-1, 0, 1, 3]), st.integers(0, 2**360 // _P))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(_UNREDUCED, _UNREDUCED, _UNREDUCED.filter(lambda z: z % _P)),
+                       min_size=1, max_size=3))
+@example(points=[(-1, -(2**140), _P + 1)])
+@example(points=[(2**360 - 1, -_P, -(2**140))])
+def test_batch_to_affine_takes_unreduced_coordinates(points):
+    assert crypto._batch_to_affine(points) == [_ref_to_affine(pt) for pt in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k1=scalars, k2=scalars, z=_UNREDUCED.filter(lambda z: z % _P),
+       jx=_MULTIPLE_OF_P, jy=_MULTIPLE_OF_P)
+@example(k1=1, k2=2, z=-(2**140), jx=-1, jy=3)
+@example(k1=_N - 1, k2=2, z=2**360, jx=2**360 // _P - 1, jy=-1)
+def test_add_affine_takes_unreduced_coordinates(k1, k2, z, jx, jy):
+    # k1*G in Jacobian form over z, each coordinate moved by a multiple of
+    # P, plus k2*G; its unreduced sum then adds k2*G again.
+    assume((k1 - k2) % _N and (k1 + k2) % _N and (k1 + 2 * k2) % _N)
+    x, y = reference_mul(k1, _G)
+    pt = (x * z * z % _P + jx * _P, y * z**3 % _P + jy * _P, z)
+    q = reference_mul(k2, _G)
+    once = crypto._add_affine(pt, q)
+    assert _ref_to_affine(once) == reference_mul((k1 + k2) % _N, _G)
+    assert crypto._batch_to_affine([crypto._add_affine(once, q)]) == [
+        reference_mul((k1 + 2 * k2) % _N, _G)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.one_of(st.sampled_from([0, 1, 2, 7, _P - 1, _P - 2]), st.integers(0, _P - 1)))
+def test_inverse_sqrt_is_the_power(v):
+    # P - 1 = -1 is not a square mod P (P = 3 mod 4).
+    assert crypto._inverse_sqrt(v) == pow(v, (_P - 3) // 4, _P)
 
 
 @settings(max_examples=100, deadline=None)
