@@ -276,6 +276,12 @@ class AuthenticationCertificate(namedtuple(
         }
 
 
+# strftime's %B names a month in the LC_TIME locale; a certificate says it
+# in English whatever locale its process runs under.
+_MONTHS = ("January", "February", "March", "April", "May", "June", "July",
+           "August", "September", "October", "November", "December")
+
+
 def issue_certificate(
     agreement: ArbitrationAgreement,
     tx: Transaction,
@@ -330,7 +336,7 @@ def issue_certificate(
     amount = format_btc(sum(out.value for out in tx.outputs)).rstrip("0").rstrip(".")
     findings = [
         f"Transaction id {txid.hex()} was completed on "
-        f"{when.strftime('%d %B %Y')} at {when.strftime('%H:%M:%S')} UTC",
+        f"{when.day:02} {_MONTHS[when.month - 1]} {when.year} at {when:%H:%M:%S} UTC",
         f"The transaction amount was {amount} BTC",
     ]
     for role in ROLE_ORDER:
@@ -420,8 +426,8 @@ def agreement_from_dict(doc: dict) -> ArbitrationAgreement:
         text_hash = json_field(doc, "", "agreementTextHash", str, None)
         text_hash = None if text_hash is None else json_text(
             "agreementTextHash", text_hash, parse_hex)
-        if text_hash == b"":
-            raise ValueError("agreementTextHash: no hash digits")
+        if text_hash is not None and len(text_hash) != 32:
+            raise ValueError(f"agreementTextHash: expected 32 bytes, got {len(text_hash)}")
         return ArbitrationAgreement(
             parties=parties,
             seat=json_field(doc, "", "seat", str),

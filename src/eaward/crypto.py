@@ -180,21 +180,21 @@ def pubkey_to_address(key: PublicKey, net: Network, compressed: bool = True) -> 
 # (X, Y, Z) for (X/Z^2, Y/Z^3). Every multiple is _multiply, a Straus-Shamir
 # sum over w-NAF digits as in libsecp256k1: the GLV endomorphism splits each
 # scalar into two halves of at most 129 bits, all halves share one chain of
-# doublings in _sum (the Jacobian doubling and mixed addition inline), and
-# each nonzero digit adds a precomputed odd multiple. A multiple of G alone
-# (a signing nonce, a public key) reads its digits from five tables of odd
-# multiples of G, each base 2**26 times the last, so its chain is 25
-# doublings long. Recovery's second term has a variable base R, whose lift
-# also yields 1/y, so R's table needs no inversion for 2R. The arithmetic is
-# variable-time.
+# doublings in _sum, and each nonzero digit adds a precomputed odd multiple.
+# A multiple of G alone (a signing nonce, a public key) reads its digits from
+# five tables of odd multiples of G, each base 2**26 times the last, so its
+# chain is 25 doublings long. Recovery's second term has a variable base R,
+# whose lift also yields 1/y, so R's table needs no inversion for 2R. The
+# Jacobian doubling and the mixed addition are written once, in _sum: the
+# tables' rows and bases are _sums too. The arithmetic is variable-time.
 #
 # No hot formula divides by P: as 2**256 = C (mod P), the fold
 # t = (t & M) + (t >> 256) * C keeps t mod P for any int t, negative too
 # (>> floors, & reads two's complement). Two folds bring a product near
-# 2**256 and one is left on a value that only feeds a product, so _sum,
-# _add_affine and _inverse_sqrt hold unreduced values until _batch_to_affine
-# or a zero test reduces them (z is 0 only at infinity: a finite z is a
-# product of nonzero residues).
+# 2**256 and one is left on a value that only feeds a product, so _sum and
+# _inverse_sqrt hold unreduced values until _batch_to_affine or a zero test
+# reduces them (z is 0 only at infinity: a finite z is a product of nonzero
+# residues).
 # ---------------------------------------------------------------------------
 
 # The endomorphism (x, y) -> (BETA*x, y) multiplies every point by LAMBDA
@@ -213,35 +213,6 @@ def _split(k: int) -> tuple[int, int]:
     c1 = (2 * _B2 * k + _N) // (2 * _N)
     c2 = (-2 * _B1 * k + _N) // (2 * _N)
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
-
-
-def _double(pt):
-    """2*pt for a finite Jacobian point. No curve point has y = 0 (the
-    group order is odd), so it never doubles to infinity."""
-    x, y, z = pt
-    yy = y * y % _P
-    s = (x * yy << 2) % _P
-    m = 3 * x * x % _P
-    nx = (m * m - (s << 1)) % _P
-    return nx, (m * (s - nx) - (yy * yy << 3)) % _P, (y * z << 1) % _P
-
-
-def _add_affine(pt, q):
-    """pt + q for a finite Jacobian pt and an affine q of another x, folded."""
-    (x, y, z), (qx, qy) = pt, q
-    zz = ((t := z * z) & _M) + (t >> 256) * _C
-    h = ((t := qx * zz - x) & _M) + (t >> 256) * _C
-    h = (h & _M) + (h >> 256) * _C
-    r = ((t := qy * zz * z - y) & _M) + (t >> 256) * _C
-    r = (r & _M) + (r >> 256) * _C
-    hh = ((t := h * h) & _M) + (t >> 256) * _C
-    hhh = ((t := h * hh) & _M) + (t >> 256) * _C
-    v = ((t := x * hh) & _M) + (t >> 256) * _C
-    nx = ((t := r * r - hhh - 2 * v) & _M) + (t >> 256) * _C
-    nx = (nx & _M) + (nx >> 256) * _C
-    ny = ((t := r * (v - nx) - y * hhh) & _M) + (t >> 256) * _C
-    nz = ((t := z * h) & _M) + (t >> 256) * _C
-    return nx, (ny & _M) + (ny >> 256) * _C, (nz & _M) + (nz >> 256) * _C
 
 
 def _batch_to_affine(points):
@@ -269,7 +240,7 @@ def _odd_multiples(pt, twice, w: int):
     same odd multiples of LAMBDA*pt. twice is 2*pt, affine."""
     jac = [(*pt, 1)]
     for _ in range((1 << (w - 2)) - 1):
-        jac.append(_add_affine(jac[-1], twice))
+        jac.append(_sum([[twice]], *jac[-1]))
     return [(x, y, _BETA * x % _P) for x, y in _batch_to_affine(jac)]
 
 
@@ -307,26 +278,18 @@ def _multiply(terms, span: int = 130) -> tuple[int, int] | None:
                 if (d < 0) != (half < 0):
                     y = _P - y
                 at[pos].append((beta_x if lam else x, y))
-    return _sum(slots)
+    x, y, z = _sum(slots)
+    return _batch_to_affine([(x, y, z)])[0] if z else None
 
 
-def _sum(slots) -> tuple[int, int] | None:
-    """Sum of 2**i * q over the affine q in each slots[i], affine or None:
-    per slot, top down, a Jacobian doubling, then a mixed addition per q."""
+def _sum(slots, x=0, y=0, z=0):
+    """2**(len(slots)-1) * (x, y, z) + the sum of 2**i * q over the affine q
+    in each slots[i], as an unreduced Jacobian triple, z = 0 being infinity:
+    per slot, top down, a mixed addition per q, then a doubling, except
+    after slot 0."""
     p, mask, c = _P, _M, _C
-    x = y = z = 0  # z = 0 is infinity, whose double is infinity
-    for slot in reversed(slots):
-        if z:
-            yy = ((t := y * y) & mask) + (t >> 256) * c
-            s = ((t := x * yy << 2) & mask) + (t >> 256) * c
-            m = ((t := 3 * x * x) & mask) + (t >> 256) * c
-            z = ((t := y * z << 1) & mask) + (t >> 256) * c
-            z = (z & mask) + (z >> 256) * c
-            x = ((t := m * m - (s << 1)) & mask) + (t >> 256) * c
-            x = (x & mask) + (x >> 256) * c
-            y = ((t := m * (s - x) - (yy * yy << 3)) & mask) + (t >> 256) * c
-            y = (y & mask) + (y >> 256) * c
-        for qx, qy in slot:
+    for i in range(len(slots) - 1, -1, -1):
+        for qx, qy in slots[i]:
             if not z:
                 x, y, z = qx, qy, 1
                 continue
@@ -336,7 +299,7 @@ def _sum(slots) -> tuple[int, int] | None:
             r = ((t := qy * zz * z - y) & mask) + (t >> 256) * c
             r = (r & mask) + (r >> 256) * c
             if not h % p:  # q is the accumulator (double it) or its negative
-                x, y, z = _double((x, y, z)) if not r % p else (0, 0, 0)
+                x, y, z = _sum([[], []], x, y, z) if not r % p else (0, 0, 0)
                 continue
             hh = ((t := h * h) & mask) + (t >> 256) * c
             hhh = ((t := h * hh) & mask) + (t >> 256) * c
@@ -347,7 +310,17 @@ def _sum(slots) -> tuple[int, int] | None:
             y = (y & mask) + (y >> 256) * c
             z = ((t := z * h) & mask) + (t >> 256) * c
             z = (z & mask) + (z >> 256) * c
-    return _batch_to_affine([(x, y, z)])[0] if z else None
+        if i and z:  # no curve point has y = 0, so none doubles to infinity
+            yy = ((t := y * y) & mask) + (t >> 256) * c
+            s = ((t := x * yy << 2) & mask) + (t >> 256) * c
+            m = ((t := 3 * x * x) & mask) + (t >> 256) * c
+            z = ((t := y * z << 1) & mask) + (t >> 256) * c
+            z = (z & mask) + (z >> 256) * c
+            x = ((t := m * m - (s << 1)) & mask) + (t >> 256) * c
+            x = (x & mask) + (x >> 256) * c
+            y = ((t := m * (s - x) - (yy * yy << 3)) & mask) + (t >> 256) * c
+            y = (y & mask) + (y >> 256) * c
+    return x, y, z
 
 
 # G's tables: table j holds the 64 odd multiples of 2**(26*j)*G and of
@@ -362,13 +335,11 @@ _R_WINDOW = 5
 
 @functools.cache
 def _g_table(j: int = 0):
-    if j:
-        pt = (*_g_table(j - 1)[0][:2], 1)
-        for _ in range(_G_SPAN):
-            pt = _double(pt)
+    if j:  # 2**26 times table j - 1's base
+        pt = _sum([[]] * _G_SPAN + [[_g_table(j - 1)[0][:2]]])
     else:
         pt = (_GX, _GY, 1)
-    return _odd_multiples(*_batch_to_affine([pt, _double(pt)]), _G_WINDOW)
+    return _odd_multiples(*_batch_to_affine([pt, _sum([[], []], *pt)]), _G_WINDOW)
 
 
 def _mul_g(k: int) -> tuple[int, int] | None:

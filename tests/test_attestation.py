@@ -169,7 +169,10 @@ def test_agreement_file_matches_golden_fields():
     lambda doc: doc["policy"]["pubkeys"].__setitem__(0, "zz" * 33),
     lambda doc: doc.__setitem__("agreementTextHash", "not hex"),
     lambda doc: doc.__setitem__("agreementTextHash", ""),
-], ids=["nonhex_pubkey", "nonhex_text_hash", "empty_text_hash"])
+    lambda doc: doc.__setitem__("agreementTextHash", "ab"),
+    lambda doc: doc.__setitem__("agreementTextHash", "ab" * 33),
+], ids=["nonhex_pubkey", "nonhex_text_hash", "empty_text_hash", "one_byte_text_hash",
+        "33_byte_text_hash"])
 def test_agreement_non_hex_field_is_attestation_error(mutate):
     doc = _agreement_doc()
     mutate(doc)
@@ -402,6 +405,28 @@ def test_certificate_states_one_time_for_the_block(golden_agreement, demo_tx,
     assert stated == f"{when:%d %B %Y} at {when:%H:%M:%S} UTC"
     stated_at = datetime.strptime(stated, "%d %B %Y at %H:%M:%S UTC")
     assert f"{stated_at:%Y-%m-%dT%H:%M:%S}Z" == cert.to_report()["timeEvidence"]["blockTime"]
+
+
+@pytest.mark.parametrize("block_time,date", [
+    ("2019-01-03T18:15:05", "03 January 2019"),
+    ("2019-02-28T00:00:00", "28 February 2019"),
+    ("2020-03-01T23:59:59", "01 March 2020"),
+    ("2021-04-30T12:00:00", "30 April 2021"),
+    ("2022-05-09T06:07:08", "09 May 2022"),
+    ("2023-06-15T15:46:53", "15 June 2023"),
+    ("2024-07-04T01:02:03", "04 July 2024"),
+    ("2025-08-31T22:22:22", "31 August 2025"),
+    ("2026-09-10T10:10:10", "10 September 2026"),
+    ("2027-10-20T20:00:01", "20 October 2027"),
+    ("2028-11-11T11:11:11", "11 November 2028"),
+    ("2099-12-31T23:59:58", "31 December 2099"),
+])
+def test_certificate_names_the_month_in_english(golden_agreement, demo_tx,
+                                                golden_attestation, block_time, date):
+    when = datetime.fromisoformat(block_time).replace(tzinfo=timezone.utc)
+    cert = issue_certificate(golden_agreement, demo_tx, TxStatus(when, 1000),
+                             [golden_attestation], "W", ISSUED_AT)
+    assert cert.findings[0].endswith(f" was completed on {date} at {block_time[11:]} UTC")
 
 
 def test_certificate_refuses_a_naive_issue_time(golden_agreement, demo_tx,

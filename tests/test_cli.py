@@ -430,8 +430,11 @@ def _certify_data_error(capsys, *source_args, agreement=AGREEMENT):
     (("parties", 1, "address"), "zzz"),
     (("parties", 1, "role"), "X"),
     (("policy", "pubkeys", 2), "02" + "00" * 32),
+    (("agreementTextHash",), "ab"),
+    (("agreementTextHash",), "ab" * 33),
 ], ids=["pubkey", "agreementTextHash", "text_hash_whitespace_only", "text_hash_inner_space",
-        "pubkey_inner_space", "address_not_base58check", "role_letter", "pubkey_off_curve"])
+        "pubkey_inner_space", "address_not_base58check", "role_letter", "pubkey_off_curve",
+        "text_hash_one_byte", "text_hash_33_bytes"])
 def test_certify_non_hex_agreement_exit_2(capsys, tmp_path, path, value):
     agreement = _agreement_with_field(tmp_path, path, value)
     err = _certify_data_error(capsys, "--fixture-root", str(CHAIN_DIR), agreement=agreement)
@@ -634,7 +637,8 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
     # tuples, so neither dataclasses nor the inspect module it imports loads,
     # and in fixture mode no HTTP, TLS or `requests` module loads either.
     # json loads only where JSON is read or written, and a canonical block
-    # time is read without strptime's _strptime module.
+    # time is read without strptime's _strptime module. -S keeps site out of
+    # the child, as a site hook may import inspect.
     anchored = tmp_path / "chain"
     placeholders = {"anchored": str(anchored), "anchor_txid": _confirmed_anchor(anchored)}
     argv = [arg.format(**placeholders) for arg in argv]
@@ -656,7 +660,7 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
         "    unwanted, stdlib]))\n"
     )
     with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
-        loaded, built, unwanted, loaded_stdlib = json.loads(_run_fresh(script))
+        loaded, built, unwanted, loaded_stdlib = json.loads(_run_fresh(script, "-S"))
     assert loaded == sorted(["eaward", "eaward.cli", *(f"eaward.{m}" for m in modules)])
     assert built == tables
     assert unwanted == []

@@ -654,7 +654,7 @@ def _hold(m):
 def test_sum_matches_reference(points):
     slots = [[_SMALL[m] for m in points.get(i, [])] for i in range(130)]
     total = sum(m << i for i, ms in points.items() for m in ms)
-    assert crypto._sum(slots) == reference_mul(total % _N, _G)
+    assert _ref_to_affine(crypto._sum(slots)) == reference_mul(total % _N, _G)
 
 
 # Representatives of field elements as the folds leave them: negative, above
@@ -676,22 +676,43 @@ def test_batch_to_affine_takes_unreduced_coordinates(points):
     assert crypto._batch_to_affine(points) == [_ref_to_affine(pt) for pt in points]
 
 
+def _unreduced_jacobian(k, z, jx, jy):
+    """k*G in Jacobian form over z, each coordinate moved by a multiple of P."""
+    x, y = reference_mul(k, _G)
+    return x * z * z % _P + jx * _P, y * z**3 % _P + jy * _P, z
+
+
 @settings(max_examples=60, deadline=None)
 @given(k1=scalars, k2=scalars, z=_UNREDUCED.filter(lambda z: z % _P),
        jx=_MULTIPLE_OF_P, jy=_MULTIPLE_OF_P)
 @example(k1=1, k2=2, z=-(2**140), jx=-1, jy=3)
 @example(k1=_N - 1, k2=2, z=2**360, jx=2**360 // _P - 1, jy=-1)
-def test_add_affine_takes_unreduced_coordinates(k1, k2, z, jx, jy):
-    # k1*G in Jacobian form over z, each coordinate moved by a multiple of
-    # P, plus k2*G; its unreduced sum then adds k2*G again.
+def test_sum_adds_to_an_unreduced_start(k1, k2, z, jx, jy):
+    # k1*G, unreduced, plus k2*G; its unreduced sum then adds k2*G again.
     assume((k1 - k2) % _N and (k1 + k2) % _N and (k1 + 2 * k2) % _N)
-    x, y = reference_mul(k1, _G)
-    pt = (x * z * z % _P + jx * _P, y * z**3 % _P + jy * _P, z)
     q = reference_mul(k2, _G)
-    once = crypto._add_affine(pt, q)
+    once = crypto._sum([[q]], *_unreduced_jacobian(k1, z, jx, jy))
     assert _ref_to_affine(once) == reference_mul((k1 + k2) % _N, _G)
-    assert crypto._batch_to_affine([crypto._add_affine(once, q)]) == [
+    assert crypto._batch_to_affine([crypto._sum([[q]], *once)]) == [
         reference_mul((k1 + 2 * k2) % _N, _G)]
+
+
+# A start of k*G, unreduced, is doubled once per slot below the top, so it
+# counts 2**(len(slots) - 1) times; the top slot's first point meets it.
+@settings(max_examples=60, deadline=None)
+@given(k=scalars, z=_UNREDUCED.filter(lambda z: z % _P), jx=_MULTIPLE_OF_P, jy=_MULTIPLE_OF_P,
+       points=st.lists(st.lists(st.sampled_from(sorted(_SMALL)), max_size=2),
+                       min_size=1, max_size=3))
+@example(k=1, z=-(2**140), jx=-1, jy=3, points=[[1]])                  # q is the start: doubling
+@example(k=1, z=2**360, jx=0, jy=-1, points=[[3], [], [1, 1]])         # doubling, then G more
+@example(k=1, z=-(2**140), jx=3, jy=0, points=[[_N - 1]])              # q cancels it: infinity
+@example(k=1, z=2**360, jx=-1, jy=3, points=[[5], [], [_N - 1]])       # infinity, then 5*G
+@example(k=crypto._LAMBDA, z=3, jx=1, jy=1, points=[[], [crypto._LAMBDA]])  # LAMBDA-images
+def test_sum_from_a_start_matches_reference(k, z, jx, jy, points):
+    slots = [[_SMALL[m] for m in ms] for ms in points]
+    total = (k << len(points) - 1) + sum(m << i for i, ms in enumerate(points) for m in ms)
+    got = crypto._sum(slots, *_unreduced_jacobian(k, z, jx, jy))
+    assert _ref_to_affine(got) == reference_mul(total % _N, _G)
 
 
 @settings(max_examples=100, deadline=None)
