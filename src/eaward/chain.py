@@ -12,7 +12,6 @@ Fixture layout: <root>/<txid>.hex (raw hex) and <root>/<txid>.status
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import namedtuple
 from datetime import datetime, timezone
@@ -37,8 +36,6 @@ class MalformedStatus(ChainError):
 
 
 DEFAULT_TIMEOUT = 10.0
-
-_sidecar_lock = threading.Lock()
 
 
 # The longest answer an explorer may give to any call below: the hex of the
@@ -300,9 +297,11 @@ def broadcast(src: ChainSource, hex_text: str) -> Txid:
     if src.mode == "fixture":
         src.fixture_root.mkdir(parents=True, exist_ok=True)
         path = src.fixture_root / f"{txid.hex()}.hex"
-        with _sidecar_lock:
-            if not path.exists():
-                path.write_text(hex_text.strip() + "\n")
+        try:
+            with path.open("x") as out:
+                out.write(hex_text.strip() + "\n")
+        except FileExistsError:
+            pass
         return txid
 
     status, body = src.http(f"{src.endpoint}/tx", src.timeout, hex_text.encode("ascii"))

@@ -40,16 +40,16 @@ class Role(enum.Enum):
 
 ROLE_ORDER = (Role.ARBITRATOR, Role.CLAIMANT, Role.RESPONDENT)
 
-_NAME_RE = re.compile(r"^[0-9A-Za-z]+$")
-_SEAT_RE = re.compile(r"^[!-~]+$")  # printable ASCII, no spaces
-_FRAGMENT_RE = re.compile(r"^[0-9A-Za-z+/=]+$")
+_NAME_RE = re.compile(r"[0-9A-Za-z]+")
+_SEAT_RE = re.compile(r"[!-~]+")  # printable ASCII, no spaces
+_FRAGMENT_RE = re.compile(r"[0-9A-Za-z+/=]+")
 
 
 class ParticipantTag(namedtuple("ParticipantTag", "role display_name suffix")):
     __slots__ = ()
 
     def __new__(cls, role: Role, display_name: str, suffix: str):
-        if not _NAME_RE.match(display_name):
+        if not _NAME_RE.fullmatch(display_name):
             raise MetadataError(
                 f"display name {display_name!r} must be ASCII alphanumerics")
         if len(suffix) != SUFFIX_LEN:
@@ -72,12 +72,12 @@ class AwardMetadata(namedtuple("AwardMetadata", "participants seat sig_fragment"
             raise MetadataError("one tag per role required")
         if roles != ROLE_ORDER:
             raise MetadataError("participants must appear in A, C, R order")
-        if not _SEAT_RE.match(seat):
+        if not _SEAT_RE.fullmatch(seat):
             raise MetadataError(
                 f"seat {seat!r} must be one space-free printable ASCII token")
         if len(sig_fragment) != FRAGMENT_LEN:
             raise MetadataError(f"signature fragment must be {FRAGMENT_LEN} characters")
-        if not _FRAGMENT_RE.match(sig_fragment):
+        if not _FRAGMENT_RE.fullmatch(sig_fragment):
             raise MetadataError("signature fragment has non-base64 characters")
         self = super().__new__(cls, participants, seat, sig_fragment)
         if len(self.text()) > PAYLOAD_LIMIT:

@@ -190,11 +190,7 @@ def test_get_transaction_parses_once(fixture_source, monkeypatch):
     assert len(calls) == 1
 
 
-def test_broadcast_roundtrip_and_idempotence(tmp_path, monkeypatch):
-    writes = []
-    real_write = Path.write_text
-    monkeypatch.setattr(Path, "write_text",
-                        lambda path, *a, **kw: writes.append(path) or real_write(path, *a, **kw))
+def test_broadcast_roundtrip_and_idempotence(tmp_path):
     source = ChainSource("fixture", TESTNET, fixture_root=tmp_path)
     tx = _tiny_tx(b"mempool entry")
     txid = broadcast(source, tx.to_hex())
@@ -203,9 +199,11 @@ def test_broadcast_roundtrip_and_idempotence(tmp_path, monkeypatch):
     # unconfirmed: known hex, no status sidecar
     status = get_tx_status(source, txid)
     assert status.confirmations == 0 and status.block_time is None
-    again = broadcast(source, tx.to_hex())
+    # The first broadcast's file stays, whatever spelling of the bytes comes next.
+    again = broadcast(source, tx.to_hex().upper())
     assert again == txid
-    assert writes == [tmp_path / f"{txid.hex()}.hex"]
+    assert list(tmp_path.iterdir()) == [tmp_path / f"{txid.hex()}.hex"]
+    assert (tmp_path / f"{txid.hex()}.hex").read_text() == tx.to_hex() + "\n"
 
 
 def test_broadcast_rejects_malformed_before_transport():

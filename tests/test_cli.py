@@ -122,6 +122,8 @@ def test_script_decode(capsys):
     assert doc["reqSigs"] == 2
     assert doc["p2sh"] == P2SH_TESTNET
     assert len(doc["addresses"]) == 3
+    assert run(capsys, "script", "decode", "4c") == (
+        2, "", "error: pushdata length field truncated\n")
 
 
 def test_script_and_tx_decode_name_no_address_for_non_canonical_templates(capsys, demo_tx_hex):
@@ -170,11 +172,13 @@ def test_tx_decode_reports_unparseable_scripts(capsys, demo_tx_hex):
     ]
 
 
-def test_tx_decode_by_txid_from_fixture(capsys):
+def test_tx_decode_by_txid_from_fixture(capsys, demo_tx_hex):
     code, out, _ = run(capsys, "--fixture-root", str(CHAIN_DIR),
                        "tx", "decode", DEMO_TXID)
     assert code == 0
     assert json.loads(out)["txid"] == DEMO_TXID
+    # Hex given on the command line and hex read from a fixture give one report.
+    assert run(capsys, "tx", "decode", demo_tx_hex) == (0, out, "")
 
 
 def test_superfluous_witness_record_exit_2(capsys, tmp_path):
@@ -195,6 +199,12 @@ def test_superfluous_witness_record_exit_2(capsys, tmp_path):
 def test_tx_decode_bad_hex_exit_2(capsys):
     code, _, err = run(capsys, "tx", "decode", "00ff00")
     assert code == 2 and "error" in err
+    # bytes.fromhex skips ASCII whitespace between digit pairs; spaced
+    # digits are still refused.
+    for text, message in [("abc", "odd-length hex input"),
+                          ("ab cd", "non-hex characters in input"),
+                          ("zz", "non-hex characters in input")]:
+        assert run(capsys, "tx", "decode", text) == (2, "", f"error: {message}\n")
 
 
 def test_tx_decode_missing_fixture_root_exit_2(capsys, monkeypatch):
@@ -203,11 +213,19 @@ def test_tx_decode_missing_fixture_root_exit_2(capsys, monkeypatch):
     assert code == 2 and "fixture" in err
 
 
-def test_escrow_address(capsys):
+def test_escrow_address(capsys, tmp_path):
     code, out, _ = run(capsys, "escrow", "address", POLICY)
     assert code == 0
     assert f"address: {P2SH_TESTNET}" in out
     assert REDEEM_HEX in out
+    # A key off the curve, or with x at or above the field prime, is named.
+    policy = tmp_path / "policy.json"
+    shutil.copy(POLICY, policy)
+    for x, reason in [(5, "no curve point for x coordinate"),
+                      (2**256 - 2**32 - 977, "x coordinate out of field range")]:
+        _replace_field(policy, ("pubkeys", 0), f"02{x:064x}")
+        _, err = _data_error(capsys, "escrow", "address", str(policy))
+        assert f"pubkeys[0]: not a curve point: {reason}" in err
 
 
 def test_agreement_validate_ok(capsys):
@@ -232,7 +250,10 @@ _MAINNET_C = Address.from_parts(MAINNET.p2pkh_version, Address.from_text(ADDR_C)
 @pytest.mark.parametrize("path,value,violation", [
     (("parties", 1, "address"), _MAINNET_C, "party addresses mix network version bytes"),
     (("seat",), "", "agreement names no seat"),
-], ids=["mainnet_address", "empty_seat"])
+    (("parties", 1, "displayName"), "Acme\n",
+     "CLAIMANT display name unusable in metadata: "
+     "display name 'Acme\\n' must be ASCII alphanumerics"),
+], ids=["mainnet_address", "empty_seat", "display_name_line_feed"])
 def test_agreement_validate_names_violation(capsys, tmp_path, path, value, violation):
     file = tmp_path / "agreement.json"
     shutil.copy(FIXTURES / "agreement.json", file)
@@ -260,9 +281,14 @@ def test_msg_sign_roundtrip_key_file(capsys, tmp_path):
 
 
 def test_msg_sign_env_key(capsys, monkeypatch):
-    monkeypatch.setenv("CLI_TEST_KEY", sha256(b"env signer").hex())
-    code, out, _ = run(capsys, "msg", "sign", "env:CLI_TEST_KEY", "env message")
-    assert code == 0 and len(out.strip()) == 88
+    # RFC 6979 nonces make the signature a function of key and message alone.
+    monkeypatch.setenv("CLI_TEST_KEY", sha256(b"ci signing key").hex())
+    signature = ("IP1WonMLEdBsSiUiIrhwy3VJxqvexKhacZIkn4Ujk0AWWfT0tn3penvlxhg834sIs+bRQj3y"
+                 "cqdat1phtj2FESU=")
+    assert run(capsys, "msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE) == (
+        0, f"{signature}\n", "")
+    assert run(capsys, "msg", "verify", "msejALPWiJojfoT4E7nGiSsr14HVtLL9DC", signature,
+               ATTEST_MESSAGE) == (0, "true\n", "")
 
 
 def test_msg_sign_missing_key_exit_2(capsys, tmp_path):
@@ -608,25 +634,26 @@ def test_module_import_loads_only_its_layers(module):
     (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"],
      {"_g_table": 1, "_base58_pairs": 0}, []),
+    # Only signing runs HMAC.
     (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], 0,
      ["crypto", "errors", "msgauth"],
-     {"_g_table": 5, "_base58_pairs": 1}, []),
+     {"_g_table": 5, "_base58_pairs": 1}, ["hmac"]),
     # The demo transaction's one output is nulldata, which has no address.
     (["--fixture-root", str(CHAIN_DIR), "tx", "decode", DEMO_TXID], 0,
      ["chain", "crypto", "errors", "tx"],
-     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
+     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "json", "pathlib"]),
     # The demo transaction carries the metadata line, not this document's digest.
     (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", AWARD, DEMO_TXID], 1,
      ["anchor", "chain", "crypto", "errors", "tx"],
-     {"_g_table": 0, "_base58_pairs": 0}, ["datetime"]),
+     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "pathlib"]),
     # An anchor that verifies reads its status, and with it a block time.
     (["--fixture-root", "{anchored}", "anchor", "verify", AWARD, "{anchor_txid}"], 0,
      ["anchor", "chain", "crypto", "errors", "tx"],
-     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "json"]),
+     {"_g_table": 0, "_base58_pairs": 0}, ["datetime", "json", "pathlib"]),
     (["--fixture-root", str(CHAIN_DIR), "certify", AGREEMENT, DEMO_TXID,
       "--attestation", SIGNATURE_B64, "--certifier", "W"], 0,
      ["attestation", "chain", "crypto", "errors", "escrow", "metadata", "msgauth", "tx"],
-     {"_g_table": 1, "_base58_pairs": 1}, ["datetime", "json"]),
+     {"_g_table": 1, "_base58_pairs": 1}, ["datetime", "json", "pathlib"]),
 ], ids=["msg_verify", "msg_sign", "tx_decode", "anchor_verify", "anchor_verify_confirmed",
         "certify"])
 def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, stdlib,
@@ -636,9 +663,11 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
     # pair table only when it encodes an address. Its records are
     # tuples, so neither dataclasses nor the inspect module it imports loads,
     # and in fixture mode no HTTP, TLS or `requests` module loads either.
-    # json loads only where JSON is read or written, and a canonical block
-    # time is read without strptime's _strptime module. -S keeps site out of
-    # the child, as a site hook may import inspect.
+    # Of the probed standard modules, json loads only where JSON is read or
+    # written, a canonical block time is read without strptime's _strptime
+    # module, hmac loads only for signing, pathlib only where a path is read,
+    # and typing and threading nowhere. -S keeps site out of the child, as a
+    # site hook may import inspect, typing or pathlib.
     anchored = tmp_path / "chain"
     placeholders = {"anchored": str(anchored), "anchor_txid": _confirmed_anchor(anchored)}
     argv = [arg.format(**placeholders) for arg in argv]
@@ -649,7 +678,8 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
         f"    assert eaward.cli.main({argv!r}) == {code}\n"
         "unwanted = sorted({'dataclasses', 'inspect', 'requests', 'urllib.request',\n"
         "                   'http.client', 'ssl'} & set(sys.modules))\n"
-        "stdlib = sorted({'json', 'datetime', '_strptime'} & set(sys.modules))\n"
+        "stdlib = sorted({'json', 'datetime', '_strptime', 'typing', 'pathlib', 'hmac',\n"
+        "                 'threading'} & set(sys.modules))\n"
         "import json\n"
         "from eaward import crypto\n"
         "print(json.dumps([\n"
@@ -934,6 +964,7 @@ _ESCROW = ("escrow", "address", "{policy}")
 @pytest.mark.parametrize("name,path,value,argv", [
     ("agreement.json", ("reasonedAwardOptOut",), "false", _VALIDATE),
     ("agreement.json", ("reasonedAwardOptOut",), "false", _CERTIFY),
+    ("agreement.json", ("parties", 0, "legalName"), None, _VALIDATE),
     ("agreement.json", ("parties", 0, "legalName"), None, _CERTIFY),
     ("agreement.json", ("parties", 0, "displayName"), 5, _VALIDATE),
     ("agreement.json", ("parties", 0, "displayName"), 5, _ENCODE),
@@ -954,7 +985,8 @@ _ESCROW = ("escrow", "address", "{policy}")
     ("agreement.json", ("policy", "pubkeys"), _MISSING, _VALIDATE),
     ("agreement.json", ("parties", 2), 7, _VALIDATE),
     ("policy.json", ("network",), _MISSING, _ESCROW),
-], ids=["opt_out_string_validate", "opt_out_string_certify", "legal_name_null_certify",
+], ids=["opt_out_string_validate", "opt_out_string_certify", "legal_name_null_validate",
+        "legal_name_null_certify",
         "display_name_int_validate", "display_name_int_encode", "seat_int_encode",
         "address_list_validate", "m_overflow_validate", "m_overflow_encode",
         "m_overflow_certify", "m_float_validate", "m_bool_validate",
@@ -1228,7 +1260,11 @@ def test_live_certify_needs_no_requests(capsys, explorer):
     assert code == 0
     del live["issuedAt"], fixture["issuedAt"]
     assert live == fixture
-    assert [(method, path) for method, path, _, _ in explorer.received] == [
+    # The human certificate states no issue time, so it matches byte for byte.
+    human = run(capsys, *_certify("--fixture-root", str(CHAIN_DIR)))
+    assert human[0] == 0
+    assert run(capsys, *_certify("--source", "live", "--endpoint", explorer.url)) == human
+    assert [(method, path) for method, path, _, _ in explorer.received] == 2 * [
         ("GET", _HEX_PATH), ("GET", f"/tx/{DEMO_TXID}/status"), ("GET", "/blocks/tip/height")]
 
 

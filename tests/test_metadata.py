@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +106,9 @@ def test_decode_bad_suffix_length():
 def test_decode_bad_fragment_length():
     with pytest.raises(MetadataError, match="signature fragment must be 28 characters"):
         decode_metadata(GOLDEN_PAYLOAD[:-1])
+    # 28 characters, the last a line feed.
+    with pytest.raises(MetadataError, match="signature fragment has non-base64 characters"):
+        decode_metadata(GOLDEN_PAYLOAD[:-1] + b"\n")
 
 
 def test_decode_rejects_non_ascii():
@@ -116,6 +121,9 @@ def test_name_charset_enforced():
         ParticipantTag(Role.CLAIMANT, "Ac me", "fZN8L")
     with pytest.raises(MetadataError, match="display name '' must be ASCII alphanumerics"):
         ParticipantTag(Role.CLAIMANT, "", "fZN8L")
+    with pytest.raises(MetadataError,
+                       match=re.escape("display name 'Acme\\n' must be ASCII alphanumerics")):
+        ParticipantTag(Role.CLAIMANT, "Acme\n", "fZN8L")
     with pytest.raises(MetadataError, match="suffix 'fZN80' has non-base58 characters"):
         ParticipantTag(Role.CLAIMANT, "Acme", "fZN80")  # '0' not base58
 
@@ -126,6 +134,9 @@ def test_seat_single_token():
     with pytest.raises(MetadataError,
                        match="seat 'The Hague' must be one space-free printable ASCII token"):
         AwardMetadata(tags, "The Hague", FRAGMENT)
+    with pytest.raises(MetadataError,
+                       match=re.escape("seat 'London\\n' must be one space-free printable")):
+        AwardMetadata(tags, "London\n", FRAGMENT)
     # Space-free multiword seats are the supported spelling.
     assert AwardMetadata(tags, "TheHague", FRAGMENT).seat == "TheHague"
 
