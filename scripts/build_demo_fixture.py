@@ -136,6 +136,8 @@ def main() -> int:
     }
     (FIXTURE_ROOT / "agreement.json").write_text(json.dumps(agreement, indent=2) + "\n")
     (FIXTURE_ROOT / "award.txt").write_bytes(AWARD_TEXT.encode())
+    # A throwaway signing key, for the README's `msg sign` line.
+    (FIXTURE_ROOT / "signer.key").write_text(sha256(b"demo signer key").hex() + "\n")
 
     print(f"demo txid: {txid.hex()}")
     print(f"tx size:   {len(tx.serialize())} bytes")

@@ -184,9 +184,10 @@ class LinkageReport(namedtuple("LinkageReport",
         return {
             "txid": self.txid.hex(),
             "seatMatch": self.seat_match,
+            "scriptMatch": self.script_match,
             "parties": [
-                {"role": p.role.value, "suffixMatch": p.suffix_match,
-                 "addressInScript": p.address_in_script}
+                {"role": p.role.value, "nameMatch": p.name_match,
+                 "suffixMatch": p.suffix_match, "addressInScript": p.address_in_script}
                 for p in self.per_party
             ],
             "overall": self.overall,

@@ -6,7 +6,7 @@ fully deterministic and offline; the whole test suite runs on it.
 
 Fixture layout: <root>/<txid>.hex (raw hex) and <root>/<txid>.status
 (JSON: blockTime, confirmations, blockHash). A broadcast writes the
-<txid>.hex file, once.
+<txid>.hex file unless it already holds that transaction.
 """
 
 from __future__ import annotations
@@ -201,7 +201,12 @@ _TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 def _parse_time(text: str) -> datetime:
     """The UTC instant of a YYYY-MM-DDTHH:MM:SSZ timestamp (ASCII digits,
     every field full width). datetime's ValueError names a field out of
-    range."""
+    range.
+
+    The fields are cut at fixed offsets and given to datetime itself, not
+    read by datetime.strptime, whose first call imports the _strptime module
+    and with it locale and calendar: certify and anchor verify read a block
+    time on every run."""
     if len(text) == 20 and text.isascii() and text[4::3] == "--T::Z":
         fields = text[:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19]
         if "".join(fields).isdigit():
@@ -295,13 +300,26 @@ def broadcast(src: ChainSource, hex_text: str) -> Txid:
     txid = compute_txid(parsed)
 
     if src.mode == "fixture":
-        src.fixture_root.mkdir(parents=True, exist_ok=True)
-        path = src.fixture_root / f"{txid.hex()}.hex"
         try:
-            with path.open("x") as out:
-                out.write(hex_text.strip() + "\n")
-        except FileExistsError:
+            get_transaction(src, txid)
+            return txid  # a sidecar that holds this transaction stays
+        except (NotFound, TxidMismatch):
             pass
+        import os
+        import tempfile  # here, as only a broadcast writes
+
+        # Staged and renamed into place, so no reader sees a half-written
+        # sidecar, and one that an interrupted write left is replaced.
+        src.fixture_root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=src.fixture_root, prefix=".staging-")
+        try:
+            with os.fdopen(fd, "w") as out:
+                out.write(hex_text.strip() + "\n")
+            os.replace(tmp, src.fixture_root / f"{txid.hex()}.hex")
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         return txid
 
     status, body = src.http(f"{src.endpoint}/tx", src.timeout, hex_text.encode("ascii"))

@@ -1,5 +1,14 @@
 """Shared exception roots, and the one reader of each outside format: hex
-text, JSON documents and the typed fields inside them."""
+text, JSON documents and the typed fields inside them.
+
+A failure's class decides its exit code, and its message says what failed:
+a Refusal exits 1 and any other EawardError exits 2. So each module has one
+error class of its own (tx's TxError, chain's ChainError, ...). The only
+other classes are the roots here, the ones code catches by name (crypto's
+RecoveryFailed, chain's MalformedStatus), chain's TxidMismatch, and one
+Refusal per exit-1 verdict (anchor's NoAnchorFound and HashMismatch,
+attestation's LinkageFailed, AttestationInvalid and NoTimeEvidence).
+"""
 
 import re
 

@@ -13,7 +13,10 @@ checked before struct unpacks or slices it, and the records are built with
 tuple.__new__ once their checks have run. A script op is the pair (opcode,
 data), data None when the opcode pushes nothing; the pair of each opcode
 that pushes nothing, and OP_0's empty push, are shared from a table built at
-import, and asm takes the token of each such opcode from another.
+import, and asm takes the token of each such opcode from another. The slow
+path this replaced (a BytesIO reader, a fresh op per element, asm by
+branching on each op) is kept in tests/reftx.py, the reference that property
+tests hold this one to.
 """
 
 from __future__ import annotations

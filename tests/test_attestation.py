@@ -245,9 +245,9 @@ def test_policy_other_than_revealed_script_fails_linkage(golden_agreement, demo_
     report = match_transaction(_agreement_with(golden_agreement, policy=policy), demo_tx)
     assert not report.overall
     assert report.failures() == ["redeem script"]
-    # The report keeps its keys; only the verdict records the script.
+    # Only the script's item and the verdict change.
     golden = match_transaction(golden_agreement, demo_tx).to_report()
-    assert report.to_report() == {**golden, "overall": False}
+    assert report.to_report() == {**golden, "scriptMatch": False, "overall": False}
 
 
 @pytest.mark.parametrize("display_name", ["Mallory", "Ac-me"], ids=["other", "unusable"])
@@ -637,5 +637,21 @@ def test_linkage_overall_is_conjunction(golden_agreement, demo_tx):
     renamed = rebuild(report, per_party=(PartyLinkage(Role.ARBITRATOR, True, True, False),
                                          *report.per_party[1:]))
     assert not renamed.overall
-    assert not rebuild(report, script_match=False).overall
-    assert not rebuild(report, seat_match=False).overall
+    unscripted = rebuild(report, script_match=False)
+    assert not unscripted.overall
+    unseated = rebuild(report, seat_match=False)
+    assert not unseated.overall
+    none_hold = rebuild(report, seat_match=False, script_match=False, per_party=tuple(
+        PartyLinkage(p.role, False, False, False) for p in report.per_party))
+    # The report a certificate carries has one key per linkage item, and its
+    # overall is their conjunction.
+    for variant in (report, weakened, renamed, unscripted, unseated, none_hold):
+        doc = variant.to_report()
+        assert set(doc) == {"txid", "seatMatch", "scriptMatch", "parties", "overall"}
+        items = [doc["seatMatch"], doc["scriptMatch"]]
+        for party in doc["parties"]:
+            assert set(party) == {"role", "nameMatch", "suffixMatch", "addressInScript"}
+            items += [party["nameMatch"], party["suffixMatch"], party["addressInScript"]]
+        assert len(items) == len(none_hold.failures())
+        assert items.count(False) == len(variant.failures())
+        assert doc["overall"] is all(items) is variant.overall

@@ -196,6 +196,20 @@ def test_superfluous_witness_record_exit_2(capsys, tmp_path):
     assert not root.exists()
 
 
+@pytest.mark.parametrize("left", [b"", b"not a transaction\n"], ids=["empty", "garbage"])
+def test_broadcast_replaces_a_sidecar_that_does_not_hold_the_transaction(capsys, tmp_path,
+                                                                        demo_tx_hex, left):
+    # An interrupted write leaves an empty sidecar, and a broadcast mends it.
+    sidecar = tmp_path / f"{DEMO_TXID}.hex"
+    sidecar.write_bytes(left)
+    assert run(capsys, "--fixture-root", str(tmp_path), "tx", "broadcast", demo_tx_hex) == (
+        0, f"{DEMO_TXID}\n", "")
+    assert list(tmp_path.iterdir()) == [sidecar]
+    assert sidecar.read_text() == demo_tx_hex + "\n"
+    code, out, _ = run(capsys, "--fixture-root", str(tmp_path), "tx", "decode", DEMO_TXID)
+    assert code == 0 and json.loads(out)["txid"] == DEMO_TXID
+
+
 def test_tx_decode_bad_hex_exit_2(capsys):
     code, _, err = run(capsys, "tx", "decode", "00ff00")
     assert code == 2 and "error" in err
@@ -1274,6 +1288,33 @@ def test_live_broadcast_posts_exactly_the_hex(capsys, explorer, demo_tx_hex):
     assert (code, out) == (0, f"{DEMO_TXID}\n")
     [(method, path, _, body)] = explorer.received
     assert (method, path, body) == ("POST", "/tx", demo_tx_hex.encode())
+
+
+def _proxy_environment(monkeypatch, **names):
+    # urllib reads either spelling of each name, and ignores HTTP_PROXY in a
+    # CGI process (REQUEST_METHOD set).
+    for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in names.items():
+        monkeypatch.setenv(name, value)
+
+
+def test_live_request_goes_through_http_proxy(capsys, monkeypatch, explorer):
+    _proxy_environment(monkeypatch, HTTP_PROXY=explorer.url)
+    url = f"http://explorer.invalid{_HEX_PATH}"
+    explorer.routes[url] = explorer.routes[_HEX_PATH]
+    fixture = run(capsys, "--fixture-root", str(CHAIN_DIR), *_TX_DECODE)
+    argv = ("--source", "live", "--endpoint", "http://explorer.invalid", *_TX_DECODE)
+    assert run(capsys, *argv) == fixture
+    # A proxy is sent the absolute URI in the request line.
+    assert [(method, path) for method, path, _, _ in explorer.received] == [("GET", url)]
+
+
+def test_live_request_bypasses_proxy_for_no_proxy_host(capsys, monkeypatch, explorer):
+    _proxy_environment(monkeypatch, HTTP_PROXY="http://127.0.0.1:9", NO_PROXY="127.0.0.1")
+    fixture = run(capsys, "--fixture-root", str(CHAIN_DIR), *_TX_DECODE)
+    assert run(capsys, *_live(explorer, *_TX_DECODE)) == fixture
+    assert [path for _, path, _, _ in explorer.received] == [_HEX_PATH]
 
 
 def test_live_redirect_is_followed(capsys, explorer):
