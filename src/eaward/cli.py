@@ -227,14 +227,14 @@ def cmd_msg_verify(args) -> int:
 
 
 def cmd_anchor_create(args) -> int:
-    from .anchor import AwardDocument, ObjectStore, build_anchor_script, checksum_award
+    from .anchor import AwardDocument, ObjectStore, build_anchor_script, checksum_file
 
-    doc_file = AwardDocument.from_file(args.file)
     # A stored document's content id is its sha256, the digest anchored.
     if args.store:
+        doc_file = AwardDocument.from_file(args.file)
         digest = ObjectStore(_store_root(args)).store(doc_file.data)
     else:
-        digest = checksum_award(doc_file)
+        digest = checksum_file(args.file)
     script = build_anchor_script(digest)
     doc = {"docHash": digest.hex(), "opReturnScript": script.hex()}
     lines = [f"docHash: {digest.hex()}", f"opReturnScript: {script.hex()}"]
@@ -246,13 +246,13 @@ def cmd_anchor_create(args) -> int:
 
 
 def cmd_anchor_verify(args) -> int:
-    from .anchor import AwardDocument, verify_anchor
+    from .anchor import checksum_file, verify_anchor_digest
     from .chain import format_time, get_transaction, get_tx_status
     from .tx import Txid
 
-    doc_file = AwardDocument.from_file(args.file)
+    doc_hash = checksum_file(args.file)
     source = _source(args)
-    proof = verify_anchor(doc_file, get_transaction(source, Txid.from_hex(args.txid)))
+    proof = verify_anchor_digest(doc_hash, get_transaction(source, Txid.from_hex(args.txid)))
     doc = proof.to_report()
     try:
         status = get_tx_status(source, proof.txid)

@@ -91,8 +91,10 @@ def test_verify_anchor_tamper_evidence():
     doc = AwardDocument(b"the award file")
     tx = _anchor_tx(doc)
     tampered = AwardDocument(b"the award fil3")
-    with pytest.raises(HashMismatch):
+    with pytest.raises(HashMismatch) as excinfo:
         verify_anchor(tampered, tx)
+    assert str(excinfo.value) == ("nulldata present but no payload equals the document "
+                                  f"digest {checksum_award(tampered).hex()}")
 
 
 def test_verify_anchor_requires_nulldata():
@@ -182,6 +184,18 @@ def test_fetch_of_an_object_removed_after_a_probe_is_not_found(tmp_path, monkeyp
     missing = sha256(b"never stored")
     with pytest.raises(NotFound, match=f"^no object {missing.hex()}$"):
         store.fetch(missing)
+
+
+@pytest.mark.parametrize("corrupt", [b"", b"opaque ciphertext bytez"],
+                         ids=["emptied", "same_length"])
+def test_store_repairs_a_corrupt_object(tmp_path, corrupt):
+    store = ObjectStore(tmp_path)
+    blob = b"opaque ciphertext bytes"
+    content_id = store.store(blob)
+    (tmp_path / content_id.hex()).write_bytes(corrupt)
+    assert store.store(blob) == content_id
+    assert store.fetch(content_id) == blob
+    assert [p.name for p in tmp_path.iterdir()] == [content_id.hex()]
 
 
 def test_store_leaves_no_staging_files(tmp_path):

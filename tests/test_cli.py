@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -23,11 +24,13 @@ from hypothesis import strategies as st
 
 import eaward
 from eaward import cli
+from eaward.anchor import READ_CHUNK, AwardDocument, verify_anchor
 from eaward.chain import MAX_BODY, ChainSource
 from eaward.cli import main
 from eaward.tx import (Script, Transaction, TxInput, TxOutput, Txid, build_nulldata_script,
                        compute_txid, parse_transaction, push_data)
 from eaward.crypto import MAINNET, Address, PrivateKey, sha256
+from eaward.errors import Refusal
 
 from conftest import (
     ADDR_A,
@@ -334,6 +337,19 @@ def test_anchor_create_store_hashes_the_document_once(capsys, tmp_path):
     assert out.splitlines()[::2] == [f"docHash: {doc_hash}", f"contentId: {doc_hash}"]
 
 
+@pytest.mark.parametrize("corrupt", [lambda data: b"", lambda data: data[:-1] + b"X"],
+                         ids=["emptied", "same_length"])
+def test_anchor_create_store_repairs_a_corrupt_object(capsys, tmp_path, corrupt):
+    argv = ["--store-root", str(tmp_path), "anchor", "create", AWARD, "--store"]
+    data = Path(AWARD).read_bytes()
+    first = run(capsys, *argv)
+    obj = tmp_path / sha256(data).hex()
+    obj.write_bytes(corrupt(data))
+    assert run(capsys, *argv) == first
+    assert obj.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == [obj.name]
+
+
 def test_anchor_create_store_without_root_exit_2(capsys, monkeypatch):
     monkeypatch.delenv("EAWARD_STORE_ROOT", raising=False)
     out, err = _data_error(capsys, "anchor", "create", AWARD, "--store")
@@ -416,8 +432,100 @@ def test_anchor_verify_mismatch_exit_1(capsys, tmp_path):
         other.to_hex())
     code, out, err = run(capsys, "--fixture-root", str(fixture_root),
                          "anchor", "verify", AWARD, compute_txid(other).hex())
-    assert code == 1
-    assert out.startswith("false")
+    digest = hashlib.sha256(Path(AWARD).read_bytes()).hexdigest()
+    assert (code, out, err) == (
+        1, "false\n",
+        f"error: nulldata present but no payload equals the document digest {digest}\n")
+
+
+def _main_output(argv) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr, without pytest's capture
+    fixtures, which hypothesis cannot reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _whole_bytes_answer(data: bytes, tx: Transaction) -> tuple[int, str, str]:
+    """What `anchor verify` answers for data against an unconfirmed tx,
+    from the library's whole-bytes verify_anchor."""
+    try:
+        proof = verify_anchor(AwardDocument(data), tx)
+    except Refusal as exc:
+        return 1, "false\n", f"error: {exc}\n"
+    report = {**proof.to_report(), "confirmations": 0}
+    return 0, "".join(f"{k}: {v}\n" for k, v in report.items()), ""
+
+
+@settings(max_examples=25, deadline=None)
+@given(length=st.integers(1, 4 * READ_CHUNK), seed=st.integers(0, 2**32 - 1))
+@example(length=1, seed=0)
+@example(length=READ_CHUNK - 1, seed=0)
+@example(length=READ_CHUNK, seed=0)
+@example(length=READ_CHUNK + 1, seed=0)
+@example(length=2 * READ_CHUNK, seed=0)
+@example(length=3 * READ_CHUNK + 7, seed=0)
+def test_anchor_commands_hash_the_document_in_chunks(tmp_path_factory, length, seed):
+    # Chunked reads answer as the whole bytes do, on each side of a chunk edge.
+    root = tmp_path_factory.mktemp("anchor")
+    data = random.Random(seed).randbytes(length)
+    doc = root / "award.bin"
+    doc.write_bytes(data)
+    code, out, err = _main_output(["anchor", "create", str(doc)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"docHash: {hashlib.sha256(data).hexdigest()}"
+    for anchored in (data, data + b"another document"):
+        tx = Transaction(2, (TxInput(Txid(bytes(32)), 0, Script(b"")),),
+                         (TxOutput(0, build_nulldata_script(sha256(anchored))),))
+        txid = compute_txid(tx).hex()
+        (root / f"{txid}.hex").write_text(tx.to_hex() + "\n")
+        assert _main_output(["--fixture-root", str(root), "anchor", "verify", str(doc),
+                             txid]) == _whole_bytes_answer(data, tx)
+
+
+@pytest.mark.parametrize("command", [
+    ("anchor", "create", "{doc}"),
+    ("--fixture-root", str(CHAIN_DIR), "anchor", "verify", "{doc}", DEMO_TXID),
+], ids=["create", "verify"])
+@pytest.mark.parametrize("doc,err", [
+    ("empty", "error: award document is empty\n"),
+    ("tests//fixtures", "error: [Errno 21] Is a directory: 'tests/fixtures'\n"),
+    ("a//b", "error: [Errno 2] No such file or directory: 'a/b'\n"),
+], ids=["empty", "directory", "missing"])
+def test_anchor_document_errors_exit_2(capsys, tmp_path, monkeypatch, command, doc, err):
+    # Paths are reported as pathlib normalizes them.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty").write_bytes(b"")
+    (tmp_path / "tests" / "fixtures").mkdir(parents=True)
+    assert run(capsys, *(arg.format(doc=doc) for arg in command)) == (2, "", err)
+
+
+def test_anchor_commands_memory_does_not_grow_with_the_document(tmp_path):
+    # A child process's high-water RSS over `anchor verify` and `anchor
+    # create` of a 32 MiB document stays within 4 MiB of a 1 MiB one's.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read VmHWM from")
+
+    def peak_kb(size: int) -> int:
+        doc = tmp_path / f"doc-{size}"
+        with open(doc, "wb") as fh:
+            fh.truncate(size)  # sparse: the test itself holds no copy
+        verify = ["--fixture-root", str(CHAIN_DIR), "anchor", "verify", str(doc), DEMO_TXID]
+        create = ["anchor", "create", str(doc)]
+        script = (
+            "import contextlib, io\n"
+            "import eaward.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert eaward.cli.main({verify!r}) == 1\n"
+            f"    assert eaward.cli.main({create!r}) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
+        )
+        return int(_run_fresh(script, "-S"))
+
+    assert peak_kb(32 << 20) - peak_kb(1 << 20) < 4 << 10
 
 
 def test_certify_golden(capsys, tmp_path):
