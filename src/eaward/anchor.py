@@ -15,13 +15,11 @@ callers hand it the bytes they already hold.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from collections import namedtuple
 from pathlib import Path
 
 from .crypto import sha256
-from .errors import EawardError, NotFound, Refusal
+from .errors import EawardError, NotFound, Refusal, replace_file
 from .tx import (
     Script,
     Transaction,
@@ -71,18 +69,11 @@ class AnchorProof(namedtuple("AnchorProof", "doc_hash txid vout_index")):
         }
 
 
-def checksum_award(doc: AwardDocument) -> bytes:
-    return sha256(doc.data)
-
-
 def checksum_file(path: str | Path) -> bytes:
-    """The SHA-256 of the document at path, read READ_CHUNK bytes at a time;
-    refuses an empty file as AwardDocument does."""
+    """The SHA-256 of the document at path, read READ_CHUNK bytes at a time.
+    Its first chunk is an AwardDocument, so an empty file is refused as one."""
     with Path(path).open("rb") as fh:
-        chunk = fh.read(READ_CHUNK)
-        if not chunk:
-            raise AnchorError("award document is empty")
-        digest = hashlib.sha256(chunk)
+        digest = hashlib.sha256(AwardDocument(fh.read(READ_CHUNK)).data)
         while chunk := fh.read(READ_CHUNK):
             digest.update(chunk)
     return digest.digest()
@@ -97,7 +88,7 @@ def build_anchor_script(doc_hash: bytes) -> Script:
 
 def verify_anchor(doc: AwardDocument, tx: Transaction) -> AnchorProof:
     """Locate the nulldata output committing to the document's digest."""
-    return verify_anchor_digest(checksum_award(doc), tx)
+    return verify_anchor_digest(sha256(doc.data), tx)
 
 
 def verify_anchor_digest(doc_hash: bytes, tx: Transaction) -> AnchorProof:
@@ -119,11 +110,11 @@ def verify_anchor_digest(doc_hash: bytes, tx: Transaction) -> AnchorProof:
 class ObjectStore:
     """One file per object under root, named by the hex sha256 of its bytes.
 
-    Writers stage to a temp file and atomically rename, so concurrent
-    readers never observe partial objects; the digest is re-checked on every
-    fetch. A store keeps an existing object only if it holds exactly the
-    bytes stored, and otherwise writes over it, so storing repairs an object
-    whose bytes no longer hash to its name.
+    Objects are written with replace_file, so concurrent readers never
+    observe partial objects; the digest is re-checked on every fetch. A
+    store keeps an existing object only if it holds exactly the bytes
+    stored, and otherwise writes over it, so storing repairs an object whose
+    bytes no longer hash to its name.
     """
 
     def __init__(self, root: str | Path):
@@ -138,17 +129,8 @@ class ObjectStore:
             raise AnchorError("refusing to store an empty object")
         content_id = sha256(data)
         path = self._path(content_id)
-        if self._holds(path, data):
-            return content_id
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".staging-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        if not self._holds(path, data):
+            replace_file(path, data)
         return content_id
 
     @staticmethod

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .crypto import Network, TESTNET
-from .errors import EawardError, MalformedHex, NotFound, json_document, json_field
+from .errors import (EawardError, MalformedHex, NotFound, json_document, json_field,
+                     replace_file)
 from .tx import Transaction, Txid, TxError, compute_txid, parse_transaction
 
 
@@ -305,21 +306,11 @@ def broadcast(src: ChainSource, hex_text: str) -> Txid:
             return txid  # a sidecar that holds this transaction stays
         except (NotFound, TxidMismatch):
             pass
-        import os
-        import tempfile  # here, as only a broadcast writes
-
-        # Staged and renamed into place, so no reader sees a half-written
-        # sidecar, and one that an interrupted write left is replaced.
+        # Staged, so no reader sees a half-written sidecar, and one that an
+        # interrupted write left is replaced.
         src.fixture_root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=src.fixture_root, prefix=".staging-")
-        try:
-            with os.fdopen(fd, "w") as out:
-                out.write(hex_text.strip() + "\n")
-            os.replace(tmp, src.fixture_root / f"{txid.hex()}.hex")
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        replace_file(src.fixture_root / f"{txid.hex()}.hex",
+                     (hex_text.strip() + "\n").encode("ascii"))
         return txid
 
     status, body = src.http(f"{src.endpoint}/tx", src.timeout, hex_text.encode("ascii"))

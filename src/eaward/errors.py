@@ -1,5 +1,7 @@
-"""Shared exception roots, and the one reader of each outside format: hex
-text, JSON documents and the typed fields inside them.
+"""Shared exception roots, the one reader of each outside format (hex text,
+JSON documents and the typed fields inside them), and the one writer of a
+file that readers may open while it is written (`replace_file`, for the
+object store and a fixture broadcast).
 
 A failure's class decides its exit code, and its message says what failed:
 a Refusal exits 1 and any other EawardError exits 2. So each module has one
@@ -103,3 +105,22 @@ def json_field(doc, where: str, key: str, kind: type, default=_REQUIRED):
     if type(value) is not kind:
         raise TypeError(f"{where}{key} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write data to path through a staging file in path's directory, renamed
+    into place: a reader sees the old file or the whole new one, and a failed
+    write removes the staging file. There is no fsync, as the object store
+    writes on every anchoring; each reader checks the bytes again instead."""
+    import os
+    import tempfile  # here, so that commands that write no file never load it
+
+    fd, staging = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".staging-")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+        os.replace(staging, path)
+    except BaseException:
+        if os.path.exists(staging):
+            os.unlink(staging)
+        raise

@@ -10,8 +10,10 @@ assertions live in a dedicated test that activates automatically when the
 original hex is dropped into the fixture directory.
 """
 
+import contextlib
+import io
+import json
 import random
-import shutil
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,11 +25,12 @@ from eaward.attestation import (
     AttestationInvalid,
     LinkageFailed,
     NoTimeEvidence,
-    Party,
+    extract_metadata,
     issue_certificate,
     load_agreement,
 )
 from eaward.chain import ChainSource, TxidMismatch, get_transaction, get_tx_status
+from eaward.cli import main
 from eaward.crypto import (
     Address,
     BASE58_ALPHABET,
@@ -39,17 +42,18 @@ from eaward.crypto import (
     pubkey_to_address,
     sha256,
 )
-from eaward.errors import Refusal
+from eaward.errors import NotFound, Refusal
 from eaward.escrow import EscrowPolicy, build_redeem_script
 from eaward.metadata import (
     AwardMetadata,
     ParticipantTag,
     Role,
+    attest_message,
     decode_metadata,
     encode_metadata,
     match_fragment,
 )
-from eaward.msgauth import sign_message, verify_message
+from eaward.msgauth import SignedMessage, sign_message, verify_message
 from eaward.tx import (
     Script,
     Transaction,
@@ -166,7 +170,6 @@ def _golden_inputs():
     tx = get_transaction(source, txid)
     status = get_tx_status(source, txid)
     agreement = load_agreement(FIXTURES / "agreement.json")
-    from eaward.msgauth import SignedMessage
     attestation = SignedMessage(Address.from_text(ADDR_A), ATTEST_MESSAGE,
                                 SIGNATURE_B64)
     return agreement, tx, status, attestation
@@ -196,81 +199,144 @@ def test_criterion_4_end_to_end_certificate():
                "relations, seat, signer, unaltered-record note)")
 
 
-def test_criterion_4_single_fault_mutations(tmp_path):
-    agreement, tx, status, attestation = _golden_inputs()
+# Each row changes one piece of the raw evidence a court receives, by its
+# path in _golden_evidence(): the agreement JSON, the fixture files under
+# their names, the txid asked for, or the --attestation text. The library's
+# error class, and the command's exit code, stdout and stderr line, follow.
+_HEX = f"{DEMO_TXID}.hex"
+_STATUS = f"{DEMO_TXID}.status"
+_MISSING = object()  # as a value: the field or file is removed
 
-    def reissue(agreement=agreement, tx=tx, status=status, attestation=attestation):
-        issue_certificate(agreement, tx, status, [attestation], "W", ISSUED_AT)
 
-    def with_payload(payload: bytes) -> Transaction:
-        outputs = (TxOutput(tx.outputs[0].value, build_nulldata_script(payload)),)
-        return Transaction(tx.version, tx.inputs, outputs, tx.locktime)
+def _golden_evidence() -> dict:
+    return {
+        "agreement": json.loads((FIXTURES / "agreement.json").read_text()),
+        "chain": {name: (CHAIN_DIR / name).read_text() for name in (_HEX, _STATUS)},
+        "txid": DEMO_TXID,
+        "attestation": SIGNATURE_B64,
+    }
 
-    # (1) wrong seat -> linkage failure
-    with pytest.raises(LinkageFailed):
-        reissue(agreement=rebuild(agreement, seat="Paris"))
 
-    # (2) swapped party address, with its policy key -> linkage failure
-    decoy = PrivateKey.from_bytes(sha256(b"decoy respondent")).public_key()
-    parties = list(agreement.parties)
-    parties[2] = Party(Role.RESPONDENT, "Baker", "Baker", pubkey_to_address(decoy, TESTNET))
-    policy = EscrowPolicy(agreement.policy.m, (*agreement.policy.pubkeys[:2], decoy))
-    with pytest.raises(LinkageFailed):
-        reissue(agreement=rebuild(agreement, parties=tuple(parties), policy=policy))
+_GOLDEN = _golden_evidence()  # read only: each run edits a fresh copy
 
-    # (2a) swapped party address alone: the agreement contradicts its own
-    # policy, so it is refused as invalid input, not answered "false"
-    parties[2] = Party(Role.RESPONDENT, "Baker", "Baker",
-                       Address.from_text(ZERO_PAYLOAD_ADDR))
-    with pytest.raises(AttestationError, match="agreement is invalid") as invalid:
-        reissue(agreement=rebuild(agreement, parties=tuple(parties)))
-    assert not isinstance(invalid.value, Refusal)
 
-    # (2b) changed display name -> linkage failure
-    parties = list(agreement.parties)
-    parties[1] = rebuild(parties[1], display_name="Mallory")
-    with pytest.raises(LinkageFailed, match="claimant display name"):
-        reissue(agreement=rebuild(agreement, parties=tuple(parties)))
+def _payload(line: str) -> dict:
+    """Edits that put line in the demo transaction's nulldata output. The
+    changed transaction is filed, with the demo's status, and asked for under
+    its own txid."""
+    tx = parse_transaction(_GOLDEN["chain"][_HEX])
+    changed = rebuild(tx, outputs=(
+        TxOutput(tx.outputs[0].value, build_nulldata_script(line.encode())),))
+    txid = compute_txid(changed).hex()
+    return {("chain",): {f"{txid}.hex": changed.to_hex(),
+                         f"{txid}.status": _GOLDEN["chain"][_STATUS]},
+            ("txid",): txid}
 
-    # (3) tampered signature fragment in the payload -> attestation invalid
-    tampered = ATTEST_MESSAGE + " Y" + FRAGMENT[1:]
-    with pytest.raises(AttestationInvalid):
-        reissue(tx=with_payload(tampered.encode()))
 
-    # (4) altered payload byte (suffix edit) -> linkage failure
-    altered = METADATA_TEXT.replace("KkjJX", "KkjJ1")
-    with pytest.raises(LinkageFailed):
-        reissue(tx=with_payload(altered.encode()))
+def _decoy(index: int, seed: bytes) -> dict:
+    """Edits that give the party at index a decoy's address, and the policy
+    the decoy's key in that party's place: the agreement stays consistent."""
+    key = PrivateKey.from_bytes(sha256(seed)).public_key()
+    return {("agreement", "parties", index, "address"): pubkey_to_address(key, TESTNET).text,
+            ("agreement", "policy", "pubkeys", index): key.hex()}
 
-    # (5) missing status -> no time evidence
-    with pytest.raises(NoTimeEvidence):
-        reissue(status=None)
 
-    # (6) corrupted attestation signature -> attestation invalid
-    corrupted = rebuild(
-        attestation,
-        signature_b64=(SIGNATURE_B64[:40]
-                       + ("A" if SIGNATURE_B64[40] != "A" else "B")
-                       + SIGNATURE_B64[41:]))
-    with pytest.raises(AttestationInvalid):
-        reissue(attestation=corrupted)
+def _flip(text: str, index: int) -> str:
+    return text[:index] + ("0" if text[index] != "0" else "1") + text[index + 1:]
 
-    # (7) flipped transaction hex digit -> client-side txid verification
-    shutil.copytree(CHAIN_DIR, tmp_path / "chain")
-    hex_path = tmp_path / "chain" / f"{DEMO_TXID}.hex"
-    text = hex_path.read_text()
-    flip = "0" if text[120] != "0" else "1"
-    hex_path.write_text(text[:120] + flip + text[121:])
-    poisoned = ChainSource("fixture", TESTNET, fixture_root=tmp_path / "chain")
-    with pytest.raises(TxidMismatch):
-        get_transaction(poisoned, Txid.from_hex(DEMO_TXID))
 
-    # no attestation at all -> attestation invalid
-    with pytest.raises(AttestationInvalid):
-        issue_certificate(agreement, tx, status, [], "W", ISSUED_AT)
+_LINKAGE = "agreement does not match transaction: "
+_INCONSISTENT = "agreement is invalid: escrow policy keys do not correspond 1:1 to party addresses"
+_UNTIMED = "no confirmed block time for the transaction"
 
-    _report(4, "all seven single-fault mutations fail with their specific "
-               "documented errors")
+_SINGLE_FAULTS = [
+    pytest.param({("agreement", "seat"): "Paris"},
+                 LinkageFailed, 1, _LINKAGE + "seat", id="seat"),
+    pytest.param(_decoy(2, b"decoy respondent"), LinkageFailed, 1,
+                 _LINKAGE + "redeem script, respondent address suffix, "
+                 "respondent address not in script", id="respondent_address_and_key"),
+    pytest.param(_decoy(1, b"decoy claimant"), LinkageFailed, 1,
+                 _LINKAGE + "redeem script, claimant address suffix, "
+                 "claimant address not in script", id="claimant_address_and_key"),
+    # An address alone swapped contradicts the agreement's own policy: an
+    # invalid input, not a "false".
+    pytest.param({("agreement", "parties", 2, "address"): ZERO_PAYLOAD_ADDR},
+                 AttestationError, 2, _INCONSISTENT, id="respondent_address_alone"),
+    pytest.param({("agreement", "parties", 1, "address"): ZERO_PAYLOAD_ADDR},
+                 AttestationError, 2, _INCONSISTENT, id="claimant_address_alone"),
+    pytest.param({("agreement", "parties", 1, "displayName"): "Mallory"},
+                 LinkageFailed, 1, _LINKAGE + "claimant display name", id="display_name"),
+    pytest.param({("agreement", "policy", "m"): 1},
+                 LinkageFailed, 1, _LINKAGE + "redeem script", id="quorum_1"),
+    pytest.param({("agreement", "policy", "pubkeys"):
+                  _GOLDEN["agreement"]["policy"]["pubkeys"][::-1]},
+                 LinkageFailed, 1, _LINKAGE + "redeem script", id="pubkeys_reversed"),
+    pytest.param(_payload(ATTEST_MESSAGE + " Y" + FRAGMENT[1:]), AttestationInvalid, 1,
+                 "embedded signature fragment does not match the arbitrator attestation",
+                 id="fragment"),
+    pytest.param(_payload(METADATA_TEXT.replace("KkjJX", "KkjJ1")),
+                 LinkageFailed, 1, _LINKAGE + "arbitrator address suffix", id="suffix"),
+    pytest.param({("chain", _HEX): _flip(_GOLDEN["chain"][_HEX], 120)}, TxidMismatch, 2,
+                 f"requested {DEMO_TXID} but source bytes hash to "
+                 "98396e40cfc80aafd632803e69bebeac654714ee1764c04450a25fdb4bd1ba45",
+                 id="hex_digit"),
+    pytest.param({("txid",): "ab" * 32}, NotFound, 2, f"no fixture for {'ab' * 32}",
+                 id="unknown_txid"),
+    pytest.param({("chain", _STATUS): _MISSING},
+                 NoTimeEvidence, 1, _UNTIMED, id="status_missing"),
+    pytest.param({("chain", _STATUS): '{"confirmations": 0}'},
+                 NoTimeEvidence, 1, _UNTIMED, id="status_unconfirmed"),
+    pytest.param({("attestation",): _flip(SIGNATURE_B64, 40)}, AttestationInvalid, 1,
+                 f"signature does not verify for {ADDR_A}", id="signature"),
+]
+
+
+def _certify_in_library(agreement_file, root, txid_hex, signature_b64):
+    """The library calls of `eaward certify`, made as cmd_certify makes them."""
+    agreement = load_agreement(agreement_file)
+    source = ChainSource("fixture", TESTNET, fixture_root=root)
+    txid = Txid.from_hex(txid_hex)
+    tx = get_transaction(source, txid)
+    status = get_tx_status(source, txid)
+    attestation = SignedMessage(agreement.party(Role.ARBITRATOR).address,
+                                attest_message(extract_metadata(tx)), signature_b64)
+    return issue_certificate(agreement, tx, status, [attestation], "W", ISSUED_AT)
+
+
+@pytest.mark.parametrize("edits,error,code,message", _SINGLE_FAULTS)
+def test_criterion_4_single_fault_mutations(tmp_path, edits, error, code, message):
+    evidence = _golden_evidence()
+    for (*parents, last), value in edits.items():
+        target = evidence
+        for key in parents:
+            target = target[key]
+        if value is _MISSING:
+            del target[last]
+        else:
+            target[last] = value
+    agreement = tmp_path / "agreement.json"
+    agreement.write_text(json.dumps(evidence["agreement"]))
+    root = tmp_path / "chain"
+    root.mkdir()
+    for name, text in evidence["chain"].items():
+        (root / name).write_text(text)
+    txid, signature = evidence["txid"], evidence["attestation"]
+
+    with pytest.raises(error) as refused:
+        _certify_in_library(agreement, root, txid, signature)
+    assert type(refused.value) is error
+    assert isinstance(refused.value, Refusal) is (code == 1)
+    assert str(refused.value) == message
+
+    argv = ["--fixture-root", str(root), "certify", str(agreement), txid,
+            "--attestation", signature, "--certifier", "W"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert out.getvalue() == ("false\n" if code == 1 else "")
+    assert err.getvalue() == f"error: {message}\n"
+
+    _report(4, f"refused with {error.__name__}, exit {code}: {message}")
 
 
 @requires_real_transaction

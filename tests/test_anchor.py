@@ -1,10 +1,10 @@
+import os
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaward import anchor
 from eaward.anchor import (
     AnchorError,
     AwardDocument,
@@ -13,10 +13,11 @@ from eaward.anchor import (
     NotFound,
     ObjectStore,
     build_anchor_script,
-    checksum_award,
+    checksum_file,
     verify_anchor,
 )
-from eaward.crypto import sha256
+from eaward.chain import ChainSource, broadcast
+from eaward.crypto import TESTNET, sha256
 from eaward.tx import (
     Script,
     Transaction,
@@ -38,23 +39,22 @@ def _tx(*outputs) -> Transaction:
 
 
 def _anchor_tx(doc: AwardDocument) -> Transaction:
-    return _tx(TxOutput(0, build_anchor_script(checksum_award(doc))))
+    return _tx(TxOutput(0, build_anchor_script(sha256(doc.data))))
 
 
 def test_checksum_frozen_sample_award():
-    doc = AwardDocument((FIXTURES / "award.txt").read_bytes())
-    assert checksum_award(doc).hex() == AWARD_SHA256
+    assert checksum_file(FIXTURES / "award.txt").hex() == AWARD_SHA256
 
 
-def test_checksum_distinguishes_versions():
-    one = checksum_award(AwardDocument(b"award text v1"))
-    two = checksum_award(AwardDocument(b"award text v2"))
-    assert one != two
+def test_checksum_distinguishes_versions(tmp_path):
+    for version in ("v1", "v2"):
+        (tmp_path / version).write_bytes(f"award text {version}".encode())
+    assert checksum_file(tmp_path / "v1") != checksum_file(tmp_path / "v2")
 
 
-def test_checksum_idempotent():
-    doc = AwardDocument(b"stable")
-    assert checksum_award(doc) == checksum_award(doc)
+def test_checksum_idempotent(tmp_path):
+    (tmp_path / "doc").write_bytes(b"stable")
+    assert checksum_file(tmp_path / "doc") == checksum_file(tmp_path / "doc") == sha256(b"stable")
 
 
 def test_empty_document_rejected():
@@ -80,11 +80,11 @@ def test_verify_anchor_finds_vout():
     doc = AwardDocument(b"the award file")
     tx = _tx(
         TxOutput(1000, P2PKH_DUMMY),
-        TxOutput(0, build_anchor_script(checksum_award(doc))),
+        TxOutput(0, build_anchor_script(sha256(doc.data))),
     )
     proof = verify_anchor(doc, tx)
     assert proof.vout_index == 1
-    assert proof.doc_hash == checksum_award(doc)
+    assert proof.doc_hash == sha256(doc.data)
 
 
 def test_verify_anchor_tamper_evidence():
@@ -94,7 +94,7 @@ def test_verify_anchor_tamper_evidence():
     with pytest.raises(HashMismatch) as excinfo:
         verify_anchor(tampered, tx)
     assert str(excinfo.value) == ("nulldata present but no payload equals the document "
-                                  f"digest {checksum_award(tampered).hex()}")
+                                  f"digest {sha256(tampered.data).hex()}")
 
 
 def test_verify_anchor_requires_nulldata():
@@ -119,9 +119,9 @@ def test_anchor_roundtrip_through_tx_model():
 def test_verify_anchor_iff_extract_contains_digest():
     doc = AwardDocument(b"equivalence check")
     anchored = _anchor_tx(doc)
-    assert checksum_award(doc) in extract_op_return(anchored)
+    assert sha256(doc.data) in extract_op_return(anchored)
     other = _tx(TxOutput(0, build_nulldata_script(b"unrelated payload")))
-    assert checksum_award(doc) not in extract_op_return(other)
+    assert sha256(doc.data) not in extract_op_return(other)
     with pytest.raises(HashMismatch):
         verify_anchor(doc, other)
 
@@ -165,15 +165,19 @@ def test_store_rejects_empty(tmp_path):
         ObjectStore(tmp_path).store(b"")
 
 
-def test_store_removes_its_staging_file_when_the_write_fails(tmp_path, monkeypatch):
-    store = ObjectStore(tmp_path)
-
+# The object store and a fixture broadcast write through one staged writer.
+@pytest.mark.parametrize("write", [
+    lambda root: ObjectStore(root).store(b"award"),
+    lambda root: broadcast(ChainSource("fixture", TESTNET, fixture_root=root),
+                           _tx(TxOutput(0, build_nulldata_script(b"unwritten"))).to_hex()),
+], ids=["store", "broadcast"])
+def test_writer_removes_its_staging_file_when_the_write_fails(tmp_path, monkeypatch, write):
     def refuse(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(anchor.os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="^disk full$"):
-        store.store(b"award")
+        write(tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import json
-import os
 import shutil
 import socket
 import ssl
@@ -205,17 +204,6 @@ def test_broadcast_roundtrip_and_idempotence(tmp_path):
     assert again == txid
     assert list(tmp_path.iterdir()) == [tmp_path / f"{txid.hex()}.hex"]
     assert (tmp_path / f"{txid.hex()}.hex").read_text() == tx.to_hex() + "\n"
-
-
-def test_broadcast_removes_its_staging_file_when_the_write_fails(tmp_path, monkeypatch):
-    def refuse(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="^disk full$"):
-        broadcast(ChainSource("fixture", TESTNET, fixture_root=tmp_path),
-                  _tiny_tx(b"unwritten").to_hex())
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_broadcast_rejects_malformed_before_transport():

@@ -543,23 +543,6 @@ def test_certify_golden(capsys, tmp_path):
     assert saved["timeEvidence"]["confirmations"] == 1000
 
 
-def test_certify_corrupt_attestation_exit_1(capsys):
-    corrupted = SIGNATURE_B64[:30] + ("A" if SIGNATURE_B64[30] != "A" else "B") + SIGNATURE_B64[31:]
-    code, out, err = run(capsys, "--fixture-root", str(CHAIN_DIR),
-                         "certify", AGREEMENT, DEMO_TXID,
-                         "--attestation", corrupted,
-                         "--certifier", "W")
-    assert code == 1
-    assert out.startswith("false")
-
-
-def test_certify_unknown_txid_exit_2(capsys):
-    code, _, err = run(capsys, "--fixture-root", str(CHAIN_DIR),
-                       "certify", AGREEMENT, "ab" * 32,
-                       "--attestation", SIGNATURE_B64, "--certifier", "W")
-    assert code == 2 and "error" in err
-
-
 def _certify_data_error(capsys, *source_args, agreement=AGREEMENT):
     code, out, err = run(capsys, *source_args, "certify", agreement, DEMO_TXID,
                          "--attestation", SIGNATURE_B64, "--certifier", "W")
@@ -788,8 +771,9 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
     # Of the probed standard modules, json loads only where JSON is read or
     # written, a canonical block time is read without strptime's _strptime
     # module, hmac loads only for signing, pathlib only where a path is read,
-    # and typing and threading nowhere. -S keeps site out of the child, as a
-    # site hook may import inspect, typing or pathlib.
+    # and typing, threading and tempfile (only a write stages a file) nowhere.
+    # -S keeps site out of the child, as a site hook may import inspect,
+    # typing or pathlib.
     anchored = tmp_path / "chain"
     placeholders = {"anchored": str(anchored), "anchor_txid": _confirmed_anchor(anchored)}
     argv = [arg.format(**placeholders) for arg in argv]
@@ -801,7 +785,7 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
         "unwanted = sorted({'dataclasses', 'inspect', 'requests', 'urllib.request',\n"
         "                   'http.client', 'ssl'} & set(sys.modules))\n"
         "stdlib = sorted({'json', 'datetime', '_strptime', 'typing', 'pathlib', 'hmac',\n"
-        "                 'threading'} & set(sys.modules))\n"
+        "                 'threading', 'tempfile'} & set(sys.modules))\n"
         "import json\n"
         "from eaward import crypto\n"
         "print(json.dumps([\n"
@@ -979,48 +963,11 @@ def _certify(*source_args, agreement=AGREEMENT):
             "--attestation", SIGNATURE_B64, "--certifier", "W")
 
 
-def test_certify_seat_mismatch_exit_1(capsys, tmp_path):
-    doc = json.loads((FIXTURES / "agreement.json").read_text())
-    doc["seat"] = "Paris"
-    path = tmp_path / "agreement.json"
-    path.write_text(json.dumps(doc))
-    err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
-                                          agreement=str(path)))
-    assert err == "error: agreement does not match transaction: seat\n"
-
-
-def test_certify_display_name_mismatch_exit_1(capsys, tmp_path):
-    agreement = _agreement_with_field(tmp_path, ("parties", 1, "displayName"), "Mallory")
-    err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
-                                          agreement=agreement))
-    assert err == "error: agreement does not match transaction: claimant display name\n"
-
-
-def test_certify_without_status_exit_1(capsys, tmp_path):
-    shutil.copy(CHAIN_DIR / f"{DEMO_TXID}.hex", tmp_path)
-    err = _false_answer(capsys, *_certify("--fixture-root", str(tmp_path)))
-    assert "block time" in err
-
-
 def _agreement_with_field(tmp_path, path, value) -> str:
     file = tmp_path / "agreement.json"
     shutil.copy(FIXTURES / "agreement.json", file)
     _replace_field(file, path, value)
     return str(file)
-
-
-_GOLDEN_PUBKEYS = json.loads((FIXTURES / "agreement.json").read_text())["policy"]["pubkeys"]
-
-
-@pytest.mark.parametrize("path,value", [
-    (("policy", "m"), 1),
-    (("policy", "pubkeys"), _GOLDEN_PUBKEYS[::-1]),
-], ids=["quorum_1", "pubkeys_reversed"])
-def test_certify_policy_other_than_revealed_script_exit_1(capsys, tmp_path, path, value):
-    agreement = _agreement_with_field(tmp_path, path, value)
-    err = _false_answer(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
-                                          agreement=agreement))
-    assert "redeem script" in err
 
 
 @pytest.mark.parametrize("edits,violation", [

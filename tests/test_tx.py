@@ -6,12 +6,11 @@ from eaward.anchor import (
     AwardDocument,
     HashMismatch,
     build_anchor_script,
-    checksum_award,
     verify_anchor,
 )
 from eaward.attestation import match_transaction
 from eaward.chain import get_transaction
-from eaward.crypto import MAINNET, TESTNET, Address, hash160, write_compact_size
+from eaward.crypto import MAINNET, TESTNET, Address, hash160, sha256, write_compact_size
 from eaward.errors import MalformedHex
 from eaward.tx import (
     Script,
@@ -675,7 +674,7 @@ def test_read_path_serializes_nothing(demo_tx_hex, fixture_source, golden_agreem
     # all read the bytes that were parsed.
     document = AwardDocument(b"anchored here")
     anchoring = Transaction(1, (TxInput(Txid(bytes(32)), 0, Script(b"")),),
-                            (TxOutput(0, build_anchor_script(checksum_award(document))),))
+                            (TxOutput(0, build_anchor_script(sha256(document.data))),))
     made = _count_serializations(monkeypatch)
     tx = parse_transaction(demo_tx_hex)
     fetched = get_transaction(fixture_source, Txid.from_hex(DEMO_TXID))
