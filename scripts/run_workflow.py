@@ -14,13 +14,12 @@ Usage: python scripts/run_workflow.py [--seed TEXT] [--seat TheHague]
 import argparse
 import json
 import tempfile
-from datetime import datetime, timezone
 from pathlib import Path
 
 from eaward.attestation import (
     ArbitrationAgreement,
     Party,
-    issue_certificate,
+    certify,
     match_transaction,
     metadata_for_agreement,
     validate_agreement,
@@ -120,9 +119,8 @@ def main() -> int:
         step("7. linkage and certificate")
         report = match_transaction(agreement, tx)
         print(f"linkage overall: {report.overall}")
-        certificate = issue_certificate(
-            agreement, tx, status, [attestation], "Workflow Demo Certifier",
-            datetime.now(timezone.utc).replace(microsecond=0))
+        certificate = certify(agreement, tx, status, attestation.signature_b64,
+                              "Workflow Demo Certifier")
         print(certificate.statement)
     return 0
 

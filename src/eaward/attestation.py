@@ -30,14 +30,14 @@ from .metadata import (
     match_fragment,
     signature_fragment,
 )
-from .msgauth import SignedMessage, decode_signature, verify_message
+from .msgauth import decode_signature, verify_message
 from .tx import (
     Script,
     Transaction,
     compute_txid,
     decode_script,
-    extract_op_return,
     format_btc,
+    nulldata_payload,
 )
 
 SEAT_JURISDICTIONS = ("England", "Switzerland", "other")
@@ -164,7 +164,10 @@ class PartyLinkage(namedtuple("PartyLinkage",
 
 
 class LinkageReport(namedtuple("LinkageReport",
-                               "txid metadata per_party seat_match script_match")):
+                               "txid metadata per_party seat_match script_match award_outputs")):
+    """metadata is the award line in the first of award_outputs, the indices
+    of the outputs whose payload parses as one; a record evidences one award
+    only when it carries exactly one such line."""
     __slots__ = ()
 
     def failures(self) -> list[str]:
@@ -174,6 +177,8 @@ class LinkageReport(namedtuple("LinkageReport",
             items += [(f"{p.role.name.lower()} {item}", ok) for item, ok in (
                 ("display name", p.name_match), ("address suffix", p.suffix_match),
                 ("address not in script", p.address_in_script))]
+        items.append((f"award lines in outputs {', '.join(map(str, self.award_outputs))}",
+                      len(self.award_outputs) == 1))
         return [name for name, ok in items if not ok]
 
     @property
@@ -214,27 +219,35 @@ def extract_redeem_script(tx: Transaction, network: Network):
     return decoded
 
 
-def extract_metadata(tx: Transaction) -> AwardMetadata:
-    """The award metadata line among the transaction's nulldata payloads."""
-    payloads = extract_op_return(tx)
-    if not payloads:
-        raise AttestationError("transaction carries no nulldata output")
+def award_lines(tx: Transaction) -> dict[int, AwardMetadata]:
+    """Each nulldata payload that parses as award metadata, by output index;
+    AttestationError when there is none."""
+    lines = {}
     last_error = None
-    for payload in payloads:
+    for index, txout in enumerate(tx.outputs):
+        payload = nulldata_payload(txout.script_pubkey)
+        if payload is None:
+            continue
         try:
-            return decode_metadata(payload)
+            lines[index] = decode_metadata(payload)
         except MetadataError as exc:
             last_error = exc
+    if lines:
+        return lines
+    if last_error is None:
+        raise AttestationError("transaction carries no nulldata output")
     raise AttestationError(f"no nulldata payload parses as award metadata: {last_error}")
 
 
 def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> LinkageReport:
     """Per-party name, suffix and script-membership checks, the seat check,
-    and whether the revealed script is the one the escrow policy builds."""
+    whether the revealed script is the one the escrow policy builds, and
+    which outputs carry an award line."""
     network = agreement.network()
     decoded = extract_redeem_script(tx, network)
     script_addresses = {a.text for a in decoded.addresses}
-    meta = extract_metadata(tx)
+    lines = award_lines(tx)
+    meta = next(iter(lines.values()))
 
     per_party = []
     for role in ROLE_ORDER:
@@ -252,6 +265,7 @@ def match_transaction(agreement: ArbitrationAgreement, tx: Transaction) -> Linka
         per_party=tuple(per_party),
         seat_match=(meta.seat == agreement.seat),
         script_match=(decoded.script == build_redeem_script(agreement.policy)),
+        award_outputs=tuple(lines),
     )
 
 
@@ -283,19 +297,19 @@ _MONTHS = ("January", "February", "March", "April", "May", "June", "July",
            "August", "September", "October", "November", "December")
 
 
-def issue_certificate(
+def certify(
     agreement: ArbitrationAgreement,
     tx: Transaction,
     status: TxStatus | None,
-    attestations: list[SignedMessage],
+    signature_b64: str,
     certifier: str,
     issued_at: datetime | None = None,
 ) -> AuthenticationCertificate:
     """Assemble the evidence bundle; raises instead of issuing a weak one.
 
-    attestations must be exactly one, from the arbitrator's wallet, signing
-    the metadata line. Every input is read first, and a bad one raises an
-    error that is not a Refusal; then linkage, time and the attestation
+    signature_b64 is the arbitrator's signature over the metadata line the
+    transaction carries. Every input is read first, and a bad one raises an
+    error that is not a Refusal; then linkage, time and the signature
     answer, in that order.
     Origin: the verified arbitrator signature plus the full linkage report.
     Time: block timestamp and confirmation count from the chain source.
@@ -306,8 +320,7 @@ def issue_certificate(
         raise AttestationError(f"issued_at has no time zone: {issued_at}")
     _refuse_invalid(agreement)
     report = match_transaction(agreement, tx)
-    for att in attestations:
-        decode_signature(att.signature_b64)
+    decode_signature(signature_b64)
 
     if not report.overall:
         raise LinkageFailed(
@@ -316,21 +329,13 @@ def issue_certificate(
         raise NoTimeEvidence("no confirmed block time for the transaction")
 
     arbitrator = agreement.party(Role.ARBITRATOR)
-    if [a.address.text for a in attestations] != [arbitrator.address.text]:
+    message = attest_message(report.metadata)
+    if not verify_message(arbitrator.address, signature_b64, message):
         raise AttestationInvalid(
-            "expected one attestation, from the arbitrator's wallet "
-            f"{arbitrator.address.text}")
-    att, = attestations
-    if not verify_message(att.address, att.signature_b64, att.message):
-        raise AttestationInvalid(
-            f"signature does not verify for {att.address.text}")
-    if not match_fragment(att.signature_b64, report.metadata.sig_fragment):
+            f"signature does not verify for {arbitrator.address.text}")
+    if not match_fragment(signature_b64, report.metadata.sig_fragment):
         raise AttestationInvalid(
             "embedded signature fragment does not match the arbitrator attestation")
-    expected_message = attest_message(report.metadata)
-    if att.message != expected_message:
-        raise AttestationInvalid(
-            "arbitrator attestation signs a different line than the metadata")
 
     txid = report.txid
     when = status.block_time  # UTC, as TxStatus keeps it
@@ -365,8 +370,8 @@ def issue_certificate(
     return AuthenticationCertificate(
         txid=txid,
         origin_evidence={
-            "attestations": [{"address": att.address.text, "message": att.message,
-                              "signature": att.signature_b64}],
+            "attestations": [{"address": arbitrator.address.text, "message": message,
+                              "signature": signature_b64}],
             "linkage": report.to_report(),
         },
         time_evidence={
@@ -378,7 +383,7 @@ def issue_certificate(
             "seat": agreement.seat,
             "seatJurisdiction": agreement.seat_jurisdiction,
             "reasonedAwardOptOut": agreement.reasoned_award_opt_out,
-            "attestedMessage": expected_message,
+            "attestedMessage": message,
             "agreementTextHash": (
                 agreement.agreement_text_hash.hex()
                 if agreement.agreement_text_hash else None),
@@ -388,6 +393,12 @@ def issue_certificate(
         statement="\n".join(statement_lines),
         issued_at=issued_at,
     )
+
+
+def issue_certificate(agreement, tx, status, attestations, certifier, issued_at=None):
+    """certify of a one-signature list, as the benchmark calls it; ROADMAP item 1 deletes it."""
+    att, = attestations
+    return certify(agreement, tx, status, att.signature_b64, certifier, issued_at)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,29 @@ def _read_private_key(ref: str) -> PrivateKey:
         raise EawardError(f"key file {ref}: {exc}") from exc
 
 
+def _write_out(path: str, text: str):
+    """Write text to --out's path. A regular file there, or none, is replaced
+    whole, so a failed write leaves the earlier file as it was; it keeps its
+    permission bits, and a new file gets open()'s, 0o666 less the umask.
+    Anything else, such as a symlink, /dev/stdout or a FIFO, is written
+    through."""
+    import stat
+
+    from .errors import replace_file
+
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(path, "w") as out:
+            out.write(text)
+    else:
+        replace_file(path, text.encode(), stat.S_IMODE(mode))
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -267,12 +290,8 @@ def cmd_anchor_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from pathlib import Path
-
-    from .attestation import extract_metadata, issue_certificate, load_agreement
+    from .attestation import certify, load_agreement
     from .chain import get_transaction, get_tx_status
-    from .metadata import Role, attest_message
-    from .msgauth import SignedMessage
     from .tx import Txid
 
     agreement = load_agreement(args.agreement)
@@ -280,18 +299,10 @@ def cmd_certify(args) -> int:
     txid = Txid.from_hex(args.txid)
     tx = get_transaction(source, txid)
     status = get_tx_status(source, txid)
-    meta = extract_metadata(tx)
-    arbitrator = agreement.party(Role.ARBITRATOR)
-    attestation = SignedMessage(
-        address=arbitrator.address,
-        message=attest_message(meta),
-        signature_b64=args.attestation,
-    )
-    certificate = issue_certificate(
-        agreement, tx, status, [attestation], args.certifier)
+    certificate = certify(agreement, tx, status, args.attestation, args.certifier)
     report = certificate.to_report()
     if args.out:
-        Path(args.out).write_text(_json_text(report) + "\n")
+        _write_out(args.out, _json_text(report) + "\n")
     _emit(args, report, [certificate.statement])
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Shared exception roots, the one reader of each outside format (hex text,
 JSON documents and the typed fields inside them), and the one writer of a
 file that readers may open while it is written (`replace_file`, for the
-object store and a fixture broadcast).
+object store, a fixture broadcast and `certify --out`).
 
 A failure's class decides its exit code, and its message says what failed:
 a Refusal exits 1 and any other EawardError exits 2. So each module has one
@@ -107,17 +107,22 @@ def json_field(doc, where: str, key: str, kind: type, default=_REQUIRED):
     return value
 
 
-def replace_file(path, data: bytes) -> None:
-    """Write data to path through a staging file in path's directory, renamed
-    into place: a reader sees the old file or the whole new one, and a failed
-    write removes the staging file. There is no fsync, as the object store
-    writes on every anchoring; each reader checks the bytes again instead."""
+def replace_file(path, data: bytes, mode: int = 0o600) -> None:
+    """Write data to path, with these permission bits, through a staging file
+    in path's directory, renamed into place: a reader sees the old file or
+    the whole new one, and a failed write removes the staging file. There is
+    no fsync, as the object store writes on every anchoring; each reader
+    checks the bytes again instead."""
     import os
     import tempfile  # here, so that commands that write no file never load it
 
-    fd, staging = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".staging-")
+    try:
+        fd, staging = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".staging-")
+    except OSError as exc:  # named by the file asked for, not the staging file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as out:
+            os.fchmod(out.fileno(), mode)
             out.write(data)
         os.replace(staging, path)
     except BaseException:

@@ -231,12 +231,6 @@ def golden_agreement() -> ArbitrationAgreement:
 
 
 @pytest.fixture(scope="session")
-def golden_attestation() -> SignedMessage:
-    from eaward.crypto import Address
-    return SignedMessage(Address.from_text(ADDR_A), ATTEST_MESSAGE, SIGNATURE_B64)
-
-
-@pytest.fixture(scope="session")
 def golden_status() -> TxStatus:
     return TxStatus(BLOCK_TIME, 1000, sha256(b"demo block hash").hex())
 

@@ -25,14 +25,12 @@ from eaward.attestation import (
     AttestationInvalid,
     LinkageFailed,
     NoTimeEvidence,
-    extract_metadata,
-    issue_certificate,
+    certify,
     load_agreement,
 )
 from eaward.chain import ChainSource, TxidMismatch, get_transaction, get_tx_status
 from eaward.cli import main
 from eaward.crypto import (
-    Address,
     BASE58_ALPHABET,
     CryptoError,
     PrivateKey,
@@ -48,12 +46,11 @@ from eaward.metadata import (
     AwardMetadata,
     ParticipantTag,
     Role,
-    attest_message,
     decode_metadata,
     encode_metadata,
     match_fragment,
 )
-from eaward.msgauth import SignedMessage, sign_message, verify_message
+from eaward.msgauth import sign_message, verify_message
 from eaward.tx import (
     Script,
     Transaction,
@@ -170,17 +167,14 @@ def _golden_inputs():
     tx = get_transaction(source, txid)
     status = get_tx_status(source, txid)
     agreement = load_agreement(FIXTURES / "agreement.json")
-    attestation = SignedMessage(Address.from_text(ADDR_A), ATTEST_MESSAGE,
-                                SIGNATURE_B64)
-    return agreement, tx, status, attestation
+    return agreement, tx, status
 
 
 def test_criterion_4_end_to_end_certificate():
-    agreement, tx, status, attestation = _golden_inputs()
+    agreement, tx, status = _golden_inputs()
     assert status.block_time == BLOCK_TIME
 
-    cert = issue_certificate(agreement, tx, status, [attestation],
-                             "Expert Witness", ISSUED_AT)
+    cert = certify(agreement, tx, status, SIGNATURE_B64, "Expert Witness", ISSUED_AT)
     txid_hex = compute_txid(tx).hex()
     expected_findings = (
         f"Transaction id {txid_hex} was completed on 28 March 2019 at 15:46:53 UTC",
@@ -220,13 +214,14 @@ def _golden_evidence() -> dict:
 _GOLDEN = _golden_evidence()  # read only: each run edits a fresh copy
 
 
-def _payload(line: str) -> dict:
-    """Edits that put line in the demo transaction's nulldata output. The
-    changed transaction is filed, with the demo's status, and asked for under
-    its own txid."""
+def _payload(*lines: str) -> dict:
+    """Edits that put lines, one nulldata output each, in place of the demo
+    transaction's output; the first keeps its value. The changed transaction
+    is filed, with the demo's status, and asked for under its own txid."""
     tx = parse_transaction(_GOLDEN["chain"][_HEX])
-    changed = rebuild(tx, outputs=(
-        TxOutput(tx.outputs[0].value, build_nulldata_script(line.encode())),))
+    changed = rebuild(tx, outputs=tuple(
+        TxOutput(tx.outputs[0].value if i == 0 else 0, build_nulldata_script(line.encode()))
+        for i, line in enumerate(lines)))
     txid = compute_txid(changed).hex()
     return {("chain",): {f"{txid}.hex": changed.to_hex(),
                          f"{txid}.status": _GOLDEN["chain"][_STATUS]},
@@ -248,6 +243,7 @@ def _flip(text: str, index: int) -> str:
 _LINKAGE = "agreement does not match transaction: "
 _INCONSISTENT = "agreement is invalid: escrow policy keys do not correspond 1:1 to party addresses"
 _UNTIMED = "no confirmed block time for the transaction"
+_PARIS = METADATA_TEXT.replace("London", "Paris")
 
 _SINGLE_FAULTS = [
     pytest.param({("agreement", "seat"): "Paris"},
@@ -276,6 +272,13 @@ _SINGLE_FAULTS = [
                  id="fragment"),
     pytest.param(_payload(METADATA_TEXT.replace("KkjJX", "KkjJ1")),
                  LinkageFailed, 1, _LINKAGE + "arbitrator address suffix", id="suffix"),
+    # A record that states two awards evidences neither, even when they agree.
+    pytest.param(_payload(METADATA_TEXT, _PARIS), LinkageFailed, 1,
+                 _LINKAGE + "award lines in outputs 0, 1", id="second_award_line_after"),
+    pytest.param(_payload(_PARIS, METADATA_TEXT), LinkageFailed, 1,
+                 _LINKAGE + "seat, award lines in outputs 0, 1", id="second_award_line_before"),
+    pytest.param(_payload(METADATA_TEXT, METADATA_TEXT), LinkageFailed, 1,
+                 _LINKAGE + "award lines in outputs 0, 1", id="award_line_twice"),
     pytest.param({("chain", _HEX): _flip(_GOLDEN["chain"][_HEX], 120)}, TxidMismatch, 2,
                  f"requested {DEMO_TXID} but source bytes hash to "
                  "98396e40cfc80aafd632803e69bebeac654714ee1764c04450a25fdb4bd1ba45",
@@ -296,11 +299,8 @@ def _certify_in_library(agreement_file, root, txid_hex, signature_b64):
     agreement = load_agreement(agreement_file)
     source = ChainSource("fixture", TESTNET, fixture_root=root)
     txid = Txid.from_hex(txid_hex)
-    tx = get_transaction(source, txid)
-    status = get_tx_status(source, txid)
-    attestation = SignedMessage(agreement.party(Role.ARBITRATOR).address,
-                                attest_message(extract_metadata(tx)), signature_b64)
-    return issue_certificate(agreement, tx, status, [attestation], "W", ISSUED_AT)
+    return certify(agreement, get_transaction(source, txid), get_tx_status(source, txid),
+                   signature_b64, "W", ISSUED_AT)
 
 
 @pytest.mark.parametrize("edits,error,code,message", _SINGLE_FAULTS)

@@ -2,7 +2,7 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eaward.attestation import (
     ArbitrationAgreement,
@@ -12,7 +12,8 @@ from eaward.attestation import (
     NoTimeEvidence,
     Party,
     agreement_from_dict,
-    extract_metadata,
+    award_lines,
+    certify,
     extract_redeem_script,
     issue_certificate,
     load_agreement,
@@ -25,7 +26,7 @@ from eaward.crypto import Address, PrivateKey, TESTNET, sha256
 from eaward.errors import Refusal
 from eaward.escrow import EscrowPolicy
 from eaward.metadata import Role, attest_message, encode_metadata, match_fragment
-from eaward.msgauth import SignedMessage, sign_message
+from eaward.msgauth import MalformedSignature, SignedMessage, sign_message
 from eaward.tx import (
     OP_RETURN,
     Script,
@@ -317,11 +318,11 @@ def test_overlong_metadata_line_is_skipped(demo_tx):
     overlong = TxOutput(0, Script(bytes([OP_RETURN]) + push_data(line[:52])
                                   + push_data(line[52:])))
     tx = Transaction(demo_tx.version, demo_tx.inputs, (overlong, *demo_tx.outputs))
-    assert extract_metadata(tx).text() == METADATA_TEXT
+    assert {i: m.text() for i, m in award_lines(tx).items()} == {1: METADATA_TEXT}
     alone = Transaction(demo_tx.version, demo_tx.inputs, (overlong,))
     with pytest.raises(AttestationError, match="no nulldata payload parses as award "
                                                "metadata: metadata line is 104 bytes"):
-        extract_metadata(alone)
+        award_lines(alone)
 
 
 def test_anchor_plus_metadata_coexist(golden_agreement, demo_tx):
@@ -330,6 +331,38 @@ def test_anchor_plus_metadata_coexist(golden_agreement, demo_tx):
                      (extra, *demo_tx.outputs), demo_tx.locktime)
     report = match_transaction(golden_agreement, tx)
     assert report.overall
+
+
+_B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seat=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", min_size=1,
+                    max_size=6),
+       fragment=st.none() | st.text(_B64, min_size=27, max_size=27).map(lambda t: t + "="),
+       others=st.lists(st.sampled_from(["anchor", "payout"]), max_size=3),
+       data=st.data())
+def test_a_second_award_line_never_certifies(golden_agreement, demo_tx, golden_status,
+                                             seat, fragment, others, data):
+    # Another award line, at any output index among the demo's own line and
+    # outputs that carry no award line, refuses the record and names both
+    # outputs.
+    meta, = award_lines(demo_tx).values()
+    other = rebuild(meta, seat=seat, sig_fragment=fragment or meta.sig_fragment)
+    assume(other != meta)
+    filler = {"anchor": build_nulldata_script(sha256(b"anchored award")),
+              "payout": Script(b"\x76\xa9\x14" + bytes(20) + b"\x88\xac")}
+    outputs = [TxOutput(0, filler[kind]) for kind in others]
+    own = data.draw(st.integers(0, len(outputs)), label="own index")
+    outputs.insert(own, demo_tx.outputs[0])
+    second = data.draw(st.integers(0, len(outputs)), label="second index")
+    outputs.insert(second, TxOutput(0, build_nulldata_script(encode_metadata(other))))
+    own += second <= own
+    tx = rebuild(demo_tx, outputs=tuple(outputs))
+    with pytest.raises(LinkageFailed) as refused:
+        certify(golden_agreement, tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
+    assert str(refused.value).endswith(
+        f"award lines in outputs {min(own, second)}, {max(own, second)}")
 
 
 def test_multi_input_same_redeem_ok(golden_agreement, demo_tx):
@@ -348,10 +381,9 @@ def test_multi_input_differing_redeem_rejected(golden_agreement, demo_tx):
 # Certificate
 # ---------------------------------------------------------------------------
 
-def test_certificate_golden_findings(golden_agreement, demo_tx,
-                                     golden_attestation, golden_status):
-    cert = issue_certificate(golden_agreement, demo_tx, golden_status,
-                             [golden_attestation], "Expert Witness", ISSUED_AT)
+def test_certificate_golden_findings(golden_agreement, demo_tx, golden_status):
+    cert = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64,
+                   "Expert Witness", ISSUED_AT)
     from eaward.tx import compute_txid
     txid_hex = compute_txid(demo_tx).hex()
     assert cert.findings == (
@@ -368,23 +400,29 @@ def test_certificate_golden_findings(golden_agreement, demo_tx,
     assert "median-time-past" in cert.statement
 
 
-def test_certificate_deterministic(golden_agreement, demo_tx,
-                                   golden_attestation, golden_status):
-    one = issue_certificate(golden_agreement, demo_tx, golden_status,
-                            [golden_attestation], "W", ISSUED_AT)
-    two = issue_certificate(golden_agreement, demo_tx, golden_status,
-                            [golden_attestation], "W", ISSUED_AT)
+def test_certificate_deterministic(golden_agreement, demo_tx, golden_status):
+    one = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
+    two = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
     assert one == two
 
 
-def test_certificate_reports_time_and_linkage(golden_agreement, demo_tx,
-                                              golden_attestation, golden_status):
-    cert = issue_certificate(golden_agreement, demo_tx, golden_status,
-                             [golden_attestation], "W", ISSUED_AT)
+def test_issue_certificate_is_certify_of_its_one_attestation(golden_agreement, demo_tx,
+                                                             golden_status):
+    # The benchmark's library path gives the certificate the CLI's path gives.
+    attestation = SignedMessage(Address.from_text(ADDR_A), ATTEST_MESSAGE, SIGNATURE_B64)
+    assert issue_certificate(golden_agreement, demo_tx, golden_status, [attestation],
+                             "W", ISSUED_AT) == certify(
+        golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
+
+
+def test_certificate_reports_time_and_linkage(golden_agreement, demo_tx, golden_status):
+    cert = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
     report = cert.to_report()
     assert report["timeEvidence"]["blockTime"] == "2019-03-28T15:46:53Z"
     assert report["timeEvidence"]["confirmations"] == 1000
     assert report["originEvidence"]["linkage"]["overall"] is True
+    assert report["originEvidence"]["attestations"] == [
+        {"address": ADDR_A, "message": ATTEST_MESSAGE, "signature": SIGNATURE_B64}]
     assert report["intentEvidence"]["reasonedAwardOptOut"] is True
     assert report["intentEvidence"]["attestedMessage"] == ATTEST_MESSAGE
 
@@ -393,13 +431,12 @@ def test_certificate_reports_time_and_linkage(golden_agreement, demo_tx,
 @given(instant=st.datetimes(min_value=datetime(2009, 1, 3), max_value=datetime(2100, 1, 1)),
        offset=st.integers(min_value=-12 * 60, max_value=14 * 60))
 def test_certificate_states_one_time_for_the_block(golden_agreement, demo_tx,
-                                                   golden_attestation, instant, offset):
+                                                   instant, offset):
     # The same instant in any zone from UTC-12 to UTC+14: the finding's date
     # and time are the UTC ones that blockTime states.
     when = instant.replace(microsecond=0, tzinfo=timezone.utc)
     status = TxStatus(when.astimezone(timezone(timedelta(minutes=offset))), 1000)
-    cert = issue_certificate(golden_agreement, demo_tx, status,
-                             [golden_attestation], "W", ISSUED_AT)
+    cert = certify(golden_agreement, demo_tx, status, SIGNATURE_B64, "W", ISSUED_AT)
     stated = cert.findings[0].split(" was completed on ")[1]
     assert stated == f"{when:%d %B %Y} at {when:%H:%M:%S} UTC"
     stated_at = datetime.strptime(stated, "%d %B %Y at %H:%M:%S UTC")
@@ -421,75 +458,60 @@ def test_certificate_states_one_time_for_the_block(golden_agreement, demo_tx,
     ("2099-12-31T23:59:58", "31 December 2099"),
 ])
 def test_certificate_names_the_month_in_english(golden_agreement, demo_tx,
-                                                golden_attestation, block_time, date):
+                                                block_time, date):
     when = datetime.fromisoformat(block_time).replace(tzinfo=timezone.utc)
-    cert = issue_certificate(golden_agreement, demo_tx, TxStatus(when, 1000),
-                             [golden_attestation], "W", ISSUED_AT)
+    cert = certify(golden_agreement, demo_tx, TxStatus(when, 1000), SIGNATURE_B64,
+                   "W", ISSUED_AT)
     assert cert.findings[0].endswith(f" was completed on {date} at {block_time[11:]} UTC")
 
 
-def test_certificate_refuses_a_naive_issue_time(golden_agreement, demo_tx,
-                                                golden_attestation, golden_status):
+def test_certificate_refuses_a_naive_issue_time(golden_agreement, demo_tx, golden_status):
     # A time with no zone would be read as the machine's local time.
     with pytest.raises(AttestationError, match="issued_at has no time zone") as caught:
-        issue_certificate(golden_agreement, demo_tx, golden_status,
-                          [golden_attestation], "W", datetime(2026, 8, 9, 12, 0, 0))
+        certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W",
+                datetime(2026, 8, 9, 12, 0, 0))
     assert not isinstance(caught.value, Refusal)
 
 
-def test_certificate_requires_linkage(golden_agreement, demo_tx,
-                                      golden_attestation, golden_status):
+def test_certificate_requires_linkage(golden_agreement, demo_tx, golden_status):
     wrong_seat = _agreement_with(golden_agreement, seat="Paris")
     with pytest.raises(LinkageFailed):
-        issue_certificate(wrong_seat, demo_tx, golden_status,
-                          [golden_attestation], "W", ISSUED_AT)
+        certify(wrong_seat, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
 
 
-def test_certificate_requires_time_evidence(golden_agreement, demo_tx,
-                                            golden_attestation):
+def test_certificate_requires_time_evidence(golden_agreement, demo_tx):
     # No status at all is a library input only: a chain source answers an
     # unconfirmed transaction with TxStatus(None, 0), a row of acceptance
     # criterion 4's single faults.
     with pytest.raises(NoTimeEvidence):
-        issue_certificate(golden_agreement, demo_tx, None,
-                          [golden_attestation], "W", ISSUED_AT)
+        certify(golden_agreement, demo_tx, None, SIGNATURE_B64, "W", ISSUED_AT)
 
 
-def test_certificate_requires_arbitrator_attestation(golden_agreement, demo_tx,
-                                                     golden_status):
-    with pytest.raises(AttestationInvalid, match="expected one attestation, from the "
-                       f"arbitrator's wallet {ADDR_A}"):
-        issue_certificate(golden_agreement, demo_tx, golden_status, [], "W",
-                          ISSUED_AT)
+def test_malformed_signature_is_read_before_any_check(golden_agreement, demo_tx):
+    # Every input is read before linkage, time and the signature answer: text
+    # that is no signature is a data error even where linkage and time fail.
+    wrong_seat = _agreement_with(golden_agreement, seat="Paris")
+    with pytest.raises(MalformedSignature) as caught:
+        certify(wrong_seat, demo_tx, None, SIGNATURE_B64[:-4], "W", ISSUED_AT)
+    assert not isinstance(caught.value, Refusal)
 
 
-def test_corrupted_signature_is_invalid(golden_agreement, demo_tx,
-                                        golden_attestation, golden_status):
-    corrupted = SignedMessage(
-        golden_attestation.address,
-        golden_attestation.message,
-        "IO0vDf3Zqf" + ("S" if SIGNATURE_B64[10] != "S" else "T") + SIGNATURE_B64[11:],
-    )
+def test_corrupted_signature_is_invalid(golden_agreement, demo_tx, golden_status):
+    corrupted = "IO0vDf3Zqf" + ("S" if SIGNATURE_B64[10] != "S" else "T") + SIGNATURE_B64[11:]
     with pytest.raises(AttestationInvalid):
-        issue_certificate(golden_agreement, demo_tx, golden_status,
-                          [corrupted], "W", ISSUED_AT)
+        certify(golden_agreement, demo_tx, golden_status, corrupted, "W", ISSUED_AT)
 
 
 def test_non_party_signer_is_invalid(golden_agreement, demo_tx, golden_status):
     stranger_key = PrivateKey.from_bytes(sha256(b"stranger"))
     stranger = sign_message(stranger_key, ATTEST_MESSAGE, TESTNET)
-    with pytest.raises(AttestationInvalid, match="expected one attestation"):
-        issue_certificate(golden_agreement, demo_tx, golden_status,
-                          [stranger], "W", ISSUED_AT)
+    with pytest.raises(AttestationInvalid, match=f"signature does not verify for {ADDR_A}"):
+        certify(golden_agreement, demo_tx, golden_status, stranger.signature_b64,
+                "W", ISSUED_AT)
 
 
-def test_second_attestation_is_invalid(synthetic_case):
-    case = synthetic_case
-    claimant = sign_message(case.keys[Role.CLAIMANT], case.attestation.message, TESTNET)
-    for attestations in ([case.attestation, claimant], [case.attestation] * 2):
-        with pytest.raises(AttestationInvalid, match="expected one attestation"):
-            issue_certificate(case.agreement, case.tx, case.status,
-                              attestations, "W", ISSUED_AT)
+def _arbitrator_refused(case) -> str:
+    return f"signature does not verify for {case.agreement.party(Role.ARBITRATOR).address.text}"
 
 
 def test_party_attestation_is_invalid(synthetic_case):
@@ -498,14 +520,14 @@ def test_party_attestation_is_invalid(synthetic_case):
     case = synthetic_case
     for role in (Role.CLAIMANT, Role.RESPONDENT):
         party = sign_message(case.keys[role], case.attestation.message, TESTNET)
-        with pytest.raises(AttestationInvalid, match="expected one attestation"):
-            issue_certificate(case.agreement, case.tx, case.status,
-                              [party], "W", ISSUED_AT)
+        with pytest.raises(AttestationInvalid, match=_arbitrator_refused(case)):
+            certify(case.agreement, case.tx, case.status, party.signature_b64,
+                    "W", ISSUED_AT)
 
 
 def test_attestation_of_another_line_is_invalid(synthetic_case):
     # The arbitrator signs a line X and the metadata line L carries the tail
-    # of that signature: signature and fragment check out, but L is not X.
+    # of that signature: the fragment checks out, but L is not X.
     case = synthetic_case
     other = sign_message(case.keys[Role.ARBITRATOR], case.attestation.message + " draft",
                          TESTNET)
@@ -513,9 +535,8 @@ def test_attestation_of_another_line_is_invalid(synthetic_case):
     assert match_fragment(other.signature_b64, meta.sig_fragment)
     assert attest_message(meta) != other.message
     tx = _with_payload(case.tx, encode_metadata(meta))
-    with pytest.raises(AttestationInvalid,
-                       match="arbitrator attestation signs a different line than the metadata"):
-        issue_certificate(case.agreement, tx, case.status, [other], "W", ISSUED_AT)
+    with pytest.raises(AttestationInvalid, match=_arbitrator_refused(case)):
+        certify(case.agreement, tx, case.status, other.signature_b64, "W", ISSUED_AT)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +552,14 @@ def test_synthetic_case_full_pipeline(synthetic_case):
     report = match_transaction(case.agreement, case.tx)
     assert report.overall
 
-    cert = issue_certificate(case.agreement, case.tx, case.status,
-                             [case.attestation], "Self Certifier", ISSUED_AT)
+    cert = certify(case.agreement, case.tx, case.status, case.attestation.signature_b64,
+                   "Self Certifier", ISSUED_AT)
     assert "Party A's wallet digitally signed the embedded data." in cert.findings
     assert any("0.005 BTC" in line for line in cert.findings)
 
 
 def test_synthetic_fragment_invariant(synthetic_case):
-    meta = extract_metadata(synthetic_case.tx)
+    meta, = award_lines(synthetic_case.tx).values()
     assert match_fragment(synthetic_case.attestation.signature_b64,
                           meta.sig_fragment)
     assert synthetic_case.attestation.message == attest_message(meta)

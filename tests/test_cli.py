@@ -704,14 +704,19 @@ def test_live_bad_timeout_exit_2(capsys, timeout):
     assert "timeout" in err
 
 
-def _run_fresh(script: str, *flags: str) -> str:
-    """stdout of `script` run in a new interpreter, with these interpreter
-    flags, on this checkout's package."""
+def _fresh(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """`script` run in a new interpreter, with these interpreter flags, on
+    this checkout's package."""
     src = str(Path(eaward.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
+
+
+def _run_fresh(script: str, *flags: str) -> str:
+    """stdout of _fresh(script, *flags), which must exit 0."""
+    proc = _fresh(script, *flags)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -963,6 +968,58 @@ def _certify(*source_args, agreement=AGREEMENT):
             "--attestation", SIGNATURE_B64, "--certifier", "W")
 
 
+def _certify_child(out: Path, max_file_bytes: int | None = None) -> subprocess.CompletedProcess:
+    """`certify --out out` of the demo in a new interpreter, whose files may
+    grow to max_file_bytes if it is given. Python ignores SIGXFSZ, so a write
+    past the limit raises EFBIG."""
+    argv = [*_certify("--fixture-root", str(CHAIN_DIR)), "--out", str(out)]
+    limit = ("" if max_file_bytes is None else "import resource\n"
+             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({max_file_bytes}, {max_file_bytes}))\n")
+    return _fresh(f"{limit}import sys\nfrom eaward.cli import main\nsys.exit(main({argv!r}))\n",
+                  "-S")
+
+
+def test_certify_out_replaces_a_regular_file_whole(tmp_path):
+    out = tmp_path / "certificate.json"
+    assert _certify_child(out).returncode == 0
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert oct(out.stat().st_mode & 0o777) == oct(0o666 & ~umask)  # as open() makes it
+    earlier = out.read_bytes()
+    out.chmod(0o640)
+    failed = _certify_child(out, max_file_bytes=len(earlier) // 2)
+    assert (failed.returncode, failed.stdout) == (2, "")
+    assert failed.stderr == "error: [Errno 27] File too large\n"
+    assert out.read_bytes() == earlier
+    assert os.listdir(tmp_path) == [out.name]  # no staging file is left
+    assert _certify_child(out).returncode == 0
+    assert json.loads(out.read_bytes())["txid"] == DEMO_TXID
+    assert oct(out.stat().st_mode & 0o777) == oct(0o640)
+
+
+def test_certify_out_in_a_missing_directory_exit_2(capsys, tmp_path):
+    # The error names the file asked for, not the staging file beside it.
+    out = tmp_path / "missing" / "certificate.json"
+    assert _data_error(capsys, *_certify("--fixture-root", str(CHAIN_DIR)),
+                       "--out", str(out)) == (
+        "", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
+def test_certify_out_writes_through_what_is_not_a_regular_file(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("earlier")
+    link = tmp_path / "certificate.json"
+    link.symlink_to(target)
+    assert _certify_child(link).returncode == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert json.loads(target.read_text())["txid"] == DEMO_TXID
+    to_stdout = _certify_child(Path("/dev/stdout"))
+    assert to_stdout.returncode == 0
+    document, statement = to_stdout.stdout.split("\n}\n", 1)
+    assert json.loads(document + "}")["txid"] == DEMO_TXID
+    assert statement.startswith("Certification by W.")
+
+
 def _agreement_with_field(tmp_path, path, value) -> str:
     file = tmp_path / "agreement.json"
     shutil.copy(FIXTURES / "agreement.json", file)
@@ -992,6 +1049,20 @@ def test_certify_invalid_agreement_exit_2(capsys, tmp_path):
     _, err = _data_error(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
                                            agreement=agreement))
     assert "seat_jurisdiction must be one of" in err
+
+
+def test_certify_agreement_without_arbitrator_exit_2(capsys, tmp_path):
+    # Without an arbitrator there is no address for the signature to verify
+    # for; the agreement is refused as invalid before anything is checked.
+    doc = json.loads((FIXTURES / "agreement.json").read_text())
+    doc["parties"] = [p for p in doc["parties"] if p["role"] != "A"]
+    agreement = tmp_path / "agreement.json"
+    agreement.write_text(json.dumps(doc))
+    out, err = _data_error(capsys, *_certify("--fixture-root", str(CHAIN_DIR),
+                                             agreement=str(agreement)))
+    assert (out, err) == ("", "error: agreement is invalid: agreement must name exactly "
+                              "one party per role A/C/R; escrow policy keys do not "
+                              "correspond 1:1 to party addresses\n")
 
 
 def test_meta_encode_invalid_agreement_exit_2(capsys, tmp_path):
