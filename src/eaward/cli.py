@@ -435,19 +435,46 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _settle(stream):
+    """Flush stream. If it cannot be written, point its descriptor at
+    os.devnull: the interpreter flushes the standard streams again at exit,
+    and a failure there would print "Exception ignored" and exit 120."""
+    try:
+        stream.flush()
+    except OSError:
+        try:
+            fd = stream.fileno()
+        except OSError:  # io.UnsupportedOperation: a stream with no descriptor
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """The command's exit code. Its answer is written and flushed here, so
+    an answer that cannot be delivered, a "false" among them, is exit 2 with
+    "error: ..." on stderr; a failed stderr leaves the exit code as it is."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    error = None
     try:
-        return args.func(args)
-    except Refusal as exc:
-        print("false")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FALSE
+        try:
+            code = args.func(args)
+        except Refusal as exc:
+            code, error = EXIT_FALSE, exc
+            print("false")
+        sys.stdout.flush()
     except (EawardError, OSError, UnicodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        code, error = EXIT_ERROR, exc
+        _settle(sys.stdout)
+    if error is not None:
+        try:
+            print(f"error: {error}", file=sys.stderr, flush=True)
+        except OSError:
+            _settle(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Shared golden vectors and fixtures.
 
 Vector provenance: published worked-example constants (redeem script,
-addresses, payload, attestation signature, block time, amount) plus values
+addresses, payload, attestation signature, block time) plus values
 frozen after computing them with an independent oracle (affine-math point
 recovery and reference digests cross-checked against officially published
 test vectors).
@@ -9,32 +9,33 @@ test vectors).
 
 from __future__ import annotations
 
+import contextlib
 import http.server
-import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import threading
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from eaward.attestation import ArbitrationAgreement, Party
-from eaward.chain import ChainSource, TxStatus
-from eaward.crypto import PrivateKey, PublicKey, TESTNET, hash256, pubkey_to_address, sha256
-from eaward.escrow import EscrowPolicy, build_redeem_script
+import eaward
+from eaward.attestation import ArbitrationAgreement, load_agreement
+from eaward.chain import ChainSource, TxStatus, get_transaction, get_tx_status
+from eaward.cli import main
+from eaward.crypto import PrivateKey, PublicKey, TESTNET, sha256
+from eaward.escrow import EscrowPolicy
 from eaward.metadata import Role
-from eaward.msgauth import SignedMessage, sign_message
-from eaward.tx import (
-    Script,
-    Transaction,
-    TxInput,
-    TxOutput,
-    Txid,
-    build_nulldata_script,
-    parse_transaction,
-    push_data,
-)
+from eaward.tx import Transaction, Txid, parse_transaction
+
+# perfbench's independent implementation from the public specifications,
+# and the one escrow builder written on it.
+from world import World, build_world, file_world, load, refcrypto
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAIN_DIR = FIXTURES / "chain"
@@ -64,7 +65,6 @@ FRAGMENT = "Cfa7jahDTDVjZwKUpk7w1ypxg8s="
 REAL_TXID = "fa65bc5fa0ee39e012282701a4ce378474183a330487e839cd1b65b398d7646e"
 BLOCK_TIME_TEXT = "2019-03-28T15:46:53Z"
 BLOCK_TIME = datetime(2019, 3, 28, 15, 46, 53, tzinfo=timezone.utc)
-AMOUNT_SAT = 500_000
 
 # --- values frozen from the independent oracle ---
 P2SH_TESTNET = "2N6CGWKdxuvxNV8BkhWSyc52DSp16Ex9Jqd"
@@ -181,17 +181,29 @@ requires_real_transaction = pytest.mark.skipif(
 )
 
 
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# perfbench's independent implementation from the public specifications.
-refcrypto = _load(Path(__file__).resolve().parents[1] / "perfbench" / "refcrypto.py")
 # The slow path of the record reader, the reference for its faster form.
-reftx = _load(Path(__file__).resolve().parent / "reftx.py")
+reftx = load(Path(__file__).resolve().parent / "reftx.py")
+
+
+def main_output(argv) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr, without pytest's capture
+    fixtures, which hypothesis cannot reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args: str, env: dict | None = None, **options) -> subprocess.CompletedProcess:
+    """A new interpreter run with args on this checkout's package, in env
+    (os.environ by default), its stdout and stderr captured as text unless
+    options say otherwise."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(eaward.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
+               "timeout": 60, **options}
+    return subprocess.run([sys.executable, *args], env=env, **options)
 
 
 def rebuild(record, **changes):
@@ -226,7 +238,6 @@ def fixture_source() -> ChainSource:
 
 @pytest.fixture(scope="session")
 def golden_agreement() -> ArbitrationAgreement:
-    from eaward.attestation import load_agreement
     return load_agreement(FIXTURES / "agreement.json")
 
 
@@ -236,69 +247,25 @@ def golden_status() -> TxStatus:
 
 
 # ---------------------------------------------------------------------------
-# Fully self-signed synthetic escrow (fresh keys, genuine signatures all round)
+# A fresh synthetic escrow: built by world.py without eaward, read by eaward
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SyntheticCase:
-    keys: dict
-    agreement: ArbitrationAgreement
-    attestation: SignedMessage
-    metadata_payload: bytes
-    tx: Transaction
-    status: TxStatus
-
-
-def build_synthetic_case(seed: str = "synthetic escrow",
-                         seat: str = "TheHague",
-                         jurisdiction: str = "other") -> SyntheticCase:
-    from eaward.attestation import metadata_for_agreement
-    from eaward.metadata import encode_metadata
-
-    keys = {
-        role: PrivateKey.from_bytes(sha256(f"{seed} {role.value}".encode()))
-        for role in Role
-    }
-    pubs = tuple(keys[r].public_key() for r in Role)
-    policy = EscrowPolicy(2, pubs)
-    parties = tuple(
-        Party(role, f"Party {role.value}", f"Name{role.value}",
-              pubkey_to_address(keys[role].public_key(), TESTNET))
-        for role in Role
-    )
-    agreement = ArbitrationAgreement(
-        parties=parties, seat=seat, seat_jurisdiction=jurisdiction,
-        reasoned_award_opt_out=True, policy=policy,
-    )
-
-    tags_line = " ".join(
-        f"{r.value}-Name{r.value}-{agreement.party(r).address.text[-5:]}" for r in Role
-    )
-    attestation = sign_message(keys[Role.ARBITRATOR], f"{tags_line} {seat}", TESTNET)
-    meta = metadata_for_agreement(agreement, attestation.signature_b64)
-    payload = encode_metadata(meta)
-
-    redeem = build_redeem_script(policy)
-    script_sig = Script(
-        push_data(b"")
-        + push_data(sha256(f"{seed} placeholder sig 1".encode()) + b"\x01")
-        + push_data(sha256(f"{seed} placeholder sig 2".encode()) + b"\x01")
-        + push_data(redeem.raw)
-    )
-    tx = Transaction(
-        version=2,
-        inputs=(TxInput(Txid(hash256(f"{seed} funding".encode())), 1, script_sig),),
-        outputs=(
-            TxOutput(0, build_nulldata_script(payload)),
-            TxOutput(AMOUNT_SAT, Script.from_hex(
-                "76a914" + "00" * 20 + "88ac")),  # throwaway p2pkh payout
-        ),
-    )
-    status = TxStatus(datetime(2020, 7, 1, 12, 0, 0, tzinfo=timezone.utc), 42,
-                      sha256(f"{seed} block".encode()).hex())
-    return SyntheticCase(keys, agreement, attestation, payload, tx, status)
+def read_world(world: World) -> SimpleNamespace:
+    """world's artifacts as eaward reads them: filed in a temporary fixture
+    root and loaded back through load_agreement, get_transaction and
+    get_tx_status. keys holds each party's PrivateKey by Role; line and
+    signature are the world's own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        agreement = load_agreement(file_world(world, root))
+        source = ChainSource("fixture", TESTNET, fixture_root=root)
+        txid = Txid.from_hex(world.txid)
+        return SimpleNamespace(
+            agreement=agreement, tx=get_transaction(source, txid),
+            status=get_tx_status(source, txid), line=world.line, signature=world.signature,
+            keys={Role.from_letter(r): PrivateKey(d) for r, d in world.scalars.items()})
 
 
 @pytest.fixture(scope="session")
-def synthetic_case() -> SyntheticCase:
-    return build_synthetic_case()
+def synthetic_case() -> SimpleNamespace:
+    return read_world(build_world())

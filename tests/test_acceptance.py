@@ -10,8 +10,6 @@ assertions live in a dedicated test that activates automatically when the
 original hex is dropped into the fixture directory.
 """
 
-import contextlib
-import io
 import json
 import random
 from datetime import datetime, timezone
@@ -29,7 +27,6 @@ from eaward.attestation import (
     load_agreement,
 )
 from eaward.chain import ChainSource, TxidMismatch, get_transaction, get_tx_status
-from eaward.cli import main
 from eaward.crypto import (
     BASE58_ALPHABET,
     CryptoError,
@@ -82,6 +79,7 @@ from conftest import (
     REDEEM_HEX,
     SIGNATURE_B64,
     ZERO_PAYLOAD_ADDR,
+    main_output,
     rebuild,
     requires_real_transaction,
 )
@@ -187,6 +185,8 @@ def test_criterion_4_end_to_end_certificate():
         "The record is unaltered given 1000 network confirmations.",
     )
     assert cert.findings == expected_findings
+    assert cert.certifier == "Expert Witness"
+    assert "median-time-past" in cert.statement
 
     _report(4, "certificate issues from the frozen inputs and reproduces "
                "the full findings list (txid, date, amount, three "
@@ -330,11 +330,7 @@ def test_criterion_4_single_fault_mutations(tmp_path, edits, error, code, messag
 
     argv = ["--fixture-root", str(root), "certify", str(agreement), txid,
             "--attestation", signature, "--certifier", "W"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(argv) == code
-    assert out.getvalue() == ("false\n" if code == 1 else "")
-    assert err.getvalue() == f"error: {message}\n"
+    assert main_output(argv) == (code, "false\n" if code == 1 else "", f"error: {message}\n")
 
     _report(4, f"refused with {error.__name__}, exit {code}: {message}")
 

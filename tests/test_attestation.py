@@ -381,25 +381,6 @@ def test_multi_input_differing_redeem_rejected(golden_agreement, demo_tx):
 # Certificate
 # ---------------------------------------------------------------------------
 
-def test_certificate_golden_findings(golden_agreement, demo_tx, golden_status):
-    cert = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64,
-                   "Expert Witness", ISSUED_AT)
-    from eaward.tx import compute_txid
-    txid_hex = compute_txid(demo_tx).hex()
-    assert cert.findings == (
-        f"Transaction id {txid_hex} was completed on 28 March 2019 at 15:46:53 UTC",
-        "The transaction amount was 0.005 BTC",
-        '"A-JohnSmith-KkjJX" relates to mzV1dsMdDjtLSfRa2rPrE2oJpRtynKkjJX',
-        '"C-Acme-fZN8L" relates to mpGZniUmoCemQzRbazvdgzGkmjUQ3fZN8L',
-        '"R-Baker-NBSvH" relates to n2dSPmt5cv2hFNfQqoZtvRJ6bZmypNBSvH',
-        "The transaction makes reference to London.",
-        "John Smith's wallet digitally signed the embedded data.",
-        "The record is unaltered given 1000 network confirmations.",
-    )
-    assert cert.certifier == "Expert Witness"
-    assert "median-time-past" in cert.statement
-
-
 def test_certificate_deterministic(golden_agreement, demo_tx, golden_status):
     one = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
     two = certify(golden_agreement, demo_tx, golden_status, SIGNATURE_B64, "W", ISSUED_AT)
@@ -519,7 +500,7 @@ def test_party_attestation_is_invalid(synthetic_case):
     # arbitrator, is not the arbitrator's.
     case = synthetic_case
     for role in (Role.CLAIMANT, Role.RESPONDENT):
-        party = sign_message(case.keys[role], case.attestation.message, TESTNET)
+        party = sign_message(case.keys[role], case.line, TESTNET)
         with pytest.raises(AttestationInvalid, match=_arbitrator_refused(case)):
             certify(case.agreement, case.tx, case.status, party.signature_b64,
                     "W", ISSUED_AT)
@@ -529,8 +510,7 @@ def test_attestation_of_another_line_is_invalid(synthetic_case):
     # The arbitrator signs a line X and the metadata line L carries the tail
     # of that signature: the fragment checks out, but L is not X.
     case = synthetic_case
-    other = sign_message(case.keys[Role.ARBITRATOR], case.attestation.message + " draft",
-                         TESTNET)
+    other = sign_message(case.keys[Role.ARBITRATOR], case.line + " draft", TESTNET)
     meta = metadata_for_agreement(case.agreement, other.signature_b64)
     assert match_fragment(other.signature_b64, meta.sig_fragment)
     assert attest_message(meta) != other.message
@@ -552,22 +532,20 @@ def test_synthetic_case_full_pipeline(synthetic_case):
     report = match_transaction(case.agreement, case.tx)
     assert report.overall
 
-    cert = certify(case.agreement, case.tx, case.status, case.attestation.signature_b64,
-                   "Self Certifier", ISSUED_AT)
+    cert = certify(case.agreement, case.tx, case.status, case.signature, "Self Certifier",
+                   ISSUED_AT)
     assert "Party A's wallet digitally signed the embedded data." in cert.findings
     assert any("0.005 BTC" in line for line in cert.findings)
 
 
 def test_synthetic_fragment_invariant(synthetic_case):
     meta, = award_lines(synthetic_case.tx).values()
-    assert match_fragment(synthetic_case.attestation.signature_b64,
-                          meta.sig_fragment)
-    assert synthetic_case.attestation.message == attest_message(meta)
+    assert match_fragment(synthetic_case.signature, meta.sig_fragment)
+    assert synthetic_case.line == attest_message(meta)
 
 
 def test_metadata_for_agreement_suffix_invariant(synthetic_case):
-    meta = metadata_for_agreement(synthetic_case.agreement,
-                                  synthetic_case.attestation.signature_b64)
+    meta = metadata_for_agreement(synthetic_case.agreement, synthetic_case.signature)
     for role in Role:
         address = synthetic_case.agreement.party(role).address.text
         assert meta.participant(role).suffix == address[-5:]

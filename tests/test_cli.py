@@ -11,7 +11,6 @@ import os
 import random
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 import types
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import eaward
 from eaward import cli
 from eaward.anchor import READ_CHUNK, AwardDocument, verify_anchor
 from eaward.chain import MAX_BODY, ChainSource
@@ -49,7 +47,9 @@ from conftest import (
     SIGNATURE_B64,
     SUPERFLUOUS_DEMO_HEX,
     live_status_responses,
+    main_output,
     rebuild,
+    run_python,
 )
 
 AGREEMENT = str(FIXTURES / "agreement.json")
@@ -438,15 +438,6 @@ def test_anchor_verify_mismatch_exit_1(capsys, tmp_path):
         f"error: nulldata present but no payload equals the document digest {digest}\n")
 
 
-def _main_output(argv) -> tuple[int, str, str]:
-    """cli.main's exit code, stdout and stderr, without pytest's capture
-    fixtures, which hypothesis cannot reset between examples."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def _whole_bytes_answer(data: bytes, tx: Transaction) -> tuple[int, str, str]:
     """What `anchor verify` answers for data against an unconfirmed tx,
     from the library's whole-bytes verify_anchor."""
@@ -472,7 +463,7 @@ def test_anchor_commands_hash_the_document_in_chunks(tmp_path_factory, length, s
     data = random.Random(seed).randbytes(length)
     doc = root / "award.bin"
     doc.write_bytes(data)
-    code, out, err = _main_output(["anchor", "create", str(doc)])
+    code, out, err = main_output(["anchor", "create", str(doc)])
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == f"docHash: {hashlib.sha256(data).hexdigest()}"
     for anchored in (data, data + b"another document"):
@@ -480,8 +471,8 @@ def test_anchor_commands_hash_the_document_in_chunks(tmp_path_factory, length, s
                          (TxOutput(0, build_nulldata_script(sha256(anchored))),))
         txid = compute_txid(tx).hex()
         (root / f"{txid}.hex").write_text(tx.to_hex() + "\n")
-        assert _main_output(["--fixture-root", str(root), "anchor", "verify", str(doc),
-                             txid]) == _whole_bytes_answer(data, tx)
+        assert main_output(["--fixture-root", str(root), "anchor", "verify", str(doc),
+                            txid]) == _whole_bytes_answer(data, tx)
 
 
 @pytest.mark.parametrize("command", [
@@ -704,19 +695,10 @@ def test_live_bad_timeout_exit_2(capsys, timeout):
     assert "timeout" in err
 
 
-def _fresh(script: str, *flags: str) -> subprocess.CompletedProcess:
-    """`script` run in a new interpreter, with these interpreter flags, on
-    this checkout's package."""
-    src = str(Path(eaward.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
-
-
 def _run_fresh(script: str, *flags: str) -> str:
-    """stdout of _fresh(script, *flags), which must exit 0."""
-    proc = _fresh(script, *flags)
+    """stdout of `script` run by a new interpreter with these flags, which
+    must exit 0."""
+    proc = run_python(*flags, "-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -806,24 +788,6 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
     assert built == tables
     assert unwanted == []
     assert loaded_stdlib == stdlib
-
-
-@pytest.mark.parametrize("argv,absent", [
-    (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], ["hmac", "pathlib", "typing"]),
-    (["msg", "sign", "env:CLI_TEST_KEY", ATTEST_MESSAGE], ["pathlib", "typing"]),
-], ids=["msg_verify", "msg_sign"])
-def test_msg_commands_load_no_typing_or_pathlib(argv, absent):
-    # Only signing runs HMAC, and neither command reads a path. -S keeps
-    # site out of the child, as a site hook may import typing or pathlib.
-    script = (
-        "import contextlib, io, sys\n"
-        "import eaward.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert eaward.cli.main({argv!r}) == 0\n"
-        f"print(sorted(set({absent!r}) & set(sys.modules)))\n"
-    )
-    with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
-        assert _run_fresh(script, "-S") == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["msg"]],
@@ -975,8 +939,8 @@ def _certify_child(out: Path, max_file_bytes: int | None = None) -> subprocess.C
     argv = [*_certify("--fixture-root", str(CHAIN_DIR)), "--out", str(out)]
     limit = ("" if max_file_bytes is None else "import resource\n"
              f"resource.setrlimit(resource.RLIMIT_FSIZE, ({max_file_bytes}, {max_file_bytes}))\n")
-    return _fresh(f"{limit}import sys\nfrom eaward.cli import main\nsys.exit(main({argv!r}))\n",
-                  "-S")
+    return run_python("-S", "-c",
+                      f"{limit}import sys\nfrom eaward.cli import main\nsys.exit(main({argv!r}))\n")
 
 
 def test_certify_out_replaces_a_regular_file_whole(tmp_path):
@@ -1018,6 +982,57 @@ def test_certify_out_writes_through_what_is_not_a_regular_file(tmp_path):
     document, statement = to_stdout.stdout.split("\n}\n", 1)
     assert json.loads(document + "}")["txid"] == DEMO_TXID
     assert statement.startswith("Certification by W.")
+
+
+# One command per outcome, and the exit code each gives when its output and
+# errors can be written. The refusal is raised: anchor verify of a document
+# the demo transaction does not anchor.
+_OUTCOMES = {
+    "true": (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0),
+    "false": (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", POLICY, DEMO_TXID], 1),
+    "data_error": (["msg", "verify", ADDR_A, "!!!", ATTEST_MESSAGE], 2),
+}
+
+
+@contextlib.contextmanager
+def _unwritable(sink: str):
+    """A descriptor every write to which fails: a pipe whose reading end is
+    closed (EPIPE), or /dev/full (ENOSPC)."""
+    if sink == "closed_pipe":
+        reading, fd = os.pipe()
+        os.close(reading)
+    elif os.path.exists("/dev/full"):
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        pytest.skip("no /dev/full")
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
+@pytest.mark.parametrize("outcome", _OUTCOMES)
+def test_undelivered_answer_exit_2(outcome, sink, buffered):
+    # An answer that could not be written was not given: exit 2 with the
+    # write's error, never exit 1 or the interpreter's exit 120, and no
+    # traceback, whether stdout is block-buffered (as a shell's pipe or file
+    # gives it) or not. When stderr fails too, or alone, the code holds.
+    argv, code = _OUTCOMES[outcome]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    script = f"import sys\nfrom eaward.cli import main\nsys.exit(main({argv!r}))\n"
+    with _unwritable(sink) as fd:
+        failed = run_python("-S", "-c", script, env=env, stdout=fd)
+        both = run_python("-S", "-c", script, env=env, stdout=fd, stderr=fd)
+        errors = run_python("-S", "-c", script, env=env, stderr=fd)
+    assert failed.returncode == 2
+    assert failed.stderr.startswith("error: ")
+    assert "Traceback" not in failed.stderr and "Exception ignored" not in failed.stderr
+    assert both.returncode == 2
+    assert errors.returncode == code
 
 
 def _agreement_with_field(tmp_path, path, value) -> str:
@@ -1224,13 +1239,6 @@ _FIELDS = (
 )
 
 
-def _main_quiet(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=120, deadline=None)
 @given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
 @example(field=("agreement.json", ("policy", "m")), value=math.inf)
@@ -1247,7 +1255,7 @@ def test_any_field_value_keeps_exit_contract(field, value):
         for command in (_VALIDATE, _ENCODE, _ESCROW, _CERTIFY):
             argv = [a.format(agreement=root / "agreement.json", policy=root / "policy.json",
                              chain=root) for a in command]
-            code, out, err = _main_quiet(argv)
+            code, out, err = main_output(argv)
             assert code in (0, 1, 2), argv
             if code == 1:
                 assert out == "false\n" or (argv[0] == "agreement" and
@@ -1261,7 +1269,7 @@ def test_any_field_value_keeps_exit_contract(field, value):
 @example(message=ATTEST_MESSAGE)
 @example(message="A\udcff")
 def test_any_message_keeps_exit_contract(message):
-    code, out, err = _main_quiet(["msg", "verify", ADDR_A, SIGNATURE_B64, "--", message])
+    code, out, err = main_output(["msg", "verify", ADDR_A, SIGNATURE_B64, "--", message])
     assert code in (0, 1, 2)
     assert (code == 0) == (message == ATTEST_MESSAGE)
     if code == 1:
@@ -1333,7 +1341,7 @@ def test_any_hex_fixture_keeps_exit_contract(served):
 
 
 def _assert_exit_contract(argv, served_ok):
-    code, out, err = _main_quiet(argv)
+    code, out, err = main_output(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         assert served_ok, argv

@@ -43,10 +43,11 @@ from eaward.tx import (
     Txid,
     compute_txid,
     decode_script,
+    extract_op_return,
     parse_transaction,
 )
 
-from conftest import PAYLOAD_HEX, build_synthetic_case, golden_pubkeys, rebuild
+from conftest import PAYLOAD_HEX, build_world, golden_pubkeys, read_world, rebuild
 
 
 def _records(value):
@@ -66,7 +67,7 @@ def _same_fields(record):
 def _builders(seed: bytes, demo_tx_hex: str):
     """Zero-argument builders of records of every kind, each built from
     outside input or from computed values."""
-    case = build_synthetic_case(seed=f"records {seed.hex()}")
+    case = read_world(build_world(f"records {seed.hex()}"))
     key = PrivateKey.from_bytes(sha256(seed))
     signed = sign_message(key, seed.hex(), TESTNET)
     address = pubkey_to_address(key.public_key(), TESTNET)
@@ -87,7 +88,7 @@ def _builders(seed: bytes, demo_tx_hex: str):
         lambda: sign_message(key, seed.hex(), TESTNET),
         lambda: decode_signature(signed.signature_b64),
         lambda: decode_metadata(bytes.fromhex(PAYLOAD_HEX)),
-        lambda: decode_metadata(case.metadata_payload),
+        lambda: decode_metadata(extract_op_return(case.tx)[0]),
         lambda: rebuild(case.agreement),
         lambda: validate_agreement(case.agreement),
         lambda: match_transaction(case.agreement, case.tx),
