@@ -13,6 +13,13 @@ loads only what its command needs. The parser is built per command too:
 every group's parser is made, but only the group the command line names
 gets its subcommands and arguments. json is imported only by the output
 paths that write it, and pathlib only where a path is built.
+
+A process also skips the interpreter's teardown: both process entries end
+through `run`, which leaves by os._exit once the answer and the diagnostics
+are flushed, instead of freeing every module, table and object the command
+loaded. `run` says why nothing is lost. A profiler or a coverage run that
+wants the whole command should drive `main`, the in-process API, not the
+process entry, since os._exit also skips their exit-time reports.
 """
 
 from __future__ import annotations
@@ -405,13 +412,25 @@ _GROUPS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a write of --help, --version or a usage error that
+    fails, and exits 0 or 2 as if it had been written. Here its OSError is
+    raised, so main reports it under the exit contract; a write that fails
+    only when it is flushed, `run` reports. Each group's parser is made by
+    its parent, as one of these too."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv. The top level and every group's parser are
     built, but a group's subcommands and arguments only when its name is an
     element of argv. argparse enters a group only by its exact name, and
     only the group's own help and errors show what fills it, so the parser
     answers argv as the full tree does."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eaward",
         description="Multisig escrow e-award toolkit",
     )
@@ -437,8 +456,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def _settle(stream):
     """Flush stream. If it cannot be written, point its descriptor at
-    os.devnull: the interpreter flushes the standard streams again at exit,
-    and a failure there would print "Exception ignored" and exit 120."""
+    os.devnull, so that the flush `run` makes before it exits cannot fail a
+    second time and report the same failure again."""
     try:
         stream.flush()
     except OSError:
@@ -451,15 +470,25 @@ def _settle(stream):
         os.close(devnull)
 
 
+def _report(error):
+    """One "error: ..." line on stderr; a failed stderr changes nothing."""
+    try:
+        print(f"error: {error}", file=sys.stderr, flush=True)
+    except OSError:
+        _settle(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     """The command's exit code. Its answer is written and flushed here, so
-    an answer that cannot be delivered, a "false" among them, is exit 2 with
-    "error: ..." on stderr; a failed stderr leaves the exit code as it is."""
+    an answer that cannot be delivered, a "false" or a --help among them, is
+    exit 2 with "error: ..." on stderr; a failed stderr leaves the exit code
+    as it is. --help, --version and usage errors raise argparse's SystemExit
+    once they are written."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
     error = None
     try:
+        args = build_parser(argv).parse_args(argv)
         try:
             code = args.func(args)
         except Refusal as exc:
@@ -470,12 +499,38 @@ def main(argv: list[str] | None = None) -> int:
         code, error = EXIT_ERROR, exc
         _settle(sys.stdout)
     if error is not None:
-        try:
-            print(f"error: {error}", file=sys.stderr, flush=True)
-        except OSError:
-            _settle(sys.stderr)
+        _report(error)
     return code
 
 
+def run():
+    """The end of every eaward process: `python -m eaward.cli` and the
+    installed `eaward` script both call it. It runs main on sys.argv, takes
+    argparse's SystemExit as its exit code, flushes stdout and stderr, and
+    leaves by os._exit, skipping the interpreter's teardown. A stdout that
+    cannot be flushed here is exit 2 with "error: ..." on stderr; one main
+    already reported was pointed at os.devnull and flushes. Any other
+    exception propagates as it would from main.
+
+    os._exit skips the flushing of buffered streams, atexit handlers and
+    finalizers, and nothing is lost by it: main flushes its answer and its
+    diagnostics inside its handling, and this flushes both streams again;
+    every file a command writes (--out, the object store, a fixture
+    broadcast) is closed by its with block or by errors.replace_file before
+    main returns; and the package registers no atexit handler or finalizer.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = EXIT_ERROR
+        _report(exc)
+    _settle(sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,11 +9,13 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import tempfile
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -34,6 +36,7 @@ from conftest import (
     ADDR_A,
     ADDR_C,
     ATTEST_MESSAGE,
+    AWARD_SHA256,
     CHAIN_DIR,
     DEMO_TXID,
     FIXTURES,
@@ -760,7 +763,8 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
     # module, hmac loads only for signing, pathlib only where a path is read,
     # and typing, threading and tempfile (only a write stages a file) nowhere.
     # -S keeps site out of the child, as a site hook may import inspect,
-    # typing or pathlib.
+    # typing or pathlib. No atexit handler is registered (weakref.finalize
+    # registers one too), which cli.run's os._exit would skip.
     anchored = tmp_path / "chain"
     placeholders = {"anchored": str(anchored), "anchor_txid": _confirmed_anchor(anchored)}
     argv = [arg.format(**placeholders) for arg in argv]
@@ -773,9 +777,9 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
         "                   'http.client', 'ssl'} & set(sys.modules))\n"
         "stdlib = sorted({'json', 'datetime', '_strptime', 'typing', 'pathlib', 'hmac',\n"
         "                 'threading', 'tempfile'} & set(sys.modules))\n"
-        "import json\n"
+        "import atexit, json\n"
         "from eaward import crypto\n"
-        "print(json.dumps([\n"
+        "print(json.dumps([atexit._ncallbacks(),\n"
         "    sorted(m for m in sys.modules\n"
         "           if m.split('.')[0] == 'eaward' and m != 'eaward._ripemd160'),\n"
         "    {t.__name__: t.cache_info().currsize for t in (crypto._g_table,\n"
@@ -783,7 +787,9 @@ def test_command_loads_only_its_modules_and_tables(argv, code, modules, tables, 
         "    unwanted, stdlib]))\n"
     )
     with mock.patch.dict(os.environ, {"CLI_TEST_KEY": sha256(b"env signer").hex()}):
-        loaded, built, unwanted, loaded_stdlib = json.loads(_run_fresh(script, "-S"))
+        exit_handlers, loaded, built, unwanted, loaded_stdlib = json.loads(
+            _run_fresh(script, "-S"))
+    assert exit_handlers == 0
     assert loaded == sorted(["eaward", "eaward.cli", *(f"eaward.{m}" for m in modules)])
     assert built == tables
     assert unwanted == []
@@ -932,33 +938,55 @@ def _certify(*source_args, agreement=AGREEMENT):
             "--attestation", SIGNATURE_B64, "--certifier", "W")
 
 
-def _certify_child(out: Path, max_file_bytes: int | None = None) -> subprocess.CompletedProcess:
-    """`certify --out out` of the demo in a new interpreter, whose files may
-    grow to max_file_bytes if it is given. Python ignores SIGXFSZ, so a write
-    past the limit raises EFBIG."""
+# The two process entries a user runs, each ending through cli.run: the
+# module, and the function the installed `eaward` script calls, which reads
+# sys.argv as that script leaves it. The command line follows either.
+_ENTRIES = {
+    "module": ("-m", "eaward.cli"),
+    "script": ("-c", "import sys\nfrom eaward.cli import run\nsys.exit(run())\n"),
+}
+# The slow path they are checked against: main's code handed to sys.exit,
+# so that the interpreter flushes the streams and tears itself down.
+_REFERENCE = ("-c", "import sys\nfrom eaward.cli import main\nsys.exit(main())\n")
+
+
+def _processes(*calls: tuple[tuple, dict]) -> list[subprocess.CompletedProcess]:
+    """run_python(*args, **options) for each (args, options), two at a time."""
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(lambda call: run_python(*call[0], **call[1]), calls))
+
+
+def _certify_child(out: Path, max_file_bytes: int | None = None,
+                   entry: str = "module") -> subprocess.CompletedProcess:
+    """`certify --out out` of the demo through entry in a new interpreter,
+    whose files may grow to max_file_bytes if it is given. Python ignores
+    SIGXFSZ, so a write past the limit raises EFBIG."""
+    import resource
+
     argv = [*_certify("--fixture-root", str(CHAIN_DIR)), "--out", str(out)]
-    limit = ("" if max_file_bytes is None else "import resource\n"
-             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({max_file_bytes}, {max_file_bytes}))\n")
-    return run_python("-S", "-c",
-                      f"{limit}import sys\nfrom eaward.cli import main\nsys.exit(main({argv!r}))\n")
+    limit = None if max_file_bytes is None else functools.partial(
+        resource.setrlimit, resource.RLIMIT_FSIZE, (max_file_bytes, max_file_bytes))
+    return run_python("-S", *_ENTRIES[entry], *argv, preexec_fn=limit)
 
 
 def test_certify_out_replaces_a_regular_file_whole(tmp_path):
-    out = tmp_path / "certificate.json"
-    assert _certify_child(out).returncode == 0
     umask = os.umask(0o022)
     os.umask(umask)
-    assert oct(out.stat().st_mode & 0o777) == oct(0o666 & ~umask)  # as open() makes it
-    earlier = out.read_bytes()
-    out.chmod(0o640)
-    failed = _certify_child(out, max_file_bytes=len(earlier) // 2)
-    assert (failed.returncode, failed.stdout) == (2, "")
-    assert failed.stderr == "error: [Errno 27] File too large\n"
-    assert out.read_bytes() == earlier
-    assert os.listdir(tmp_path) == [out.name]  # no staging file is left
-    assert _certify_child(out).returncode == 0
-    assert json.loads(out.read_bytes())["txid"] == DEMO_TXID
-    assert oct(out.stat().st_mode & 0o777) == oct(0o640)
+    for entry in _ENTRIES:
+        (tmp_path / entry).mkdir()
+        out = tmp_path / entry / "certificate.json"
+        assert _certify_child(out, entry=entry).returncode == 0
+        assert oct(out.stat().st_mode & 0o777) == oct(0o666 & ~umask)  # as open() makes it
+        earlier = out.read_bytes()
+        out.chmod(0o640)
+        failed = _certify_child(out, max_file_bytes=len(earlier) // 2, entry=entry)
+        assert (failed.returncode, failed.stdout) == (2, "")
+        assert failed.stderr == "error: [Errno 27] File too large\n"
+        assert out.read_bytes() == earlier
+        assert os.listdir(out.parent) == [out.name]  # no staging file is left
+        assert _certify_child(out, entry=entry).returncode == 0
+        assert json.loads(out.read_bytes())["txid"] == DEMO_TXID
+        assert oct(out.stat().st_mode & 0o777) == oct(0o640)
 
 
 def test_certify_out_in_a_missing_directory_exit_2(capsys, tmp_path):
@@ -986,11 +1014,14 @@ def test_certify_out_writes_through_what_is_not_a_regular_file(tmp_path):
 
 # One command per outcome, and the exit code each gives when its output and
 # errors can be written. The refusal is raised: anchor verify of a document
-# the demo transaction does not anchor.
+# the demo transaction does not anchor. argparse writes --help and
+# --version itself, then exits.
 _OUTCOMES = {
     "true": (["msg", "verify", ADDR_A, SIGNATURE_B64, ATTEST_MESSAGE], 0),
     "false": (["--fixture-root", str(CHAIN_DIR), "anchor", "verify", POLICY, DEMO_TXID], 1),
     "data_error": (["msg", "verify", ADDR_A, "!!!", ATTEST_MESSAGE], 2),
+    "help": (["--help"], 0),
+    "version": (["--version"], 0),
 }
 
 
@@ -1011,6 +1042,15 @@ def _unwritable(sink: str):
         os.close(fd)
 
 
+def _environment(buffered: bool) -> dict:
+    """os.environ with PYTHONUNBUFFERED unset, as a user's shell leaves it,
+    or set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
 @pytest.mark.parametrize("outcome", _OUTCOMES)
@@ -1019,20 +1059,71 @@ def test_undelivered_answer_exit_2(outcome, sink, buffered):
     # write's error, never exit 1 or the interpreter's exit 120, and no
     # traceback, whether stdout is block-buffered (as a shell's pipe or file
     # gives it) or not. When stderr fails too, or alone, the code holds.
+    # Each case runs through both process entries.
     argv, code = _OUTCOMES[outcome]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    script = f"import sys\nfrom eaward.cli import main\nsys.exit(main({argv!r}))\n"
+    env = _environment(buffered)
     with _unwritable(sink) as fd:
-        failed = run_python("-S", "-c", script, env=env, stdout=fd)
-        both = run_python("-S", "-c", script, env=env, stdout=fd, stderr=fd)
-        errors = run_python("-S", "-c", script, env=env, stderr=fd)
-    assert failed.returncode == 2
-    assert failed.stderr.startswith("error: ")
-    assert "Traceback" not in failed.stderr and "Exception ignored" not in failed.stderr
-    assert both.returncode == 2
-    assert errors.returncode == code
+        streams = [{"env": env, "stdout": fd}, {"env": env, "stdout": fd, "stderr": fd},
+                   {"env": env, "stderr": fd}]
+        children = _processes(*((("-S", *entry, *argv), options)
+                                for entry in _ENTRIES.values() for options in streams))
+    for failed, both, errors in (children[:3], children[3:]):
+        assert failed.returncode == 2
+        assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1
+        assert "Traceback" not in failed.stderr and "Exception ignored" not in failed.stderr
+        assert both.returncode == 2
+        assert errors.returncode == code
+
+
+@pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
+def test_usage_error_with_unwritable_stderr_exit_2(sink):
+    with _unwritable(sink) as fd:
+        usages = _processes(*((("-S", *entry, "msg"), {"env": _environment(True), "stderr": fd})
+                              for entry in _ENTRIES.values()))
+    assert [(usage.returncode, usage.stdout) for usage in usages] == [(2, "")] * len(_ENTRIES)
+
+
+@pytest.mark.parametrize("outcome", [*_OUTCOMES, "usage_error"])
+def test_entries_answer_as_the_slow_path(outcome):
+    # Both entries leave by os._exit once run has flushed the streams; the
+    # reference leaves through the interpreter's own flush and teardown.
+    # Block-buffered, as a shell gives stdout, every byte still arrives.
+    argv, code = _OUTCOMES.get(outcome, (["msg"], 2))
+    reference, *entries = _processes(*((("-S", *entry, *argv), {"env": _environment(True)})
+                                       for entry in (_REFERENCE, *_ENTRIES.values())))
+    assert reference.returncode == code
+    for answer in entries:
+        assert ((answer.returncode, answer.stdout, answer.stderr)
+                == (reference.returncode, reference.stdout, reference.stderr))
+
+
+def test_files_a_process_writes_are_whole_when_it_exits(tmp_path):
+    # os._exit closes no file, so each one a command writes must be closed
+    # before main returns: a process's files equal those of the same
+    # commands run through cli.main, as do its outputs.
+    demo_hex = (CHAIN_DIR / f"{DEMO_TXID}.hex").read_text().strip()
+
+    def commands(root: Path) -> list[list[str]]:
+        root.mkdir()
+        return [[*_certify("--fixture-root", str(CHAIN_DIR)), "--out",
+                 str(root / "certificate.json")],
+                ["--store-root", str(root / "objects"), "anchor", "create", AWARD, "--store"],
+                ["--fixture-root", str(root / "chain"), "tx", "broadcast", demo_hex]]
+
+    def files(root: Path) -> dict[str, bytes]:
+        issued = re.compile(rb'"issuedAt": "[^"]*"')
+        return {str(f.relative_to(root)): issued.sub(b"", f.read_bytes())
+                for f in sorted(root.rglob("*")) if f.is_file()}
+
+    processes = _processes(*((("-S", "-m", "eaward.cli", *argv), {})
+                             for argv in commands(tmp_path / "process")))
+    in_process = [main_output(argv) for argv in commands(tmp_path / "main")]
+    assert [(p.returncode, p.stdout, p.stderr) for p in processes] == in_process
+    assert [code for code, _, _ in in_process] == [0, 0, 0]
+    written = files(tmp_path / "process")
+    assert sorted(written) == ["certificate.json", f"chain/{DEMO_TXID}.hex",
+                               f"objects/{AWARD_SHA256}"]
+    assert written == files(tmp_path / "main")
 
 
 def _agreement_with_field(tmp_path, path, value) -> str:
@@ -1402,7 +1493,7 @@ def test_live_certify_needs_no_requests(capsys, explorer):
     # `import requests` fails in this fresh process, as where it is not installed.
     argv = ["--json", *_certify("--source", "live", "--endpoint", explorer.url)]
     live = json.loads(_run_fresh("import sys\nsys.modules['requests'] = None\n"
-                                 f"import eaward.cli\nsys.exit(eaward.cli.main({argv!r}))\n"))
+                                 f"sys.argv[1:] = {argv!r}\nimport eaward.cli\neaward.cli.run()\n"))
     code, out, _ = run(capsys, "--json", *_certify("--fixture-root", str(CHAIN_DIR)))
     fixture = json.loads(out)
     assert code == 0
